@@ -9,15 +9,13 @@ from .schur import (
     SymFunc,
     TensorSymFunc,
     coproduct_basis,
-    iterated_coproduct_basis,
     outer_mul,
-    scalar,
     skew,
     skew_basis,
     tensor,
 )
-from .series import mul_by_series, series_degree_term, skew_by_series
-from .hash_products import build_hash, named_spec
+from .series import mul_by_series, skew_by_series
+from .hash_products import named_product
 
 # Branch rule -> series to skew by.
 BRANCH_SERIES = {
@@ -40,16 +38,10 @@ def branch(f: SymFunc, rule: str) -> SymFunc:
 
 # -- Newell-Littlewood -------------------------------------------------------
 
-_nl_hash = None
-
-
 def newell_littlewood(f: SymFunc, g: SymFunc) -> SymFunc:
     """Product of orthogonal (or symplectic) characters on their labels:
     [mu][nu] = sum_zeta [(mu/zeta)(nu/zeta)], realized as a derived hash."""
-    global _nl_hash
-    if _nl_hash is None:
-        _nl_hash = build_hash(named_spec("newell-littlewood"))
-    return _nl_hash(f, g)
+    return named_product("newell-littlewood")(f, g)
 
 
 def newell_littlewood_formula(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -178,16 +170,6 @@ def rational_convert(x: RationalChar, direction: str) -> RationalChar:
 
 # -- Thibon characters -------------------------------------------------------
 
-_thibon_hash = None
-
-
-def _get_thibon_hash():
-    global _thibon_hash
-    if _thibon_hash is None:
-        _thibon_hash = build_hash(named_spec("thibon"))
-    return _thibon_hash
-
-
 def thibon_convert(f: SymFunc, direction: str, cap: int) -> SymFunc:
     """to_thibon: {lam} -> <<lam>> = {lam M}; to_schur: <<lam>> -> {lam L},
     both truncated at cap."""
@@ -200,7 +182,7 @@ def thibon_convert(f: SymFunc, direction: str, cap: int) -> SymFunc:
 
 def thibon_inner(x: SymFunc, y: SymFunc) -> SymFunc:
     """Inner product of Thibon characters on labels: <<mu>>*<<nu>> = <<mu #_{1,1} nu>>."""
-    return _get_thibon_hash()(x, y)
+    return named_product("thibon")(x, y)
 
 
 def thibon_inner_formula(x: SymFunc, y: SymFunc) -> SymFunc:
@@ -226,16 +208,10 @@ def thibon_inner_formula(x: SymFunc, y: SymFunc) -> SymFunc:
 
 # -- reduced symmetric-group characters --------------------------------------
 
-_ml_hash = None
-
-
 def murnaghan_littlewood(x: SymFunc, y: SymFunc) -> SymFunc:
     """Inner product of reduced characters on labels:
     <mu>*<nu> = <mu #_{m,1,1} nu>."""
-    global _ml_hash
-    if _ml_hash is None:
-        _ml_hash = build_hash(named_spec("murnaghan-littlewood"))
-    return _ml_hash(x, y)
+    return named_product("murnaghan-littlewood")(x, y)
 
 
 def murnaghan_littlewood_formula(x: SymFunc, y: SymFunc) -> SymFunc:

@@ -38,7 +38,7 @@ from .formats import (
     symfunc_json,
     term_order,
 )
-from .hash_products import HashSpec, build_hash, named_spec
+from .hash_products import HashSpec, build_hash, named_product
 from .kronecker import character_table, inner_mul
 from .partitions import format_partition, parse_partition, partitions_of
 from .schur import SymFunc, outer_mul
@@ -66,6 +66,12 @@ def _guard(f: SymFunc, bound: int) -> SymFunc:
     return f
 
 
+def _nonnegative(value: int, what: str) -> int:
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    return value
+
+
 def _emit(args, text: str, payload=None) -> None:
     if getattr(args, "json", False) and payload is not None:
         print(json.dumps(payload, indent=2))
@@ -86,8 +92,11 @@ def _cmd_decompose(args) -> int:
         "reduced": "reduced",
     }
     if args.product == "rational":
-        lhs = characters.RationalChar.basis(*parse_rational_label(args.lhs))
-        rhs = characters.RationalChar.basis(*parse_rational_label(args.rhs))
+        labels = [parse_rational_label(args.lhs), parse_rational_label(args.rhs)]
+        w = max(sum(lam) + sum(mu) for lam, mu in labels)
+        if w > bound:
+            raise ResourceError(f"input weight {w} exceeds the configured maximum {bound}")
+        lhs, rhs = (characters.RationalChar.basis(*label) for label in labels)
         result = characters.rational_mul(lhs, rhs)
         _emit(args, format_rational(result.element), rational_json(result.element))
         return 0
@@ -118,7 +127,7 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.cap > _max_weight(args):
+    if _nonnegative(args.cap, "cap") > _max_weight(args):
         raise ResourceError(f"cap {args.cap} exceeds the configured maximum")
     lines = []
     payload_terms = []
@@ -153,7 +162,7 @@ def _resolve_pairing(name: str):
 
 
 def _cmd_check(args) -> int:
-    d = args.max_degree
+    d = _nonnegative(args.max_degree, "max degree")
     if d > _max_weight(args):
         raise ResourceError(f"max degree {d} exceeds the configured maximum")
     witness: list = []
@@ -174,20 +183,35 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _cmd_hash(args) -> int:
-    bound = _max_weight(args)
-    if args.spec.strip().startswith("{"):
-        data = json.loads(args.spec)
+_SPEC_SHAPE = (
+    'inline spec must look like {"stages": [{"pairing": P, "cocycle": C}, ...], "final": C}'
+    f" with P in {sorted(_PAIRINGS)} and C in {sorted(_COCHAINS)}"
+)
+
+
+def _parse_spec(text: str) -> HashSpec:
+    """An inline JSON hash spec; ValueError naming the expected shape otherwise."""
+    data = json.loads(text)
+    try:
         stages = tuple(
             (_PAIRINGS[st["pairing"]](), _COCHAINS[st["cocycle"]]())
             for st in data.get("stages", [])
         )
-        spec = HashSpec(stages, _COCHAINS[data.get("final", "id")](), "custom")
+        final = _COCHAINS[data.get("final", "id")]()
+    except (AttributeError, KeyError, TypeError):
+        raise ValueError(_SPEC_SHAPE) from None
+    return HashSpec(stages, final, "custom")
+
+
+def _cmd_hash(args) -> int:
+    bound = _max_weight(args)
+    if args.spec.strip().startswith("{"):
+        product = build_hash(_parse_spec(args.spec))
     else:
-        spec = named_spec(args.spec)
-    x = _guard(SymFunc.basis(parse_partition(args.lhs)), bound)
-    y = _guard(SymFunc.basis(parse_partition(args.rhs)), bound)
-    result = build_hash(spec)(x, y)
+        product = named_product(args.spec)
+    x = _guard(parse_symfunc(args.lhs), bound)
+    y = _guard(parse_symfunc(args.rhs), bound)
+    result = product(x, y)
     _emit(args, format_symfunc(result), symfunc_json(result, "gl"))
     return 0
 
@@ -205,7 +229,7 @@ def _cmd_vertex(args) -> int:
             return 0
         print(f"MISMATCH: difference {format_symfunc(diff)}")
         return 1
-    ok = vertex.check_commutation(args.cap)
+    ok = vertex.check_commutation(_nonnegative(args.cap, "cap"))
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -242,12 +266,12 @@ def _parse_fgl(token: str):
 def _cmd_fgl(args) -> int:
     if args.action == "loop":
         F = _parse_fgl(args.law)
-        F = type(F)(F.coeffs, args.cap)
+        F = type(F)(F.coeffs, _nonnegative(args.cap, "cap"))
         print(_poly_text(loop_n(F, args.n)))
         return 0
     if args.action == "log":
         F = _parse_fgl(args.law)
-        F = type(F)(F.coeffs, args.cap)
+        F = type(F)(F.coeffs, _nonnegative(args.cap, "cap"))
         print(_poly_text(fgl_log(F)))
         return 0
     lam = parse_partition(args.partition)
@@ -265,7 +289,7 @@ def _cmd_fgl(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    n = args.n
+    n = _nonnegative(args.n, "n")
     if n > 12:
         raise ResourceError("character tables limited to n <= 12")
     table = None

@@ -13,7 +13,7 @@ from .schur import (
     TensorSymFunc,
     antipode,
     coproduct_basis,
-    counit,
+    iterated_coproduct_basis,
     outer_mul,
     scalar,
     tensor,
@@ -36,10 +36,11 @@ class Cochain1:
         return hit
 
     def __call__(self, f: SymFunc) -> SymFunc:
-        out = SymFunc.zero()
+        out: dict[Partition, int] = {}
         for lam, c in f.terms.items():
-            out = out + self.on_basis(lam).scale(c)
-        return out
+            for key, v in self.on_basis(lam).terms.items():
+                out[key] = out.get(key, 0) + c * v
+        return SymFunc(out)
 
     def is_normalized(self) -> bool:
         return self.on_basis(()) == SymFunc.one()
@@ -64,11 +65,12 @@ class Pairing:
         return hit
 
     def __call__(self, f: SymFunc, g: SymFunc) -> SymFunc:
-        out = SymFunc.zero()
+        out: dict[Partition, int] = {}
         for mu, cf in f.terms.items():
             for nu, cg in g.terms.items():
-                out = out + self.on_basis(mu, nu).scale(cf * cg)
-        return out
+                for key, v in self.on_basis(mu, nu).terms.items():
+                    out[key] = out.get(key, 0) + cf * cg * v
+        return SymFunc(out)
 
     def is_unital(self) -> bool:
         return self.on_basis((), ()) == SymFunc.one()
@@ -210,8 +212,6 @@ def coboundary1(f: Cochain1) -> Pairing:
     fbar = milnor_moore_inverse1(f)
 
     def fn(mu: Partition, nu: Partition) -> SymFunc:
-        from .schur import iterated_coproduct_basis
-
         out = SymFunc.zero()
         for (x1, x2, x3), cx in iterated_coproduct_basis(mu, 3).items():
             if x1:

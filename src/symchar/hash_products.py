@@ -1,14 +1,17 @@
 """Deformed (hash) products on symmetric functions.
 
-A hash spec lists stages (pairing, algebra-hom cochain) plus a final
-cochain applied to the ambient multiplication; the product is the
-convolution of the derived pairings with the (derived) multiplication,
-evaluated through iterated coproducts of both arguments.
+A hash spec lists stages (pairing a_j, algebra-hom cochain phi_j), j < k,
+and a final cochain psi on the ambient multiplication m.  `build_hash`
+evaluates the convolution of the phi_j o a_j with psi o m stage by stage
+over 2-fold coproducts: H_j(mu, nu) = sum phi_j(a_j(mu1, nu1)) H_{j+1}(mu2, nu2),
+H_k = psi o m, and s_mu # s_nu = H_0(mu, nu).  `named_product` builds (and
+validates) each named spec once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .convolution import (
     Cochain1,
@@ -28,8 +31,9 @@ from .schur import (
     SymFunc,
     TensorSymFunc,
     coproduct,
+    coproduct_basis,
     iterated_coproduct_basis,
-    outer_mul,
+    product_basis,
     scalar,
     tensor,
 )
@@ -77,36 +81,53 @@ def validate_spec(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> None:
         )
 
 
-def build_hash(spec: HashSpec, validate: bool = True):
-    """Return the binary operation x # y on SymFunc for the given spec."""
-    if validate:
-        validate_spec(spec)
-    k = len(spec.stages)
+def build_hash(spec: HashSpec):
+    """Validate the spec and return the binary operation x # y on SymFunc.
 
-    def product(f: SymFunc, g: SymFunc) -> SymFunc:
-        out = SymFunc.zero()
-        for mu, cf in f.terms.items():
-            xsplits = iterated_coproduct_basis(mu, k + 1)
-            for nu, cg in g.terms.items():
-                ysplits = iterated_coproduct_basis(nu, k + 1)
-                for xlegs, cx in xsplits.items():
-                    for ylegs, cy in ysplits.items():
-                        term = SymFunc.one()
-                        for i, (pairing, cocycle) in enumerate(spec.stages):
-                            factor = cocycle(pairing.on_basis(xlegs[i], ylegs[i]))
-                            if not factor:
-                                term = SymFunc.zero()
-                                break
-                            term = outer_mul(term, factor)
-                        if not term:
-                            continue
-                        tail = spec.final_cocycle(
-                            outer_mul(SymFunc.basis(xlegs[k]), SymFunc.basis(ylegs[k]))
-                        )
-                        out = out + outer_mul(term, tail).scale(cf * cg * cx * cy)
+    Only the inner stages H_j, 0 < j < k, are memoized (one table per product):
+    H_0 is reached once per pair of input terms and H_k is a cached LR product."""
+    validate_spec(spec)
+    stages, final = spec.stages, spec.final_cocycle
+    k = len(stages)
+    memo: dict[tuple[int, Partition, Partition], dict[Partition, int]] = {}
+
+    def stage(j: int, mu: Partition, nu: Partition) -> dict[Partition, int]:
+        if j == k:
+            return final(SymFunc(product_basis(mu, nu))).terms
+        if j and (j, mu, nu) in memo:
+            return memo[(j, mu, nu)]
+        pairing, cocycle = stages[j]
+        out: dict[Partition, int] = {}
+        for (x1, x2), cx in coproduct_basis(mu).items():
+            for (y1, y2), cy in coproduct_basis(nu).items():
+                head = cocycle(pairing.on_basis(x1, y1)).terms
+                tail = stage(j + 1, x2, y2) if head else None
+                if not tail:
+                    continue
+                for a, ca in head.items():
+                    for b, cb in tail.items():
+                        c = cx * cy * ca * cb
+                        for lam, cl in product_basis(a, b).items():
+                            out[lam] = out.get(lam, 0) + c * cl
+        if j:
+            memo[(j, mu, nu)] = out
         return out
 
+    def product(f: SymFunc, g: SymFunc) -> SymFunc:
+        out: dict[Partition, int] = {}
+        for mu, cf in f.terms.items():
+            for nu, cg in g.terms.items():
+                for lam, c in stage(0, mu, nu).items():
+                    out[lam] = out.get(lam, 0) + cf * cg * c
+        return SymFunc(out)
+
     return product
+
+
+@cache
+def named_product(name: str):
+    """The hash product of a named spec, built and validated once per process."""
+    return build_hash(named_spec(name))
 
 
 def composite_pairing(spec: HashSpec) -> Pairing:
@@ -131,7 +152,7 @@ def hash_is_hopf(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> bool:
 
 
 def _bialgebra_law_holds(spec: HashSpec, max_degree: int) -> bool:
-    product = build_hash(spec, validate=False)
+    product = build_hash(spec)
     basis = partitions_up_to(max_degree)
     for x in basis:
         for y in basis:

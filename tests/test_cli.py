@@ -100,6 +100,20 @@ class TestHash:
         assert code == 0
         assert out == "{0} + {2} + {1,1}"
 
+    def test_schur_expression_operands(self, capsys):
+        code, out, _ = run(capsys, "hash", "--spec", "thibon", "s[1]+s[2]", "1")
+        assert code == 0
+        assert out == "{1} + 2*{2} + 2*{1,1} + {3} + {2,1}"
+
+    @pytest.mark.parametrize(
+        "spec", ['{"stages": 5}', '{"stages": [{"pairing": "inner"}]}']
+    )
+    def test_malformed_inline_spec(self, capsys, spec):
+        code, out, err = run(capsys, "hash", "--spec", spec, "1", "1")
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
+        assert "inline spec must look like" in err
+
 
 class TestVertexAndFgl:
     def test_vertex_schur(self, capsys):
@@ -184,3 +198,28 @@ class TestExitCodes:
     def test_table_resource_bound(self, capsys):
         code, _, _ = run(capsys, "table", "40")
         assert code == 3
+
+    def test_rational_resource_bound(self, capsys):
+        code, out, err = run(
+            capsys, "--max-weight", "2", "decompose", "--product", "rational", "8;5", "5;8"
+        )
+        assert code == 3
+        assert out == "" and "resource" in err
+
+
+class TestNegativeBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "laplace", "inner", "--max-degree", "-3"),
+            ("series", "M", "--cap", "-1"),
+            ("table", "-1"),
+            ("vertex", "check-commutation", "--cap", "-1"),
+            ("fgl", "log", "gm", "--cap", "-1"),
+        ],
+    )
+    def test_rejected_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "must be >= 0" in err

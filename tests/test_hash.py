@@ -11,12 +11,93 @@ from symchar.hash_products import (
     composite_pairing,
     deformed_coproduct,
     hash_is_hopf,
+    named_product,
     named_spec,
     validate_spec,
 )
-from symchar.convolution import Cochain1, outer_pairing
+from symchar.convolution import (
+    Cochain1,
+    antipode_cochain,
+    eps1_cochain,
+    identity_cochain,
+    inner_pairing,
+    outer_pairing,
+)
 from symchar.partitions import partitions_up_to, weight
-from symchar.schur import SymFunc, TensorSymFunc, outer_mul, s, tensor, unit
+from symchar.schur import (
+    SymFunc,
+    TensorSymFunc,
+    iterated_coproduct_basis,
+    outer_mul,
+    s,
+    tensor,
+    unit,
+)
+
+NAMES = ("trivial", "thibon", "newell-littlewood", "murnaghan-littlewood")
+
+
+def reference_hash(spec: HashSpec):
+    """Independent evaluator: sum over every pair of (k+1)-fold coproduct
+    terms of the product of the stage factors and the final cochain."""
+    k = len(spec.stages)
+
+    def product(f: SymFunc, g: SymFunc) -> SymFunc:
+        out = SymFunc.zero()
+        for mu, cf in f.terms.items():
+            xsplits = iterated_coproduct_basis(mu, k + 1)
+            for nu, cg in g.terms.items():
+                ysplits = iterated_coproduct_basis(nu, k + 1)
+                for xlegs, cx in xsplits.items():
+                    for ylegs, cy in ysplits.items():
+                        term = SymFunc.one()
+                        for i, (pairing, cocycle) in enumerate(spec.stages):
+                            factor = cocycle(pairing.on_basis(xlegs[i], ylegs[i]))
+                            if not factor:
+                                term = SymFunc.zero()
+                                break
+                            term = outer_mul(term, factor)
+                        if not term:
+                            continue
+                        tail = spec.final_cocycle(
+                            outer_mul(SymFunc.basis(xlegs[k]), SymFunc.basis(ylegs[k]))
+                        )
+                        out = out + outer_mul(term, tail).scale(cf * cg * cx * cy)
+        return out
+
+    return product
+
+
+def agrees_with_reference(spec: HashSpec) -> None:
+    """On basis pairs of weight <= 4 and on two-term sums."""
+    staged, reference = build_hash(spec), reference_hash(spec)
+    basis = [SymFunc.basis(lam) for lam in partitions_up_to(4)]
+    for x in basis:
+        for y in basis:
+            assert staged(x, y) == reference(x, y)
+    sums = [s(2, 1) + s(1), s(3) - s(1, 1).scale(2)]
+    for x in sums:
+        for y in sums + basis[:4]:
+            assert staged(x, y) == reference(x, y)
+            assert staged(y, x) == reference(y, x)
+
+
+class TestStagedEvaluator:
+    @pytest.mark.parametrize("name", NAMES)
+    def test_named_spec_matches_reference(self, name):
+        agrees_with_reference(named_spec(name))
+
+    def test_three_stage_custom_spec_matches_reference(self):
+        stages = (
+            (inner_pairing(), identity_cochain()),
+            (inner_pairing(), eps1_cochain()),
+            (inner_pairing(), identity_cochain()),
+        )
+        agrees_with_reference(HashSpec(stages, antipode_cochain(), "custom"))
+
+    def test_named_product_is_built_once(self):
+        assert named_product("thibon") is named_product("thibon")
+        assert named_product("thibon")(s(1), s(1)) == s(2) + s(1, 1) + s(1)
 
 
 class TestNamedSpecs:
@@ -41,7 +122,7 @@ class TestNamedSpecs:
         assert product(s(1), s(1)) == s(2) + s(1, 1) + s(1) + unit()
 
     def test_unit_of_every_named_hash(self):
-        for name in ("trivial", "thibon", "newell-littlewood", "murnaghan-littlewood"):
+        for name in NAMES:
             product = build_hash(named_spec(name))
             for lam in partitions_up_to(3):
                 assert product(unit(), SymFunc.basis(lam)) == SymFunc.basis(lam)

@@ -11,6 +11,8 @@ import argparse
 import json
 import os
 import sys
+import tempfile
+from operator import mul
 
 from . import characters, vertex
 from .convolution import (
@@ -40,7 +42,7 @@ from .formats import (
 )
 from .hash_products import HashSpec, build_hash, named_product
 from .kronecker import character_table, inner_mul
-from .partitions import format_partition, parse_partition, partitions_of
+from .partitions import format_partition, parse_partition, partitions_of, z_and_n
 from .schur import SymFunc, outer_mul
 from .series import series_degree_term
 
@@ -189,9 +191,8 @@ _SPEC_SHAPE = (
 )
 
 
-def _parse_spec(text: str) -> HashSpec:
-    """An inline JSON hash spec; ValueError naming the expected shape otherwise."""
-    data = json.loads(text)
+def _parse_spec(data) -> HashSpec:
+    """An inline hash spec decoded from JSON; ValueError naming the expected shape otherwise."""
     try:
         stages = tuple(
             (_PAIRINGS[st["pairing"]](), _COCHAINS[st["cocycle"]]())
@@ -204,11 +205,21 @@ def _parse_spec(text: str) -> HashSpec:
 
 
 def _cmd_hash(args) -> int:
+    """Any spec that parses as JSON is inline; anything else is a spec name."""
     bound = _max_weight(args)
-    if args.spec.strip().startswith("{"):
-        product = build_hash(_parse_spec(args.spec))
-    else:
+    try:
+        data = json.loads(args.spec)
+    except ValueError:
+        if args.spec.strip().startswith("{"):
+            raise
         product = named_product(args.spec)
+    else:
+        spec = _parse_spec(data)
+        try:
+            product = build_hash(spec)
+        except ValueError as exc:
+            print(f"invalid hash spec: {exc}", file=sys.stderr)
+            return 2
     x = _guard(parse_symfunc(args.lhs), bound)
     y = _guard(parse_symfunc(args.rhs), bound)
     result = product(x, y)
@@ -288,6 +299,50 @@ def _cmd_fgl(args) -> int:
     return 0
 
 
+def _cached_table(path: str, n: int):
+    """The character table of S_n stored at path, or None unless the file holds
+    exactly that: version 1, every pair of partitions of n once, integer values,
+    and columns orthogonal with sum_lam chi^lam(rho)^2 = z_rho."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if data["version"] != 1 or data["n"] != n:
+            return None
+        entries = [((tuple(e["lam"]), tuple(e["rho"])), e["value"]) for e in data["entries"]]
+        table = dict(entries)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    labels = partitions_of(n)
+    if (
+        len(entries) != len(labels) ** 2
+        or set(table) != {(lam, rho) for lam in labels for rho in labels}
+        or any(type(v) is not int for v in table.values())
+    ):
+        return None
+    columns = [[table[(lam, rho)] for lam in labels] for rho in labels]
+    orthogonal = all(
+        sum(map(mul, a, b)) == (z_and_n(rho)[0] if i == j else 0)
+        for i, (rho, a) in enumerate(zip(labels, columns))
+        for j, b in enumerate(columns[i:], i)
+    )
+    return table if orthogonal else None
+
+
+def _write_atomically(path: str, payload) -> None:
+    """Write JSON to a temporary file beside path, then rename it over path, so
+    a reader sees the old file or the complete new one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cmd_table(args) -> int:
     n = _nonnegative(args.n, "n")
     if n > 12:
@@ -297,14 +352,7 @@ def _cmd_table(args) -> int:
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
         cache_file = os.path.join(args.cache_dir, f"sn-character-table-{n}.json")
-        if os.path.exists(cache_file):
-            with open(cache_file) as fh:
-                data = json.load(fh)
-            if data.get("version") == 1 and data.get("n") == n:
-                table = {
-                    (tuple(row["lam"]), tuple(row["rho"])): row["value"]
-                    for row in data["entries"]
-                }
+        table = _cached_table(cache_file, n)
     if table is None:
         table = character_table(n)
         if cache_file:
@@ -316,8 +364,7 @@ def _cmd_table(args) -> int:
                     for (lam, rho), v in table.items()
                 ],
             }
-            with open(cache_file, "w") as fh:
-                json.dump(payload, fh)
+            _write_atomically(cache_file, payload)
     labels = list(partitions_of(n))
     if args.json:
         print(

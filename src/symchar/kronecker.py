@@ -1,69 +1,93 @@
 """Inner (Kronecker) product on symmetric functions.
 
-Characters of the symmetric groups are computed with the
-Murnaghan-Nakayama border-strip recursion on beta-number sets; per-degree
-Kronecker coefficients come from the character-table triple sum.
+The character table of S_n is built column by column from the power sums
+p_rho = sum_lam chi^lam(rho) s_lam.  A column is the column of rho with its
+largest part r removed, multiplied by p_r: on partitions written as bead
+bitmasks (n beads, bead i at lam_i + n - 1 - i), p_r moves one bead up by r
+onto an empty position, with sign (-1)^(beads jumped).  Per-degree Kronecker
+coefficients are the character triple sum
+g^lam_{mu,nu} = sum_rho chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho,
+taken over the classes where chi^mu chi^nu is nonzero.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import compress, repeat
+from operator import mul
 
 from .partitions import Partition, partitions_of, weight, z_and_n
 from .schur import SymFunc, TensorSymFunc
 
 
+def _mask(lam: Partition, n: int) -> int:
+    """Bead bitmask of lam on n beads: bead i sits at lam_i + n - 1 - i."""
+    padded = list(lam) + [0] * (n - len(lam))
+    return sum(1 << (p + n - 1 - i) for i, p in enumerate(padded))
+
+
+def _times_power_sum(column: dict[int, int], r: int) -> dict[int, int]:
+    """p_r * column: add every border strip of size r, i.e. move each bead b
+    with b + r empty up to b + r, with sign (-1)^(beads strictly between)."""
+    out: dict[int, int] = {}
+    for mask, c in column.items():
+        movable = mask & ~(mask >> r)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            high = low << r
+            key = mask ^ low ^ high
+            jumped = (mask & (high - (low << 1))).bit_count()
+            out[key] = out.get(key, 0) + (-c if jumped & 1 else c)
+    return {key: c for key, c in out.items() if c}
+
+
+def _columns(n: int, classes) -> list[dict[int, int]]:
+    """p_rho = {bead mask of lam: chi^lam(rho)} on n beads for each rho in
+    classes.  Columns of shared suffixes of rho are built once; the memo is
+    local, so they are freed on return."""
+    memo: dict[Partition, dict[int, int]] = {(): {(1 << n) - 1: 1}}
+    for rho in classes:
+        k = len(rho)
+        while k and rho[k - 1:] in memo:
+            k -= 1
+        for j in range(k - 1, -1, -1):
+            memo[rho[j:]] = _times_power_sum(memo[rho[j + 1:]], rho[j])
+    return [memo[rho] for rho in classes]
+
+
 @cache
-def _beta_set(lam: Partition, size: int) -> tuple[int, ...]:
-    """First-column hook lengths padded to `size` beta numbers."""
-    padded = list(lam) + [0] * (size - len(lam))
-    return tuple(sorted(padded[i] + (size - 1 - i) for i in range(size)))
-
-
-def _beta_to_partition(betas: frozenset[int]) -> Partition:
-    ordered = sorted(betas, reverse=True)
-    size = len(ordered)
-    parts = [b - (size - 1 - i) for i, b in enumerate(ordered)]
-    return tuple(p for p in parts if p > 0)
-
-
-@cache
-def _character_beta(betas: frozenset[int], rho: Partition) -> int:
-    """Murnaghan-Nakayama on a beta-number set; strips of size r move a beta
-    number down by r, with sign from the number of betas jumped over."""
-    if not rho:
-        return 1
-    r = rho[0]
-    rest = rho[1:]
-    total = 0
-    for b in betas:
-        if b - r < 0 or (b - r) in betas:
-            continue
-        height = sum(1 for x in betas if b - r < x < b)
-        new = frozenset(x for x in betas if x != b) | {b - r}
-        total += (-1) ** height * _character_beta(new, rest)
-    return total
+def _table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, dict]:
+    """(rows, scales, den, index) for S_n: rows[index[lam]][j] = chi^lam(rho_j)
+    over rho_j in partitions_of(n), scales[j] = den // z_rho_j, den = lcm z_rho."""
+    labels = partitions_of(n)
+    masks = [_mask(lam, n) for lam in labels]
+    columns = [list(map(col.get, masks, repeat(0))) for col in _columns(n, labels)]
+    rows = tuple(zip(*columns))
+    zs = [z_and_n(rho)[0] for rho in labels]
+    den = math.lcm(*zs)
+    return rows, tuple(den // z for z in zs), den, {lam: i for i, lam in enumerate(labels)}
 
 
 def character(lam: Partition, rho: Partition) -> int:
-    """Irreducible symmetric-group character chi^lam(rho), |lam| = |rho|."""
+    """Irreducible symmetric-group character chi^lam(rho), |lam| = |rho|, read
+    from the single column p_rho (no table is built or kept)."""
     lam, rho = tuple(lam), tuple(rho)
-    if weight(lam) != weight(rho):
+    n = weight(lam)
+    if n != weight(rho):
         raise ValueError(
-            f"weight mismatch: |{lam}| = {weight(lam)} but |{rho}| = {weight(rho)}"
+            f"weight mismatch: |{lam}| = {n} but |{rho}| = {weight(rho)}"
         )
-    size = max(len(lam), 1)
-    return _character_beta(frozenset(_beta_set(lam, size)), rho)
+    return _columns(n, [rho])[0].get(_mask(lam, n), 0)
 
 
-@cache
 def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
     """Full character table of the symmetric group on n letters."""
+    labels = partitions_of(n)
+    rows = _table(n)[0]
     return {
-        (lam, rho): character(lam, rho)
-        for lam in partitions_of(n)
-        for rho in partitions_of(n)
+        (lam, rho): v for lam, row in zip(labels, rows) for rho, v in zip(labels, row)
     }
 
 
@@ -73,14 +97,13 @@ def kronecker_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
     n = weight(mu)
     if n != weight(nu):
         return {}
-    table = character_table(n)
-    classes = [(rho, z_and_n(rho)[0]) for rho in partitions_of(n)]
-    weights = [(rho, z, table[(mu, rho)] * table[(nu, rho)]) for rho, z in classes]
-    den = math.lcm(*(z for _, z in classes)) if classes else 1
+    rows, scales, den, index = _table(n)
+    pairs = [a * b for a, b in zip(rows[index[mu]], rows[index[nu]])]
+    keep = [ab != 0 for ab in pairs]
+    weights = [ab * s for ab, s in zip(pairs, scales) if ab]
     out: dict[Partition, int] = {}
-    for lam in partitions_of(n):
-        acc = sum(w * table[(lam, rho)] * (den // z) for rho, z, w in weights)
-        q, r = divmod(acc, den)
+    for lam, row in zip(partitions_of(n), rows):
+        q, r = divmod(sum(map(mul, compress(row, keep), weights)), den)
         if r:
             raise ArithmeticError("non-integer Kronecker coefficient")
         if q:

@@ -114,6 +114,19 @@ class TestHash:
         assert out == "" and len(err.splitlines()) == 1
         assert "inline spec must look like" in err
 
+    def test_json_spec_that_is_not_an_object(self, capsys):
+        code, out, err = run(capsys, "hash", "--spec", '["thibon"]', "1", "1")
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
+        assert "inline spec must look like" in err
+
+    def test_spec_failing_laplace_check(self, capsys):
+        spec = json.dumps({"stages": [{"pairing": "outer", "cocycle": "id"}]})
+        code, out, err = run(capsys, "hash", "--spec", spec, "1", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "invalid hash spec: stage 0 pairing 'outer' fails the Laplace check"
+
 
 class TestVertexAndFgl:
     def test_vertex_schur(self, capsys):
@@ -172,6 +185,25 @@ class TestTable:
         code2, out2, _ = run(capsys, "table", "4", "--cache-dir", str(tmp_path), "--json")
         assert code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("corruption", ["truncated", "wrong value", "non-integer value"])
+    def test_bad_cache_recomputed_and_rewritten(self, capsys, tmp_path, corruption):
+        code, fresh, _ = run(capsys, "table", "5", "--json")
+        assert code == 0
+        run(capsys, "table", "5", "--cache-dir", str(tmp_path))
+        cache_file = tmp_path / "sn-character-table-5.json"
+        good = cache_file.read_text()
+        if corruption == "truncated":
+            cache_file.write_text(good[: len(good) // 2])
+        else:
+            data = json.loads(good)
+            entry = data["entries"][7]
+            entry["value"] = entry["value"] + 1 if corruption == "wrong value" else "1"
+            cache_file.write_text(json.dumps(data))
+        code, out, err = run(capsys, "table", "5", "--cache-dir", str(tmp_path), "--json")
+        assert (code, out, err) == (0, fresh, "")
+        assert cache_file.read_text() == good
+        assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
 
 
 class TestExitCodes:

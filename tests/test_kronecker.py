@@ -1,7 +1,9 @@
-"""Symmetric-group characters (border-strip recursion) and the Kronecker
-(inner) product, coproduct, and one-row counit."""
+"""Symmetric-group characters (column-wise power sums) and the Kronecker
+(inner) product, coproduct, and one-row counit, against an independent
+border-strip recursion and character-table triple sum."""
 
 import math
+from functools import cache
 
 import pytest
 
@@ -12,9 +14,90 @@ from symchar.kronecker import (
     inner_coproduct,
     inner_coproduct_basis,
     inner_mul,
+    kronecker_basis,
 )
 from symchar.partitions import partitions_of, partitions_up_to, weight, z_and_n
 from symchar.schur import SymFunc, outer_mul, s, scalar, tensor, unit
+
+
+@cache
+def _reference_beta(betas: frozenset, rho: tuple) -> int:
+    """Murnaghan-Nakayama on a beta-number set: removing a border strip of size
+    r moves one beta number down by r, with sign from the betas jumped over."""
+    if not rho:
+        return 1
+    r, rest = rho[0], rho[1:]
+    total = 0
+    for b in betas:
+        if b - r < 0 or (b - r) in betas:
+            continue
+        height = sum(1 for x in betas if b - r < x < b)
+        total += (-1) ** height * _reference_beta((betas - {b}) | {b - r}, rest)
+    return total
+
+
+def reference_character(lam, rho) -> int:
+    size = max(len(lam), 1)
+    padded = list(lam) + [0] * (size - len(lam))
+    return _reference_beta(frozenset(padded[i] + size - 1 - i for i in range(size)), tuple(rho))
+
+
+@cache
+def _reference_table(n: int) -> dict:
+    labels = partitions_of(n)
+    return {(lam, rho): reference_character(lam, rho) for lam in labels for rho in labels}
+
+
+def reference_kronecker(mu, nu) -> dict:
+    """The character triple sum over a dict-keyed table."""
+    n = weight(mu)
+    if n != weight(nu):
+        return {}
+    table = _reference_table(n)
+    classes = [(rho, z_and_n(rho)[0]) for rho in partitions_of(n)]
+    weights = [(rho, z, table[(mu, rho)] * table[(nu, rho)]) for rho, z in classes]
+    den = math.lcm(*(z for _, z in classes))
+    out = {}
+    for lam in partitions_of(n):
+        acc = sum(w * table[(lam, rho)] * (den // z) for rho, z, w in weights)
+        assert acc % den == 0
+        if acc:
+            out[lam] = acc // den
+    return out
+
+
+class TestAgainstReference:
+    def test_character_table(self):
+        for n in range(11):
+            assert character_table(n) == _reference_table(n)
+
+    def test_single_character(self):
+        for n in range(8):
+            for (lam, rho), value in _reference_table(n).items():
+                assert character(lam, rho) == value
+
+    def test_kronecker_basis(self):
+        for n in range(8):
+            for mu in partitions_of(n):
+                for nu in partitions_of(n):
+                    assert kronecker_basis(mu, nu) == reference_kronecker(mu, nu)
+
+    def test_column_orthogonality_n14(self):
+        labels = partitions_of(14)
+        table = character_table(14)
+        columns = [[table[(lam, rho)] for lam in labels] for rho in labels]
+        for i, rho in enumerate(labels):
+            for j in range(i, len(labels)):
+                acc = sum(a * b for a, b in zip(columns[i], columns[j]))
+                assert acc == (z_and_n(rho)[0] if i == j else 0)
+
+    def test_single_class_degrees(self):
+        assert character_table(0) == {((), ()): 1}
+        assert character_table(1) == {((1,), (1,)): 1}
+        assert character((), ()) == 1
+        assert kronecker_basis((), ()) == {(): 1}
+        assert kronecker_basis((1,), (1,)) == {(1,): 1}
+        assert inner_mul(s(), s()) == s()
 
 
 class TestCharacter:

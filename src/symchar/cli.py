@@ -60,18 +60,23 @@ def _max_weight(args) -> int:
     return int(env) if env else DEFAULT_MAX_WEIGHT
 
 
-def _guard(f: SymFunc, bound: int) -> SymFunc:
-    if f.max_degree() > bound:
-        raise ResourceError(
-            f"input weight {f.max_degree()} exceeds the configured maximum {bound}"
-        )
-    return f
-
-
 def _nonnegative(value: int, what: str) -> int:
     if value < 0:
         raise ValueError(f"{what} must be >= 0, got {value}")
     return value
+
+
+def _bounded(value: int, what: str, args) -> int:
+    """value, if it is nonnegative and within the resource guard."""
+    bound = _max_weight(args)
+    if _nonnegative(value, what) > bound:
+        raise ResourceError(f"{what} {value} exceeds the configured maximum {bound}")
+    return value
+
+
+def _guard(f: SymFunc, args) -> SymFunc:
+    _bounded(f.max_degree(), "input weight", args)
+    return f
 
 
 def _emit(args, text: str, payload=None) -> None:
@@ -84,7 +89,6 @@ def _emit(args, text: str, payload=None) -> None:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_decompose(args) -> int:
-    bound = _max_weight(args)
     kind_of = {
         "outer": "gl",
         "kronecker": "gl",
@@ -95,15 +99,13 @@ def _cmd_decompose(args) -> int:
     }
     if args.product == "rational":
         labels = [parse_rational_label(args.lhs), parse_rational_label(args.rhs)]
-        w = max(sum(lam) + sum(mu) for lam, mu in labels)
-        if w > bound:
-            raise ResourceError(f"input weight {w} exceeds the configured maximum {bound}")
+        _bounded(max(sum(lam) + sum(mu) for lam, mu in labels), "input weight", args)
         lhs, rhs = (characters.RationalChar.basis(*label) for label in labels)
         result = characters.rational_mul(lhs, rhs)
         _emit(args, format_rational(result.element), rational_json(result.element))
         return 0
-    lhs = _guard(parse_symfunc(args.lhs), bound)
-    rhs = _guard(parse_symfunc(args.rhs), bound)
+    lhs = _guard(parse_symfunc(args.lhs), args)
+    rhs = _guard(parse_symfunc(args.rhs), args)
     if args.product == "outer":
         result = outer_mul(lhs, rhs)
     elif args.product == "kronecker":
@@ -120,8 +122,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_branch(args) -> int:
-    bound = _max_weight(args)
-    f = _guard(parse_symfunc(args.element), bound)
+    f = _guard(parse_symfunc(args.element), args)
     result = characters.branch(f, args.rule)
     kind = {"gl_to_o": "o", "gl_to_sp": "sp"}.get(args.rule, "gl")
     _emit(args, format_symfunc(result, kind), symfunc_json(result, kind))
@@ -129,8 +130,7 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if _nonnegative(args.cap, "cap") > _max_weight(args):
-        raise ResourceError(f"cap {args.cap} exceeds the configured maximum")
+    _bounded(args.cap, "cap", args)
     lines = []
     payload_terms = []
     for d in range(args.cap + 1):
@@ -164,9 +164,7 @@ def _resolve_pairing(name: str):
 
 
 def _cmd_check(args) -> int:
-    d = _nonnegative(args.max_degree, "max degree")
-    if d > _max_weight(args):
-        raise ResourceError(f"max degree {d} exceeds the configured maximum")
+    d = _bounded(args.max_degree, "max degree", args)
     witness: list = []
     if args.property == "alghom":
         ok = is_algebra_hom(_COCHAINS[args.name](), d, witness)
@@ -206,7 +204,6 @@ def _parse_spec(data) -> HashSpec:
 
 def _cmd_hash(args) -> int:
     """Any spec that parses as JSON is inline; anything else is a spec name."""
-    bound = _max_weight(args)
     try:
         data = json.loads(args.spec)
     except ValueError:
@@ -220,8 +217,8 @@ def _cmd_hash(args) -> int:
         except ValueError as exc:
             print(f"invalid hash spec: {exc}", file=sys.stderr)
             return 2
-    x = _guard(parse_symfunc(args.lhs), bound)
-    y = _guard(parse_symfunc(args.rhs), bound)
+    x = _guard(parse_symfunc(args.lhs), args)
+    y = _guard(parse_symfunc(args.rhs), args)
     result = product(x, y)
     _emit(args, format_symfunc(result), symfunc_json(result, "gl"))
     return 0
@@ -230,8 +227,7 @@ def _cmd_hash(args) -> int:
 def _cmd_vertex(args) -> int:
     if args.action == "schur":
         lam = parse_partition(args.partition)
-        if sum(lam) > _max_weight(args):
-            raise ResourceError("partition weight exceeds the configured maximum")
+        _bounded(sum(lam), "partition weight", args)
         built = vertex.schur_via_bernstein(lam)
         expected = SymFunc.basis(lam)
         diff = built - expected
@@ -240,7 +236,7 @@ def _cmd_vertex(args) -> int:
             return 0
         print(f"MISMATCH: difference {format_symfunc(diff)}")
         return 1
-    ok = vertex.check_commutation(_nonnegative(args.cap, "cap"))
+    ok = vertex.check_commutation(_bounded(args.cap, "cap", args))
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -275,19 +271,15 @@ def _parse_fgl(token: str):
 
 
 def _cmd_fgl(args) -> int:
-    if args.action == "loop":
+    if args.action in ("loop", "log"):
         F = _parse_fgl(args.law)
-        F = type(F)(F.coeffs, _nonnegative(args.cap, "cap"))
-        print(_poly_text(loop_n(F, args.n)))
-        return 0
-    if args.action == "log":
-        F = _parse_fgl(args.law)
-        F = type(F)(F.coeffs, _nonnegative(args.cap, "cap"))
-        print(_poly_text(fgl_log(F)))
+        F = type(F)(F.coeffs, _bounded(args.cap, "cap", args))
+        if args.action == "loop":
+            _bounded(abs(args.n), "|n|", args)
+        print(_poly_text(loop_n(F, args.n) if args.action == "loop" else fgl_log(F)))
         return 0
     lam = parse_partition(args.partition)
-    if sum(lam) > _max_weight(args):
-        raise ResourceError("partition weight exceeds the configured maximum")
+    _bounded(sum(lam), "partition weight", args)
     result = coproduct_from_fgl(args.law, SymFunc.basis(lam))
     bits = [
         f"{'+' if c >= 0 else '-'} {'' if abs(c) == 1 else str(abs(c)) + '*'}"
@@ -350,7 +342,10 @@ def _cmd_table(args) -> int:
     table = None
     cache_file = None
     if args.cache_dir:
-        os.makedirs(args.cache_dir, exist_ok=True)
+        try:
+            os.makedirs(args.cache_dir, exist_ok=True)
+        except OSError:
+            raise ValueError(f"--cache-dir is not a directory: {args.cache_dir}") from None
         cache_file = os.path.join(args.cache_dir, f"sn-character-table-{n}.json")
         table = _cached_table(cache_file, n)
     if table is None:

@@ -1,34 +1,71 @@
 """The Hopf algebra of symmetric functions in the Schur basis.
 
-Elements are sparse integer combinations of Schur functions indexed by
-partitions.  The outer product is computed by Littlewood-Richardson
-skew-tableau counting; the coproduct by skewing; the independent oracle
-is semistandard-tableau monomial expansion.
-"""
+Elements are sparse integer combinations of Schur functions.  LR coefficients
+are generated directly: products add one factor's rows as horizontal strips
+under the lattice bound, skews fill lam/mu once with free content, and the
+coproduct skews by each eta inside lam.  Semistandard-tableau monomial
+expansion is the independent oracle."""
 
 from __future__ import annotations
 
 from functools import cache
+from math import prod
+from operator import mul, sub
 
 from .partitions import (
     Partition,
     conjugate,
     contains,
     format_partition,
-    partitions_of,
+    hooks_and_contents,
     weight,
 )
 
 Monomial = tuple[int, ...]
 
 
-class SymFunc:
-    """A finite integer-linear combination of Schur functions."""
+class _Combination:
+    """A finite integer-linear combination of basis keys, without zero terms."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Partition, int] | None = None):
+    def __init__(self, terms: dict | None = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v
+        return type(self)(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) - v
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.terms.items()})
+
+    def scale(self, c: int):
+        return type(self)({k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class SymFunc(_Combination):
+    """A finite integer-linear combination of Schur functions."""
+
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -44,41 +81,12 @@ class SymFunc:
         return SymFunc({(): 1})
 
     # -- ring structure ----------------------------------------------
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return SymFunc(out)
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return SymFunc(out)
-
-    def __neg__(self) -> "SymFunc":
-        return SymFunc({k: -v for k, v in self.terms.items()})
-
-    def scale(self, c: int) -> "SymFunc":
-        return SymFunc({k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, SymFunc):
             return outer_mul(self, other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymFunc) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -130,35 +138,14 @@ def e(n: int) -> SymFunc:
     return SymFunc.basis((1,) * n)
 
 
-class TensorSymFunc:
+class TensorSymFunc(_Combination):
     """A finite integer-linear combination of pairs s_mu (x) s_nu."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[Partition, Partition], int] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+    __slots__ = ()
 
     @staticmethod
     def basis(mu, nu) -> "TensorSymFunc":
         return TensorSymFunc({(tuple(mu), tuple(nu)): 1})
-
-    def __add__(self, other: "TensorSymFunc") -> "TensorSymFunc":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return TensorSymFunc(out)
-
-    def __sub__(self, other: "TensorSymFunc") -> "TensorSymFunc":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return TensorSymFunc(out)
-
-    def __neg__(self) -> "TensorSymFunc":
-        return TensorSymFunc({k: -v for k, v in self.terms.items()})
-
-    def scale(self, c: int) -> "TensorSymFunc":
-        return TensorSymFunc({k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         """Componentwise (outer) product on Sym (x) Sym."""
@@ -176,17 +163,6 @@ class TensorSymFunc:
                             out[key] = out.get(key, 0) + c1 * c2 * cl * cr
             return TensorSymFunc(out)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorSymFunc) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def swap(self) -> "TensorSymFunc":
         return TensorSymFunc({(b, a): v for (a, b), v in self.terms.items()})
@@ -213,107 +189,122 @@ def tensor(f: SymFunc, g: SymFunc) -> TensorSymFunc:
 # Littlewood-Richardson rule
 # ---------------------------------------------------------------------------
 
-@cache
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """c^lam_{mu,nu}: LR skew tableaux of shape lam/mu and content nu.
+def _advance(states: dict, step, *args) -> dict:
+    """Apply step to every state, merging equal successors with multiplicities."""
+    out: dict = {}
+    for state, c in states.items():
+        for key in step(*state, *args):
+            out[key] = out.get(key, 0) + c
+    return out
 
-    Cells are filled in reverse reading order (rows top to bottom, each row
-    right to left) so semistandardness and the lattice-word condition are
-    both checkable incrementally.
-    """
-    if weight(lam) != weight(mu) + weight(nu):
-        return 0
-    if not contains(lam, mu):
-        return 0
-    if not nu:
-        return 1
-    cells = []
-    for i in range(len(lam)):
-        lo = mu[i] if i < len(mu) else 0
-        for j in range(lam[i] - 1, lo - 1, -1):
-            cells.append((i, j))
-    k = len(nu)
-    counts = [0] * (k + 1)
-    grid: dict[tuple[int, int], int] = {}
-    total = 0
 
-    def fill(pos: int) -> None:
-        nonlocal total
-        if pos == len(cells):
-            total += 1
-            return
-        i, j = cells[pos]
-        hi = k
-        right = grid.get((i, j + 1))
-        if right is not None:
-            hi = min(hi, right)
-        above = grid.get((i - 1, j))
-        lo = above + 1 if above is not None else 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            counts[v] += 1
-            grid[(i, j)] = v
-            fill(pos + 1)
-            del grid[(i, j)]
-            counts[v] -= 1
+def _strips(shape: Partition, last: Partition, k: int, room: int) -> list:
+    """Horizontal strips of k > 0 cells on shape, as (new shape, row counts a)
+    pairs, under the lattice bound a_0 + .. + a_r <= room + last_0 + .. + last_{r-1}."""
+    n = len(shape)
+    ext, last = shape + (0,), last + (0,) * (n + 1 - len(last))
+    new, out = list(ext), []
 
-    fill(0)
-    return total
+    def place(r: int, left: int, room: int) -> None:
+        # Row r grows at most to the old row r - 1; the rows below r take <= ext[r] cells.
+        while not (hi := min(left, room, ext[r - 1] - ext[r] if r else left)):
+            if left > ext[r]:
+                return
+            room += last[r]
+            r += 1
+        for a in range(hi, max(left - ext[r], 0) - 1, -1):
+            new[r] += a
+            if a == left:
+                size = n + (new[n] > 0)
+                out.append((tuple(new[:size]), tuple(map(sub, new[:size], ext))))
+            else:
+                place(r + 1, left - a, room - a + last[r])
+            new[r] -= a
+
+    place(0, k, room)
+    return out
 
 
 @cache
 def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """Expansion of s_mu s_nu in the Schur basis."""
+    """Expansion of s_mu s_nu in the Schur basis.
+
+    The factor with fewer rows (of the conjugates, if they need fewer labels:
+    c^lam_{mu,nu} = c^lam'_{mu',nu'}) is the content.  Its rows are added
+    label by label, each as a horizontal strip with row counts under the
+    lattice bound sum_{s<=r} a_{s,i+1} <= sum_{s<r} a_{s,i}; states (shape,
+    row counts of the last label) merge with multiplicities."""
     if (mu, nu) > (nu, mu):
         return product_basis(nu, mu)
-    n = weight(mu) + weight(nu)
-    maxlen = len(mu) + len(nu)
-    out: dict[Partition, int] = {}
-    for lam in partitions_of(n):
-        if len(lam) > maxlen or (lam and mu and nu and lam[0] > mu[0] + nu[0]):
-            continue
-        if not (contains(lam, mu) and contains(lam, nu)):
-            continue
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[lam] = c
-    return out
+    flip = bool(mu) and min(mu[0], nu[0]) < min(len(mu), len(nu))
+    if flip:
+        mu, nu = conjugate(mu), conjugate(nu)
+    shape, content = (mu, nu) if len(nu) <= len(mu) else (nu, mu)
+    states = {(shape, ()): 1}
+    for i, k in enumerate(content):
+        states = _advance(states, _strips, k, 0 if i else k)
+    out = _advance(states, lambda lam, last: [lam])
+    return {conjugate(lam): c for lam, c in out.items()} if flip else out
 
 
-def outer_mul(f: SymFunc, g: SymFunc) -> SymFunc:
+def _bilinear(f: SymFunc, g: SymFunc, on_basis) -> SymFunc:
     out: dict[Partition, int] = {}
     for mu, cf in f.terms.items():
         for nu, cg in g.terms.items():
-            for lam, c in product_basis(mu, nu).items():
+            for lam, c in on_basis(mu, nu).items():
                 out[lam] = out.get(lam, 0) + cf * cg * c
     return SymFunc(out)
 
 
+def outer_mul(f: SymFunc, g: SymFunc) -> SymFunc:
+    return _bilinear(f, g, product_basis)
+
+
+def _rows(above: tuple, content: Partition, lo: int, hi: int, off: int) -> list:
+    """(entries, new content) for each filling of the cells lo..hi-1 of a row
+    under `above` (its entries from column off on): right to left, weakly
+    decreasing, each entry larger than the one above it, the reading word lattice."""
+    counts, row, out = list(content) + [0], [0] * (hi - lo), []
+
+    def fill(j: int, top: int) -> None:
+        if j < lo:
+            out.append((tuple(row), tuple(c for c in counts if c)))
+            return
+        for v in range(above[j - off] + 1 if j >= off else 1, top + 1):
+            if v == 1 or counts[v - 1] < counts[v - 2]:
+                counts[v - 1] += 1
+                row[j - lo] = v
+                fill(j - 1, v)
+                counts[v - 1] -= 1
+
+    fill(hi - 1, len(content) + 1)
+    return out
+
+
 @cache
 def skew_basis(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Schur expansion of the skew function s_{lam/mu}."""
+    """Schur expansion of s_{lam/mu}: lam/mu is filled once, row by row, with
+    the content free; states (last row's entries, content) merge with
+    multiplicities, and the final contents nu carry c^lam_{mu,nu}."""
     if not contains(lam, mu):
         return {}
-    n = weight(lam) - weight(mu)
-    out: dict[Partition, int] = {}
-    for nu in partitions_of(n):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[nu] = c
-    return out
+    states, off = {((), ()): 1}, lam[0] if lam else 0  # nothing above the first row
+    for i, hi in enumerate(lam):
+        lo = mu[i] if i < len(mu) else 0
+        states, off = _advance(states, _rows, lo, hi, off), lo
+    return _advance(states, lambda last, nu: [nu])
+
+
+def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """c^lam_{mu,nu}: LR skew tableaux of shape lam/mu and content nu."""
+    if weight(lam) != weight(mu) + weight(nu) or not contains(lam, mu):
+        return 0
+    return skew_basis(lam, mu).get(nu, 0)
 
 
 def skew(f: SymFunc, g: SymFunc) -> SymFunc:
     """s_nu-perp applied to f, bilinear in both slots: adjoint of multiplication."""
-    out: dict[Partition, int] = {}
-    for lam, cf in f.terms.items():
-        for mu, cg in g.terms.items():
-            for nu, c in skew_basis(lam, mu).items():
-                out[nu] = out.get(nu, 0) + cf * cg * c
-    return SymFunc(out)
+    return _bilinear(f, g, skew_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +323,18 @@ def counit(f: SymFunc) -> int:
 def coproduct_basis(lam: Partition) -> dict[tuple[Partition, Partition], int]:
     """Delta(s_lam) = sum_eta s_{lam/eta} (x) s_eta."""
     out: dict[tuple[Partition, Partition], int] = {}
-    for d in range(weight(lam) + 1):
-        for eta in partitions_of(d):
-            for nu, c in skew_basis(lam, eta).items():
-                out[(nu, eta)] = out.get((nu, eta), 0) + c
+    for eta in _inside(lam):
+        for nu, c in skew_basis(lam, eta).items():
+            out[(nu, eta)] = c
     return out
+
+
+def _inside(lam: Partition) -> list[Partition]:
+    """Every partition contained in lam."""
+    if not lam:
+        return [()]
+    rest = _inside(lam[1:])
+    return [()] + [(p,) + eta for p in range(1, lam[0] + 1) for eta in rest if eta[:1] <= (p,)]
 
 
 def coproduct(f: SymFunc) -> TensorSymFunc:
@@ -362,17 +360,14 @@ def antipode(f: SymFunc) -> SymFunc:
     return SymFunc(out)
 
 
-def scalar(f: SymFunc, g: SymFunc) -> int:
-    """Schur-Hall scalar product: Schur functions are orthonormal."""
+def scalar(f: _Combination, g: _Combination) -> int:
+    """Schur-Hall scalar product on Sym or Sym (x) Sym; basis elements are orthonormal."""
     if len(f.terms) > len(g.terms):
         f, g = g, f
-    return sum(c * g.terms.get(lam, 0) for lam, c in f.terms.items())
+    return sum(c * g.terms.get(key, 0) for key, c in f.terms.items())
 
 
-def scalar_tensor(x: TensorSymFunc, y: TensorSymFunc) -> int:
-    if len(x.terms) > len(y.terms):
-        x, y = y, x
-    return sum(c * y.terms.get(k, 0) for k, c in x.terms.items())
+scalar_tensor = scalar
 
 
 @cache
@@ -397,10 +392,10 @@ def loop(r: int, f: SymFunc) -> SymFunc:
     out = SymFunc.zero()
     for lam, cf in f.terms.items():
         for legs, c in iterated_coproduct_basis(lam, r).items():
-            prod = SymFunc.one()
+            term = SymFunc.one()
             for leg in legs:
-                prod = outer_mul(prod, SymFunc.basis(leg))
-            out = out + prod.scale(cf * c)
+                term = outer_mul(term, SymFunc.basis(leg))
+            out = out + term.scale(cf * c)
     return out
 
 
@@ -445,12 +440,20 @@ def eval_monomials(lam: Partition, n_vars: int) -> dict[Monomial, int]:
 
 
 def poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
+    """Product of two polynomials.  Exponent vectors are packed into integers in
+    a base above the product's total degree, so that a monomial product is one
+    integer addition."""
+    if not p or not q:
+        return {}
+    base = max(map(sum, p)) + max(map(sum, q)) + 1
+    digits = [base**i for i in range(len(next(iter(p))))]
+    packed = [[(sum(map(mul, e, digits)), c) for e, c in f.items()] for f in (p, q)]
+    out: dict[int, int] = {}
+    for ea, ca in packed[0]:
+        for eb, cb in packed[1]:
+            key = ea + eb
             out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
+    return {tuple([k // d % base for d in digits]): c for k, c in out.items() if c}
 
 
 def eval_polynomial(f: SymFunc, n_vars: int) -> dict[Monomial, int]:
@@ -462,7 +465,9 @@ def eval_polynomial(f: SymFunc, n_vars: int) -> dict[Monomial, int]:
 
 
 def dimension_gl(lam: Partition, d: int) -> int:
-    """s_lam(1^d): dimension of the GL(d) irreducible with highest weight lam."""
+    """s_lam(1^d), the dimension of the GL(d) irreducible with highest weight
+    lam, by the hook-content formula prod (d + content) / prod hook."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    return sum(eval_monomials(lam, d).values())
+    cells = hooks_and_contents(lam)
+    return prod(d + c for _, c, _ in cells) // prod(h for _, _, h in cells)

@@ -205,6 +205,16 @@ class TestTable:
         assert cache_file.read_text() == good
         assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_cache_dir_on_a_file(self, capsys, tmp_path, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code, out, err = run(capsys, "table", "3", "--cache-dir", str(blocker / below))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--cache-dir" in err and "not a directory" in err
+        assert blocker.read_text() == "not a directory"
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys):
@@ -237,6 +247,28 @@ class TestExitCodes:
         )
         assert code == 3
         assert out == "" and "resource" in err
+
+
+class TestCapsAboveMaxWeight:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("vertex", "check-commutation", "--cap", "21"),
+            ("fgl", "loop", "gm", "3", "--cap", "21"),
+            ("fgl", "log", "gm", "--cap", "21"),
+            ("fgl", "loop", "gm", "21"),
+            ("fgl", "loop", "gm", "-21"),
+        ],
+    )
+    def test_refused_with_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource bound exceeded:") and "maximum 20" in err
+
+    def test_max_weight_flag_lowers_the_cap_bound(self, capsys):
+        assert run(capsys, "--max-weight", "2", "vertex", "check-commutation", "--cap", "3")[0] == 3
+        assert run(capsys, "--max-weight", "3", "vertex", "check-commutation", "--cap", "3")[0] == 0
 
 
 class TestNegativeBounds:

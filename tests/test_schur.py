@@ -1,6 +1,8 @@
 """Schur-basis ring and Hopf structure: products, coproducts, antipode,
 scalar product, skews, and the monomial-expansion oracle."""
 
+import functools
+
 from hypothesis import given, settings, strategies as st
 
 from symchar.partitions import partitions_of, partitions_up_to, weight
@@ -9,6 +11,7 @@ from symchar.schur import (
     TensorSymFunc,
     antipode,
     coproduct,
+    coproduct_basis,
     counit,
     cut_coproduct,
     dimension_gl,
@@ -20,9 +23,11 @@ from symchar.schur import (
     lr_coefficient,
     outer_mul,
     poly_mul,
+    product_basis,
     s,
     scalar,
     skew,
+    skew_basis,
     tensor,
     unit,
 )
@@ -35,6 +40,73 @@ sym_elements = st.lists(
 
 def monomial_oracle(f: SymFunc, g: SymFunc, n_vars: int):
     return poly_mul(eval_polynomial(f, n_vars), eval_polynomial(g, n_vars))
+
+
+def reference_lr_coefficient(lam, mu, nu) -> int:
+    """c^lam_{mu,nu} by backtracking over the cells of lam/mu.
+
+    Cells are filled in reverse reading order (rows top to bottom, each row
+    right to left) so semistandardness and the lattice-word condition are
+    both checkable incrementally.
+    """
+    if weight(lam) != weight(mu) + weight(nu):
+        return 0
+    if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
+        return 0
+    if not nu:
+        return 1
+    cells = []
+    for i in range(len(lam)):
+        lo = mu[i] if i < len(mu) else 0
+        for j in range(lam[i] - 1, lo - 1, -1):
+            cells.append((i, j))
+    k = len(nu)
+    counts = [0] * (k + 1)
+    grid = {}
+    total = 0
+
+    def fill(pos: int) -> None:
+        nonlocal total
+        if pos == len(cells):
+            total += 1
+            return
+        i, j = cells[pos]
+        hi = k
+        right = grid.get((i, j + 1))
+        if right is not None:
+            hi = min(hi, right)
+        above = grid.get((i - 1, j))
+        lo = above + 1 if above is not None else 1
+        for v in range(lo, hi + 1):
+            if counts[v] >= nu[v - 1]:
+                continue
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue
+            counts[v] += 1
+            grid[(i, j)] = v
+            fill(pos + 1)
+            del grid[(i, j)]
+            counts[v] -= 1
+
+    fill(0)
+    return total
+
+
+REFERENCE_WEIGHT = 9
+
+
+@functools.cache
+def reference_table() -> dict:
+    """lam -> {(mu, nu): c^lam_{mu,nu} != 0} for every |lam| <= REFERENCE_WEIGHT."""
+    table = {}
+    for lam in partitions_up_to(REFERENCE_WEIGHT):
+        table[lam] = {
+            (mu, nu): c
+            for mu in partitions_up_to(weight(lam))
+            for nu in partitions_of(weight(lam) - weight(mu))
+            if (c := reference_lr_coefficient(lam, mu, nu))
+        }
+    return table
 
 
 class TestOuterProduct:
@@ -66,6 +138,37 @@ class TestOuterProduct:
             for mu in partitions_up_to(3):
                 for nu in partitions_of(5 - weight(mu)):
                     assert lr_coefficient(lam, mu, nu) == lr_coefficient(lam, nu, mu)
+
+
+class TestLittlewoodRichardsonGenerators:
+    """The strip and filling generators against the backtracking reference."""
+
+    def test_product_basis(self):
+        expected = {}
+        for lam, row in reference_table().items():
+            for (mu, nu), c in row.items():
+                expected.setdefault((mu, nu), {})[lam] = c
+        for mu in partitions_up_to(REFERENCE_WEIGHT):
+            for nu in partitions_up_to(REFERENCE_WEIGHT - weight(mu)):
+                assert product_basis(mu, nu) == expected[(mu, nu)], (mu, nu)
+
+    def test_skew_basis(self):
+        for lam, row in reference_table().items():
+            for mu in partitions_up_to(REFERENCE_WEIGHT):
+                expected = {nu: c for (m, nu), c in row.items() if m == mu}
+                assert skew_basis(lam, mu) == expected, (lam, mu)
+
+    def test_coproduct_basis(self):
+        for lam, row in reference_table().items():
+            expected = {(nu, eta): c for (eta, nu), c in row.items()}
+            assert coproduct_basis(lam) == expected, lam
+
+    def test_lr_coefficient(self):
+        for lam in partitions_up_to(6):
+            row = reference_table()[lam]
+            for mu in partitions_up_to(6):
+                for nu in partitions_up_to(6):
+                    assert lr_coefficient(lam, mu, nu) == row.get((mu, nu), 0)
 
 
 class TestCoproduct:
@@ -188,6 +291,18 @@ class TestMonomialExpansion:
         assert dimension_gl((1,), 3) == 3
         assert dimension_gl((2, 1), 2) == 2
         assert dimension_gl((1, 1, 1), 2) == 0
+
+    def test_dimension_gl_counts_monomials(self):
+        for lam in partitions_up_to(8):
+            for d in range(9):
+                assert dimension_gl(lam, d) == sum(eval_monomials(lam, d).values()), (lam, d)
+
+    def test_poly_mul_carries_no_digit(self):
+        # Exponents reach the total degree in one variable and 0 in another.
+        p = {(3, 0, 0): 2, (1, 1, 1): -1}
+        q = {(0, 0, 2): 1, (2, 0, 0): 5}
+        assert poly_mul(p, q) == {(3, 0, 2): 2, (5, 0, 0): 10, (1, 1, 3): -1, (3, 1, 1): -5}
+        assert poly_mul(p, {}) == {}
 
     def test_h_e_constructors(self):
         assert h(2) == s(2)

@@ -34,16 +34,16 @@ from .fgl import additive, coproduct_from_fgl, fgl_log, loop_n, multiplicative
 from .formats import (
     format_rational,
     format_symfunc,
+    pair_order,
     parse_rational_label,
     parse_symfunc,
     rational_json,
     symfunc_json,
-    term_order,
 )
 from .hash_products import HashSpec, build_hash, named_product
 from .kronecker import character_table, inner_mul
 from .partitions import format_partition, parse_partition, partitions_of, z_and_n
-from .schur import SymFunc, outer_mul
+from .schur import SymFunc, outer_mul, signed_sum
 from .series import series_degree_term
 
 DEFAULT_MAX_WEIGHT = 20
@@ -55,9 +55,9 @@ class ResourceError(Exception):
 
 def _max_weight(args) -> int:
     if args.max_weight is not None:
-        return args.max_weight
+        return _nonnegative(args.max_weight, "--max-weight")
     env = os.environ.get("SYMCHAR_MAX_WEIGHT")
-    return int(env) if env else DEFAULT_MAX_WEIGHT
+    return _nonnegative(int(env), "SYMCHAR_MAX_WEIGHT") if env else DEFAULT_MAX_WEIGHT
 
 
 def _nonnegative(value: int, what: str) -> int:
@@ -156,26 +156,36 @@ _COCHAINS = {
 }
 
 
-def _resolve_pairing(name: str):
-    if name.startswith("derived:"):
-        _, phi_name, base_name = name.split(":", 2)
-        return derived_pairing(_PAIRINGS[base_name](), _COCHAINS[phi_name]())
-    return _PAIRINGS[name]()
+_CHECK_NAMES = (
+    f"pairings {', '.join(sorted(_PAIRINGS))}; cochains {', '.join(sorted(_COCHAINS))};"
+    " or derived:<cochain>:<pairing>"
+)
+
+
+def _check_target(args):
+    """The cochain (alghom) or pairing that check names; ValueError listing the
+    accepted names otherwise."""
+    parts = args.name.split(":")
+    try:
+        if args.property == "alghom":
+            return _COCHAINS[args.name]()
+        if len(parts) == 3 and parts[0] == "derived":
+            base, phi = _PAIRINGS[parts[2]], _COCHAINS[parts[1]]
+            return derived_pairing(base(), phi())
+        return _PAIRINGS[args.name]()
+    except KeyError:
+        raise ValueError(f"unknown name {args.name!r}; accepted: {_CHECK_NAMES}") from None
 
 
 def _cmd_check(args) -> int:
     d = _bounded(args.max_degree, "max degree", args)
     witness: list = []
-    if args.property == "alghom":
-        ok = is_algebra_hom(_COCHAINS[args.name](), d, witness)
+    target = _check_target(args)
+    if args.property == "frobenius":
+        ok = is_frobenius(target, d, witness=witness)
     else:
-        pairing = _resolve_pairing(args.name)
-        if args.property == "laplace":
-            ok = is_laplace(pairing, d, witness)
-        elif args.property == "cocycle2":
-            ok = is_cocycle2(pairing, d, witness)
-        else:
-            ok = is_frobenius(pairing, d, witness=witness)
+        check = {"alghom": is_algebra_hom, "laplace": is_laplace, "cocycle2": is_cocycle2}
+        ok = check[args.property](target, d, witness)
     if ok:
         print(f"PASS: {args.name} satisfies {args.property} up to degree {d}")
         return 0
@@ -242,22 +252,9 @@ def _cmd_vertex(args) -> int:
 
 
 def _poly_text(p) -> str:
-    if not p:
-        return "0"
-    bits = []
-    for e, c in sorted(p.items()):
-        deg = e[0]
-        xpow = "" if deg == 0 else ("X" if deg == 1 else f"X^{deg}")
-        if c == 1 and xpow:
-            bits.append(f"+ {xpow}")
-        elif c == -1 and xpow:
-            bits.append(f"- {xpow}")
-        else:
-            sign = "-" if c < 0 else "+"
-            mag = str(abs(c))
-            bits.append(f"{sign} {mag}{xpow}" if not xpow else f"{sign} {mag}*{xpow}")
-    text = " ".join(bits)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    return signed_sum(
+        (c, "" if d == 0 else "X" if d == 1 else f"X^{d}") for (d,), c in sorted(p.items())
+    )
 
 
 def _parse_fgl(token: str):
@@ -280,14 +277,11 @@ def _cmd_fgl(args) -> int:
         return 0
     lam = parse_partition(args.partition)
     _bounded(sum(lam), "partition weight", args)
-    result = coproduct_from_fgl(args.law, SymFunc.basis(lam))
-    bits = [
-        f"{'+' if c >= 0 else '-'} {'' if abs(c) == 1 else str(abs(c)) + '*'}"
-        f"s[{format_partition(a)}](x)s[{format_partition(b)}]"
-        for (a, b), c in sorted(result.terms.items(), key=lambda kv: (term_order(kv[0][0]), term_order(kv[0][1])))
-    ]
-    text = " ".join(bits)
-    print(text[2:] if text.startswith("+ ") else "-" + text[2:])
+    result = coproduct_from_fgl(args.law, SymFunc.basis(lam)).terms
+    print(signed_sum(
+        (result[a, b], f"s[{format_partition(a)}](x)s[{format_partition(b)}]")
+        for a, b in sorted(result, key=pair_order)
+    ))
     return 0
 
 
@@ -480,6 +474,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _max_weight(args)  # a negative bound is a usage error for every subcommand
         return args.fn(args)
     except ResourceError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)

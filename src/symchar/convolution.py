@@ -11,9 +11,11 @@ from .partitions import Partition, partitions_up_to, weight
 from .schur import (
     SymFunc,
     TensorSymFunc,
+    _bilinear,
     antipode,
     coproduct_basis,
     iterated_coproduct_basis,
+    linear,
     outer_mul,
     scalar,
     tensor,
@@ -36,11 +38,7 @@ class Cochain1:
         return hit
 
     def __call__(self, f: SymFunc) -> SymFunc:
-        out: dict[Partition, int] = {}
-        for lam, c in f.terms.items():
-            for key, v in self.on_basis(lam).terms.items():
-                out[key] = out.get(key, 0) + c * v
-        return SymFunc(out)
+        return linear(f, self.on_basis, SymFunc)
 
     def is_normalized(self) -> bool:
         return self.on_basis(()) == SymFunc.one()
@@ -65,12 +63,7 @@ class Pairing:
         return hit
 
     def __call__(self, f: SymFunc, g: SymFunc) -> SymFunc:
-        out: dict[Partition, int] = {}
-        for mu, cf in f.terms.items():
-            for nu, cg in g.terms.items():
-                for key, v in self.on_basis(mu, nu).terms.items():
-                    out[key] = out.get(key, 0) + cf * cg * v
-        return SymFunc(out)
+        return _bilinear(f, g, self.on_basis)
 
     def is_unital(self) -> bool:
         return self.on_basis((), ()) == SymFunc.one()
@@ -123,7 +116,7 @@ def outer_pairing() -> Pairing:
 def inner_pairing() -> Pairing:
     from .kronecker import kronecker_basis
 
-    return Pairing(lambda mu, nu: SymFunc(dict(kronecker_basis(mu, nu))), "inner")
+    return Pairing(lambda mu, nu: SymFunc(kronecker_basis(mu, nu)), "inner")
 
 
 def schur_hall_pairing() -> Pairing:
@@ -139,7 +132,7 @@ def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:
     def fn(lam: Partition) -> SymFunc:
         out = SymFunc.zero()
         for (a, b), c in coproduct_basis(lam).items():
-            out = out + outer_mul(f.on_basis(a), g.on_basis(b)).scale(c)
+            out.add(outer_mul(f.on_basis(a), g.on_basis(b)), c)
         return out
 
     return Cochain1(fn, f"({f.name})*({g.name})")
@@ -150,7 +143,7 @@ def convolve2(a: Pairing, b: Pairing) -> Pairing:
         out = SymFunc.zero()
         for (x1, x2), cx in coproduct_basis(mu).items():
             for (y1, y2), cy in coproduct_basis(nu).items():
-                out = out + outer_mul(a.on_basis(x1, y1), b.on_basis(x2, y2)).scale(cx * cy)
+                out.add(outer_mul(a.on_basis(x1, y1), b.on_basis(x2, y2)), cx * cy)
         return out
 
     return Pairing(fn, f"({a.name})*({b.name})")
@@ -170,7 +163,7 @@ def milnor_moore_inverse1(f: Cochain1) -> Cochain1:
         for (a, b), c in coproduct_basis(lam).items():
             if not a or not b:
                 continue
-            out = out - outer_mul(inv(a), f.on_basis(b)).scale(c)
+            out.add(outer_mul(inv(a), f.on_basis(b)), -c)
         memo[lam] = out
         return out
 
@@ -199,7 +192,7 @@ def milnor_moore_inverse2(a: Pairing) -> Pairing:
             for (y1, y2), cy in coproduct_basis(nu).items():
                 if (not x1 and not y1) or (not x2 and not y2):
                     continue
-                out = out - outer_mul(inv(x1, y1), a.on_basis(x2, y2)).scale(cx * cy)
+                out.add(outer_mul(inv(x1, y1), a.on_basis(x2, y2)), -cx * cy)
         memo[key] = out
         return out
 
@@ -221,7 +214,7 @@ def coboundary1(f: Cochain1) -> Pairing:
                     continue  # eps kills the last right leg
                 mid = fbar(outer_mul(SymFunc.basis(x2), SymFunc.basis(y2)))
                 term = outer_mul(outer_mul(f.on_basis(y1), mid), f.on_basis(x3))
-                out = out + term.scale(cx * cy)
+                out.add(term, cx * cy)
         return out
 
     return Pairing(fn, f"d({f.name})")
@@ -229,15 +222,20 @@ def coboundary1(f: Cochain1) -> Pairing:
 
 # -- property checkers -------------------------------------------------------
 
-def _basis_triples(max_degree: int):
+def _basis_pairs(max_degree: int):
+    """Basis pairs (x, y) with |x| + |y| <= max_degree."""
     basis = partitions_up_to(max_degree)
     for x in basis:
         for y in basis:
-            if weight(x) + weight(y) > max_degree:
-                continue
-            for z in basis:
-                if weight(x) + weight(y) + weight(z) > max_degree:
-                    continue
+            if weight(x) + weight(y) <= max_degree:
+                yield x, y
+
+
+def _basis_triples(max_degree: int):
+    basis = partitions_up_to(max_degree)
+    for x, y in _basis_pairs(max_degree):
+        for z in basis:
+            if weight(x) + weight(y) + weight(z) <= max_degree:
                 yield x, y, z
 
 
@@ -250,12 +248,12 @@ def is_cocycle2(c: Pairing, max_degree: int, witness: list | None = None) -> boo
         for (x1, x2), cx in coproduct_basis(x).items():
             for (y1, y2), cy in coproduct_basis(y).items():
                 head = c(outer_mul(SymFunc.basis(x1), SymFunc.basis(y1)), sz)
-                lhs = lhs + outer_mul(head, c.on_basis(x2, y2)).scale(cx * cy)
+                lhs.add(outer_mul(head, c.on_basis(x2, y2)), cx * cy)
         rhs = SymFunc.zero()
         for (y1, y2), cy in coproduct_basis(y).items():
             for (z1, z2), cz in coproduct_basis(z).items():
                 tail = c(sx, outer_mul(SymFunc.basis(y2), SymFunc.basis(z2)))
-                rhs = rhs + outer_mul(c.on_basis(y1, z1), tail).scale(cy * cz)
+                rhs.add(outer_mul(c.on_basis(y1, z1), tail), cy * cz)
         if lhs != rhs:
             if witness is not None:
                 witness.append((x, y, z, lhs, rhs))
@@ -265,17 +263,13 @@ def is_cocycle2(c: Pairing, max_degree: int, witness: list | None = None) -> boo
 
 def is_algebra_hom(f: Cochain1, max_degree: int, witness: list | None = None) -> bool:
     """1-cocycle test: f(x y) = f(x) f(y) on basis pairs up to the bound."""
-    basis = partitions_up_to(max_degree)
-    for x in basis:
-        for y in basis:
-            if weight(x) + weight(y) > max_degree:
-                continue
-            lhs = f(outer_mul(SymFunc.basis(x), SymFunc.basis(y)))
-            rhs = outer_mul(f.on_basis(x), f.on_basis(y))
-            if lhs != rhs:
-                if witness is not None:
-                    witness.append((x, y, lhs, rhs))
-                return False
+    for x, y in _basis_pairs(max_degree):
+        lhs = f(outer_mul(SymFunc.basis(x), SymFunc.basis(y)))
+        rhs = outer_mul(f.on_basis(x), f.on_basis(y))
+        if lhs != rhs:
+            if witness is not None:
+                witness.append((x, y, lhs, rhs))
+            return False
     return True
 
 
@@ -286,7 +280,7 @@ def is_laplace(a: Pairing, max_degree: int, witness: list | None = None) -> bool
         right = a(SymFunc.basis(x), outer_mul(sy, sz))
         expand = SymFunc.zero()
         for (x1, x2), cx in coproduct_basis(x).items():
-            expand = expand + outer_mul(a.on_basis(x1, y), a.on_basis(x2, z)).scale(cx)
+            expand.add(outer_mul(a.on_basis(x1, y), a.on_basis(x2, z)), cx)
         if right != expand:
             if witness is not None:
                 witness.append(("right", x, y, z, right, expand))
@@ -294,7 +288,7 @@ def is_laplace(a: Pairing, max_degree: int, witness: list | None = None) -> bool
         left = a(outer_mul(SymFunc.basis(x), sy), sz)
         expand = SymFunc.zero()
         for (z1, z2), cz in coproduct_basis(z).items():
-            expand = expand + outer_mul(a.on_basis(x, z1), a.on_basis(y, z2)).scale(cz)
+            expand.add(outer_mul(a.on_basis(x, z1), a.on_basis(y, z2)), cz)
         if left != expand:
             if witness is not None:
                 witness.append(("left", x, y, z, left, expand))
@@ -303,17 +297,13 @@ def is_laplace(a: Pairing, max_degree: int, witness: list | None = None) -> bool
 
 
 def _is_grade_preserving(a: Pairing, max_degree: int) -> bool:
-    basis = partitions_up_to(max_degree)
-    for x in basis:
-        for y in basis:
-            if weight(x) + weight(y) > max_degree:
-                continue
-            val = a.on_basis(x, y)
-            if weight(x) != weight(y):
-                if val:
-                    return False
-            elif val.degrees() - {weight(x)}:
+    for x, y in _basis_pairs(max_degree):
+        val = a.on_basis(x, y)
+        if weight(x) != weight(y):
+            if val:
                 return False
+        elif val.degrees() - {weight(x)}:
+            return False
     return True
 
 
@@ -356,10 +346,7 @@ def is_frobenius(
             return adjoint_comultiplication(a, lam)
 
     def delta_lin(f: SymFunc) -> TensorSymFunc:
-        out = TensorSymFunc()
-        for lam, c in f.terms.items():
-            out = out + delta_a(lam).scale(c)
-        return out
+        return linear(f, delta_a, TensorSymFunc)
 
     basis = partitions_up_to(max_degree)
     # Unit and counit per grade: on every degree n where a does not vanish
@@ -382,41 +369,38 @@ def is_frobenius(
             restored = SymFunc.zero()
             for (x1, x2), c in delta_a(x).terms.items():
                 if x1 == (n,):
-                    restored = restored + SymFunc.basis(x2).scale(c)
+                    restored.add(SymFunc.basis(x2), c)
             if restored != SymFunc.basis(x):
                 if witness is not None:
                     witness.append(("counit", n, x, restored))
                 return False
-    for x in basis:
-        for y in basis:
-            if weight(x) + weight(y) > max_degree:
-                continue
-            # Frobenius law on equal degrees (a vanishes otherwise).
-            if weight(x) == weight(y):
-                middle = delta_lin(a.on_basis(x, y))
-                lhs = TensorSymFunc()
-                for (y1, y2), cy in delta_a(y).terms.items():
-                    lhs = lhs + tensor(a.on_basis(x, y1), SymFunc.basis(y2)).scale(cy)
-                rhs = TensorSymFunc()
-                for (x1, x2), cx in delta_a(x).terms.items():
-                    rhs = rhs + tensor(SymFunc.basis(x1), a.on_basis(x2, y)).scale(cx)
-                if not (lhs == middle == rhs):
-                    if witness is not None:
-                        witness.append(("frobenius-law", x, y, lhs, middle, rhs))
-                    return False
-            # Mixed bialgebra law on all pairs.
-            lhs = delta_lin(outer_mul(SymFunc.basis(x), SymFunc.basis(y)))
+    for x, y in _basis_pairs(max_degree):
+        # Frobenius law on equal degrees (a vanishes otherwise).
+        if weight(x) == weight(y):
+            middle = delta_lin(a.on_basis(x, y))
+            lhs = TensorSymFunc()
+            for (y1, y2), cy in delta_a(y).terms.items():
+                lhs.add(tensor(a.on_basis(x, y1), SymFunc.basis(y2)), cy)
             rhs = TensorSymFunc()
             for (x1, x2), cx in delta_a(x).terms.items():
-                for (y1, y2), cy in delta_a(y).terms.items():
-                    rhs = rhs + tensor(
-                        outer_mul(SymFunc.basis(x1), SymFunc.basis(y1)),
-                        outer_mul(SymFunc.basis(x2), SymFunc.basis(y2)),
-                    ).scale(cx * cy)
-            if lhs != rhs:
+                rhs.add(tensor(SymFunc.basis(x1), a.on_basis(x2, y)), cx)
+            if not (lhs == middle == rhs):
                 if witness is not None:
-                    witness.append(("mixed-bialgebra", x, y, lhs, rhs))
+                    witness.append(("frobenius-law", x, y, lhs, middle, rhs))
                 return False
+        # Mixed bialgebra law on all pairs.
+        lhs = delta_lin(outer_mul(SymFunc.basis(x), SymFunc.basis(y)))
+        rhs = TensorSymFunc()
+        for (x1, x2), cx in delta_a(x).terms.items():
+            for (y1, y2), cy in delta_a(y).terms.items():
+                rhs.add(tensor(
+                    outer_mul(SymFunc.basis(x1), SymFunc.basis(y1)),
+                    outer_mul(SymFunc.basis(x2), SymFunc.basis(y2)),
+                ), cx * cy)
+        if lhs != rhs:
+            if witness is not None:
+                witness.append(("mixed-bialgebra", x, y, lhs, rhs))
+            return False
     return True
 
 
@@ -441,10 +425,4 @@ def cochains_equal(f: Cochain1, g: Cochain1, max_degree: int) -> bool:
 
 
 def pairings_equal(a: Pairing, b: Pairing, max_degree: int) -> bool:
-    basis = partitions_up_to(max_degree)
-    return all(
-        a.on_basis(x, y) == b.on_basis(x, y)
-        for x in basis
-        for y in basis
-        if weight(x) + weight(y) <= max_degree
-    )
+    return all(a.on_basis(x, y) == b.on_basis(x, y) for x, y in _basis_pairs(max_degree))

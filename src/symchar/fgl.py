@@ -17,6 +17,7 @@ from .schur import (
     coproduct,
     iterated_coproduct_basis,
     outer_mul,
+    tensor,
 )
 
 # Sparse polynomial in `nvars` variables: exponent tuple -> Fraction.
@@ -209,9 +210,5 @@ def coproduct_from_fgl(which: str, f: SymFunc) -> TensorSymFunc:
             for (m1, m2), cm in inner_coproduct_basis(x2).items():
                 left = outer_mul(SymFunc.basis(x1), SymFunc.basis(m1))
                 right = outer_mul(SymFunc.basis(x3), SymFunc.basis(m2))
-                for la, cl in left.terms.items():
-                    for rb, cr in right.terms.items():
-                        key = (la, rb)
-                        out.terms[key] = out.terms.get(key, 0) + c * cc * cm * cl * cr
-    out.terms = {k: v for k, v in out.terms.items() if v}
+                out.add(tensor(left, right), c * cc * cm)
     return out

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import re
 
-from .partitions import Partition, format_partition, parse_partition, weight
-from .schur import SymFunc, TensorSymFunc
+from .partitions import Partition, format_partition, parse_partition, term_order
+from .schur import SymFunc, TensorSymFunc, signed_sum
 
 _TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*?\s*)?s\[([^\]]*)\]")
 
@@ -34,28 +34,22 @@ def parse_symfunc(text: str) -> SymFunc:
         sign = -1 if m.group(1) == "-" else 1
         coeff = int(m.group(2)) if m.group(2) else 1
         lam = parse_partition(m.group(3))
-        out = out + SymFunc.basis(lam).scale(sign * coeff)
+        out.add(SymFunc.basis(lam), sign * coeff)
         pos = m.end()
     return out
 
 
-def term_order(lam: Partition):
-    """Sort key: by weight, then reverse-lex within a weight."""
-    return (weight(lam), tuple(-p for p in lam))
+def pair_order(key: tuple[Partition, Partition]):
+    """Sort key on Sym (x) Sym: term_order of the first leg, then of the second."""
+    return term_order(key[0]), term_order(key[1])
 
 
 def format_symfunc(f: SymFunc, kind: str = "gl") -> str:
-    if not f.terms:
-        return "0"
     lo, hi = BRACKETS.get(kind, ("s[", "]"))
-    bits = []
-    for lam in sorted(f.terms, key=term_order):
-        c = f.terms[lam]
-        sign = "-" if c < 0 else "+"
-        mag = "" if abs(c) == 1 else f"{abs(c)}*"
-        bits.append(f"{sign} {mag}{lo}{format_partition(lam)}{hi}")
-    text = " ".join(bits)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    return signed_sum(
+        (f.terms[lam], f"{lo}{format_partition(lam)}{hi}")
+        for lam in sorted(f.terms, key=term_order)
+    )
 
 
 def symfunc_json(f: SymFunc, kind: str, cap: int | None = None) -> dict:
@@ -75,16 +69,10 @@ def parse_rational_label(text: str) -> tuple[Partition, Partition]:
 
 
 def format_rational(x: TensorSymFunc) -> str:
-    if not x.terms:
-        return "0"
-    bits = []
-    for (lam, mu) in sorted(x.terms, key=lambda k: (term_order(k[0]), term_order(k[1]))):
-        c = x.terms[(lam, mu)]
-        sign = "-" if c < 0 else "+"
-        mag = "" if abs(c) == 1 else f"{abs(c)}*"
-        bits.append(f"{sign} {mag}{{{format_partition(lam)};{format_partition(mu)}~}}")
-    text = " ".join(bits)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    return signed_sum(
+        (x.terms[key], f"{{{format_partition(key[0])};{format_partition(key[1])}~}}")
+        for key in sorted(x.terms, key=pair_order)
+    )
 
 
 def rational_json(x: TensorSymFunc, cap: int | None = None) -> dict:
@@ -93,8 +81,6 @@ def rational_json(x: TensorSymFunc, cap: int | None = None) -> dict:
             "label": {"kind": "rational", "partition": list(lam), "contra": list(mu)},
             "coeff": x.terms[(lam, mu)],
         }
-        for (lam, mu) in sorted(
-            x.terms, key=lambda k: (term_order(k[0]), term_order(k[1]))
-        )
+        for (lam, mu) in sorted(x.terms, key=pair_order)
     ]
     return {"terms": terms, "meta": {"cap": cap}}

@@ -16,6 +16,7 @@ from functools import cache
 from .convolution import (
     Cochain1,
     Pairing,
+    _basis_pairs,
     convolve2,
     derived_pairing,
     eps1_cochain,
@@ -26,10 +27,11 @@ from .convolution import (
     is_laplace,
     unit_pairing,
 )
-from .partitions import Partition, partitions_up_to, weight
+from .partitions import Partition, weight
 from .schur import (
     SymFunc,
     TensorSymFunc,
+    _bilinear,
     coproduct,
     coproduct_basis,
     iterated_coproduct_basis,
@@ -114,12 +116,7 @@ def build_hash(spec: HashSpec):
         return out
 
     def product(f: SymFunc, g: SymFunc) -> SymFunc:
-        out: dict[Partition, int] = {}
-        for mu, cf in f.terms.items():
-            for nu, cg in g.terms.items():
-                for lam, c in stage(0, mu, nu).items():
-                    out[lam] = out.get(lam, 0) + cf * cg * c
-        return SymFunc(out)
+        return _bilinear(f, g, lambda mu, nu: stage(0, mu, nu))
 
     return product
 
@@ -153,21 +150,17 @@ def hash_is_hopf(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> bool:
 
 def _bialgebra_law_holds(spec: HashSpec, max_degree: int) -> bool:
     product = build_hash(spec)
-    basis = partitions_up_to(max_degree)
-    for x in basis:
-        for y in basis:
-            if weight(x) + weight(y) > max_degree:
-                continue
-            lhs = coproduct(product(SymFunc.basis(x), SymFunc.basis(y)))
-            rhs = TensorSymFunc()
-            for (x1, x2), cx in coproduct(SymFunc.basis(x)).terms.items():
-                for (y1, y2), cy in coproduct(SymFunc.basis(y)).terms.items():
-                    rhs = rhs + tensor(
-                        product(SymFunc.basis(x1), SymFunc.basis(y1)),
-                        product(SymFunc.basis(x2), SymFunc.basis(y2)),
-                    ).scale(cx * cy)
-            if lhs != rhs:
-                return False
+    for x, y in _basis_pairs(max_degree):
+        lhs = coproduct(product(SymFunc.basis(x), SymFunc.basis(y)))
+        rhs = TensorSymFunc()
+        for (x1, x2), cx in coproduct(SymFunc.basis(x)).terms.items():
+            for (y1, y2), cy in coproduct(SymFunc.basis(y)).terms.items():
+                rhs.add(tensor(
+                    product(SymFunc.basis(x1), SymFunc.basis(y1)),
+                    product(SymFunc.basis(x2), SymFunc.basis(y2)),
+                ), cx * cy)
+        if lhs != rhs:
+            return False
     return True
 
 
@@ -189,7 +182,7 @@ def deformed_coproduct(f: SymFunc, pair: tuple[str, str]) -> TensorSymFunc:
         for (x1, x2, x3), cc in iterated_coproduct_basis(lam, 3).items():
             w = scalar(series_degree_term(m_tag, weight(x3)), SymFunc.basis(x3))
             if w:
-                out = out + TensorSymFunc.basis(x1, x2).scale(c * cc * w)
+                out.add(TensorSymFunc.basis(x1, x2), c * cc * w)
     return out
 
 

@@ -18,7 +18,7 @@ from itertools import compress, repeat
 from operator import mul
 
 from .partitions import Partition, partitions_of, weight, z_and_n
-from .schur import SymFunc, TensorSymFunc
+from .schur import SymFunc, TensorSymFunc, _bilinear, linear
 
 
 def _mask(lam: Partition, n: int) -> int:
@@ -112,12 +112,7 @@ def kronecker_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
 
 
 def inner_mul(f: SymFunc, g: SymFunc) -> SymFunc:
-    out: dict[Partition, int] = {}
-    for mu, cf in f.terms.items():
-        for nu, cg in g.terms.items():
-            for lam, c in kronecker_basis(mu, nu).items():
-                out[lam] = out.get(lam, 0) + cf * cg * c
-    return SymFunc(out)
+    return _bilinear(f, g, kronecker_basis)
 
 
 @cache
@@ -133,11 +128,7 @@ def inner_coproduct_basis(lam: Partition) -> dict[tuple[Partition, Partition], i
 
 
 def inner_coproduct(f: SymFunc) -> TensorSymFunc:
-    out: dict[tuple[Partition, Partition], int] = {}
-    for lam, cf in f.terms.items():
-        for key, c in inner_coproduct_basis(lam).items():
-            out[key] = out.get(key, 0) + cf * c
-    return TensorSymFunc(out)
+    return linear(f, inner_coproduct_basis, TensorSymFunc)
 
 
 def counit_eps1(f: SymFunc) -> int:

@@ -203,3 +203,8 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam) if lam else "0"
+
+
+def term_order(lam: Partition):
+    """Sort key: by weight, then reverse-lex within a weight."""
+    return (weight(lam), tuple(-p for p in lam))

@@ -18,6 +18,7 @@ from .partitions import (
     contains,
     format_partition,
     hooks_and_contents,
+    term_order,
     weight,
 )
 
@@ -32,17 +33,23 @@ class _Combination:
     def __init__(self, terms: dict | None = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
 
-    def __add__(self, other):
-        out = dict(self.terms)
+    def add(self, other, c: int = 1):
+        """self += c * other in place, dropping the terms that cancel; returns
+        self.  Only for an accumulator the caller created, never a cached value."""
+        terms = self.terms
         for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return type(self)(out)
+            v = terms.get(k, 0) + c * v
+            if v:
+                terms[k] = v
+            else:
+                terms.pop(k, None)
+        return self
+
+    def __add__(self, other):
+        return type(self)(self.terms).add(other)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return type(self)(out)
+        return type(self)(self.terms).add(other, -1)
 
     def __neg__(self):
         return type(self)({k: -v for k, v in self.terms.items()})
@@ -111,16 +118,10 @@ class SymFunc(_Combination):
         return self.terms.get(tuple(lam), 0)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for lam in sorted(self.terms, key=lambda p: (weight(p), tuple(-x for x in p))):
-            c = self.terms[lam]
-            sign = "-" if c < 0 else "+"
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            bits.append(f"{sign} {mag}s[{format_partition(lam)}]")
-        text = " ".join(bits)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return signed_sum(
+            (self.terms[lam], f"s[{format_partition(lam)}]")
+            for lam in sorted(self.terms, key=term_order)
+        )
 
 
 def s(*parts) -> SymFunc:
@@ -152,37 +153,42 @@ class TensorSymFunc(_Combination):
         if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, TensorSymFunc):
-            out: dict[tuple[Partition, Partition], int] = {}
+            out = TensorSymFunc()
             for (a, b), c1 in self.terms.items():
                 for (u, v), c2 in other.terms.items():
-                    left = product_basis(a, u)
-                    right = product_basis(b, v)
-                    for la, cl in left.items():
-                        for rb, cr in right.items():
-                            key = (la, rb)
-                            out[key] = out.get(key, 0) + c1 * c2 * cl * cr
-            return TensorSymFunc(out)
+                    left, right = SymFunc(product_basis(a, u)), SymFunc(product_basis(b, v))
+                    out.add(tensor(left, right), c1 * c2)
+            return out
         return NotImplemented
 
     def swap(self) -> "TensorSymFunc":
         return TensorSymFunc({(b, a): v for (a, b), v in self.terms.items()})
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = [
-            f"{'+' if c >= 0 else '-'} {'' if abs(c) == 1 else str(abs(c)) + '*'}"
-            f"s[{format_partition(a)}](x)s[{format_partition(b)}]"
+        return signed_sum(
+            (c, f"s[{format_partition(a)}](x)s[{format_partition(b)}]")
             for (a, b), c in sorted(self.terms.items())
-        ]
-        text = " ".join(bits)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        )
 
 
 def tensor(f: SymFunc, g: SymFunc) -> TensorSymFunc:
     return TensorSymFunc(
         {(a, b): cf * cg for a, cf in f.terms.items() for b, cg in g.terms.items()}
     )
+
+
+def signed_sum(pairs) -> str:
+    """Join (coefficient, label) pairs as "a - 2*b + 3": "0" when there are none,
+    no unit coefficient before a label, and a constant (empty label) bare."""
+    bits = []
+    for c, label in pairs:
+        mag = abs(c)
+        coeff = str(mag) if not label else "" if mag == 1 else f"{mag}*"
+        bits.append(f"{'-' if c < 0 else '+'} {coeff}{label}")
+    text = " ".join(bits)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +253,24 @@ def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
     return {conjugate(lam): c for lam, c in out.items()} if flip else out
 
 
+def linear(f: _Combination, on_basis, cls):
+    """The linear extension of on_basis at f, as a cls.  on_basis maps a basis
+    key to a {key: coefficient} dict or to a combination."""
+    out: dict = {}
+    for key, c in f.terms.items():
+        image = on_basis(key)
+        for k, v in getattr(image, "terms", image).items():
+            out[k] = out.get(k, 0) + c * v
+    return cls(out)
+
+
 def _bilinear(f: SymFunc, g: SymFunc, on_basis) -> SymFunc:
+    """The bilinear extension of on_basis (as in `linear`) at (f, g)."""
     out: dict[Partition, int] = {}
     for mu, cf in f.terms.items():
         for nu, cg in g.terms.items():
-            for lam, c in on_basis(mu, nu).items():
+            image = on_basis(mu, nu)
+            for lam, c in getattr(image, "terms", image).items():
                 out[lam] = out.get(lam, 0) + cf * cg * c
     return SymFunc(out)
 
@@ -338,11 +357,7 @@ def _inside(lam: Partition) -> list[Partition]:
 
 
 def coproduct(f: SymFunc) -> TensorSymFunc:
-    out: dict[tuple[Partition, Partition], int] = {}
-    for lam, cf in f.terms.items():
-        for key, c in coproduct_basis(lam).items():
-            out[key] = out.get(key, 0) + cf * c
-    return TensorSymFunc(out)
+    return linear(f, coproduct_basis, TensorSymFunc)
 
 
 def cut_coproduct(f: SymFunc) -> TensorSymFunc:
@@ -353,11 +368,7 @@ def cut_coproduct(f: SymFunc) -> TensorSymFunc:
 
 def antipode(f: SymFunc) -> SymFunc:
     """S(s_lam) = (-1)^{|lam|} s_{lam'}."""
-    out: dict[Partition, int] = {}
-    for lam, c in f.terms.items():
-        key = conjugate(lam)
-        out[key] = out.get(key, 0) + c * (-1) ** weight(lam)
-    return SymFunc(out)
+    return linear(f, lambda lam: {conjugate(lam): (-1) ** weight(lam)}, SymFunc)
 
 
 def scalar(f: _Combination, g: _Combination) -> int:
@@ -395,7 +406,7 @@ def loop(r: int, f: SymFunc) -> SymFunc:
             term = SymFunc.one()
             for leg in legs:
                 term = outer_mul(term, SymFunc.basis(leg))
-            out = out + term.scale(cf * c)
+            out.add(term, cf * c)
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 
 from .partitions import Partition, in_class, partitions_of
-from .schur import SymFunc, coproduct, outer_mul, scalar, skew, tensor
+from .schur import SymFunc, TensorSymFunc, coproduct, outer_mul, scalar, skew, tensor
 
 SERIES_TAGS = ("M", "L", "A", "B", "C", "D")
 
@@ -47,7 +47,7 @@ def series_terms(tag: str, cap: int) -> dict[int, SymFunc]:
 def series_sum(tag: str, cap: int) -> SymFunc:
     out = SymFunc.zero()
     for d in range(cap + 1):
-        out = out + series_degree_term(tag, d)
+        out.add(series_degree_term(tag, d))
     return out
 
 
@@ -57,7 +57,7 @@ def skew_by_series(f: SymFunc, tag: str) -> SymFunc:
     for d in range(f.max_degree() + 1):
         term = series_degree_term(tag, d)
         if term:
-            out = out + skew(f, term)
+            out.add(skew(f, term))
     return out
 
 
@@ -69,7 +69,7 @@ def mul_by_series(f: SymFunc, tag: str, cap: int) -> SymFunc:
     for d in range(cap + 1):
         term = series_degree_term(tag, d)
         if term:
-            out = out + outer_mul(f, term)
+            out.add(outer_mul(f, term))
     return out.truncate(cap)
 
 
@@ -86,13 +86,10 @@ def linear_form_l(f: SymFunc) -> int:
 def is_group_like(tag: str, cap: int) -> bool:
     """Check Delta(series) = series (x) series degree-by-degree up to cap."""
     for d in range(cap + 1):
-        lhs = coproduct(series_degree_term(tag, d))
-        rhs_terms = {}
+        rhs = TensorSymFunc()
         for i in range(d + 1):
-            t = tensor(series_degree_term(tag, i), series_degree_term(tag, d - i))
-            for k, v in t.terms.items():
-                rhs_terms[k] = rhs_terms.get(k, 0) + v
-        if lhs.terms != {k: v for k, v in rhs_terms.items() if v}:
+            rhs.add(tensor(series_degree_term(tag, i), series_degree_term(tag, d - i)))
+        if coproduct(series_degree_term(tag, d)) != rhs:
             return False
     return True
 
@@ -102,7 +99,7 @@ def check_inverse_pair(tag_a: str, tag_b: str, cap: int) -> bool:
     for d in range(cap + 1):
         acc = SymFunc.zero()
         for i in range(d + 1):
-            acc = acc + outer_mul(series_degree_term(tag_a, i), series_degree_term(tag_b, d - i))
+            acc.add(outer_mul(series_degree_term(tag_a, i), series_degree_term(tag_b, d - i)))
         expected = SymFunc.one() if d == 0 else SymFunc.zero()
         if acc != expected:
             return False

@@ -20,7 +20,7 @@ def bernstein(m: int, f: SymFunc) -> SymFunc:
     for i in range(f.max_degree() + 1):
         skewed = skew(f, e(i))
         if skewed:
-            out = out + outer_mul(h(m + i), skewed).scale((-1) ** i)
+            out.add(outer_mul(h(m + i), skewed), (-1) ** i)
     return out
 
 
@@ -54,9 +54,7 @@ def _apply_m(poly: ParamPolySym, cap: int) -> ParamPolySym:
     out: ParamPolySym = {}
     for (zi, wi), val in poly.items():
         for j in range(cap - wi + 1):
-            key = (zi, wi + j)
-            term = outer_mul(h(j), val)
-            out[key] = out.get(key, SymFunc.zero()) + term
+            out.setdefault((zi, wi + j), SymFunc.zero()).add(outer_mul(h(j), val))
     return {k: v for k, v in out.items() if v}
 
 
@@ -70,8 +68,7 @@ def _apply_l_perp_second(poly: ParamPolySym, cap: int) -> ParamPolySym:
         for i in range(min(cap - zi, val.max_degree()) + 1):
             term = skew(val, e(i)).scale((-1) ** i)
             if term:
-                key = (zi + i, wi)
-                out[key] = out.get(key, SymFunc.zero()) + term
+                out.setdefault((zi + i, wi), SymFunc.zero()).add(term)
     return {k: v for k, v in out.items() if v}
 
 

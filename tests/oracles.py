@@ -1,0 +1,124 @@
+"""Independent oracles for the character products: closed sum-over-skews
+formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
+form of the rational GL product, and the embedded-S_n path for reduced
+characters.  The library computes each product one way; these check it."""
+
+from symchar.characters import RationalChar, reduce_label, unreduce_label
+from symchar.kronecker import inner_mul, kronecker_basis
+from symchar.partitions import partitions_of, partitions_up_to, weight
+from symchar.schur import (
+    SymFunc,
+    TensorSymFunc,
+    coproduct_basis,
+    outer_mul,
+    skew,
+    skew_basis,
+    tensor,
+)
+
+
+def newell_littlewood_formula(f: SymFunc, g: SymFunc) -> SymFunc:
+    """The direct sum-over-common-skews form, as an independent path."""
+    out = SymFunc.zero()
+    cap = min(f.max_degree(), g.max_degree())
+    for zeta in partitions_up_to(cap):
+        out.add(outer_mul(skew(f, SymFunc.basis(zeta)), skew(g, SymFunc.basis(zeta))))
+    return out
+
+
+def rational_mul_hash(x: RationalChar, y: RationalChar) -> RationalChar:
+    """Same product as a hash on Sym (x) Sym with the contraction pairing
+    a((a,b),(c,d)) = <a|d><b|c>: x # y = a(x1,y1) x2 y2 through the
+    componentwise coproduct of Sym (x) Sym."""
+    if not (x.irreducible and y.irreducible):
+        raise ValueError("rational_mul_hash expects irreducible-interpretation characters")
+    out = TensorSymFunc()
+    for (kappa, lam), cx in x.element.terms.items():
+        ksplit = coproduct_basis(kappa)
+        lsplit = coproduct_basis(lam)
+        for (mu, nu), cy in y.element.terms.items():
+            msplit = coproduct_basis(mu)
+            nsplit = coproduct_basis(nu)
+            for (k1, k2), ck in ksplit.items():
+                for (l1, l2), cl in lsplit.items():
+                    for (m1, m2), cm in msplit.items():
+                        for (n1, n2), cn in nsplit.items():
+                            if k1 != n1 or l1 != m1:
+                                continue  # <k1|n1><l1|m1> with orthonormal Schurs
+                            coeff = cx * cy * ck * cl * cm * cn
+                            pair = tensor(
+                                outer_mul(SymFunc.basis(k2), SymFunc.basis(m2)),
+                                outer_mul(SymFunc.basis(l2), SymFunc.basis(n2)),
+                            )
+                            out.add(pair, coeff)
+    return RationalChar(out, irreducible=True)
+
+
+def thibon_inner_formula(x: SymFunc, y: SymFunc) -> SymFunc:
+    """Independent path: sum over equal-weight sigma, tau of
+    (sigma * tau) (mu/sigma) (nu/tau)."""
+    out = SymFunc.zero()
+    for mu, cx in x.terms.items():
+        for nu, cy in y.terms.items():
+            for w in range(min(weight(mu), weight(nu)) + 1):
+                for sigma in partitions_of(w):
+                    ms = skew_basis(mu, sigma)
+                    if not ms:
+                        continue
+                    for tau in partitions_of(w):
+                        ns = skew_basis(nu, tau)
+                        if not ns:
+                            continue
+                        core = SymFunc(dict(kronecker_basis(sigma, tau)))
+                        term = outer_mul(core, outer_mul(SymFunc(dict(ms)), SymFunc(dict(ns))))
+                        out.add(term, cx * cy)
+    return out
+
+
+def murnaghan_littlewood_formula(x: SymFunc, y: SymFunc) -> SymFunc:
+    """Independent path: sum over alpha, beta of equal weight and zeta of
+    (mu/(alpha zeta)) (nu/(beta zeta)) (alpha * beta)."""
+    out = SymFunc.zero()
+    for mu, cx in x.terms.items():
+        for nu, cy in y.terms.items():
+            cap = min(weight(mu), weight(nu))
+            for w in range(cap + 1):
+                for zeta in partitions_up_to(cap - w):
+                    mz = skew(SymFunc.basis(mu), SymFunc.basis(zeta))
+                    nz = skew(SymFunc.basis(nu), SymFunc.basis(zeta))
+                    if not mz or not nz:
+                        continue
+                    for alpha in partitions_of(w):
+                        ma = skew(mz, SymFunc.basis(alpha))
+                        if not ma:
+                            continue
+                        for beta in partitions_of(w):
+                            nb = skew(nz, SymFunc.basis(beta))
+                            if not nb:
+                                continue
+                            core = SymFunc(dict(kronecker_basis(alpha, beta)))
+                            out.add(outer_mul(core, outer_mul(ma, nb)), cx * cy)
+    return out
+
+
+def reduced_oracle(x: SymFunc, y: SymFunc, n: int) -> SymFunc:
+    """S_n oracle: unreduce both labels, take the genuine Kronecker product,
+    and re-reduce.  n must be large enough for stable first rows."""
+    out = SymFunc.zero()
+    for mu, cx in x.terms.items():
+        smu, lam_mu = unreduce_label(mu, n)
+        if smu == 0:
+            raise ValueError(f"n={n} too small to reconstruct label {mu}")
+        for nu, cy in y.terms.items():
+            snu, lam_nu = unreduce_label(nu, n)
+            if snu == 0:
+                raise ValueError(f"n={n} too small to reconstruct label {nu}")
+            prod = inner_mul(SymFunc.basis(lam_mu), SymFunc.basis(lam_nu))
+            for lam, c in prod.terms.items():
+                key = reduce_label(lam)
+                out.add(SymFunc.basis(key), cx * cy * c * smu * snu)
+    return out
+
+
+def default_oracle_n(x: SymFunc, y: SymFunc) -> int:
+    return 2 * (x.max_degree() + y.max_degree()) + 2

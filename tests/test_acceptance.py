@@ -9,18 +9,20 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    murnaghan_littlewood_formula,
+    newell_littlewood_formula,
+    rational_mul_hash,
+    reduced_oracle,
+    thibon_inner_formula,
+)
 from symchar.characters import (
     cummins_expand,
     murnaghan_littlewood,
-    murnaghan_littlewood_formula,
     newell_littlewood,
-    newell_littlewood_formula,
     rational_convert,
     rational_mul,
-    rational_mul_hash,
-    reduced_oracle,
     thibon_inner,
-    thibon_inner_formula,
     RationalChar,
 )
 from symchar.convolution import (

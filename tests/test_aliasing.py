@@ -1,0 +1,90 @@
+"""In-place accumulation never writes into a cached value: after the library
+paths that accumulate with `add` have run, every cache they read still holds
+what a fresh recomputation gives."""
+
+from symchar.characters import BRANCH_SERIES, branch
+from symchar.convolution import (
+    Pairing,
+    antipode_cochain,
+    convolve1,
+    convolve2,
+    identity_cochain,
+    inner_pairing,
+    milnor_moore_inverse1,
+    milnor_moore_inverse2,
+    outer_pairing,
+)
+from symchar.hash_products import build_hash, named_spec
+from symchar.partitions import partitions_up_to, weight
+from symchar.schur import SymFunc, coproduct_basis, loop, product_basis, s, skew_basis
+from symchar.series import (
+    INVERSE_PAIR,
+    SERIES_TAGS,
+    check_inverse_pair,
+    mul_by_series,
+    series_degree_term,
+    series_sum,
+)
+from symchar.vertex import bernstein
+
+CAP = 4
+BASIS = partitions_up_to(CAP)
+PAIRS = [(x, y) for x in BASIS for y in BASIS if weight(x) + weight(y) <= CAP]
+
+
+def assert_memo_fresh(owner, fresh) -> None:
+    """Every memo entry of a Cochain1 or Pairing equals the same entry of an
+    equivalent object built from scratch."""
+    assert owner._memo
+    for key, value in owner._memo.items():
+        args = key if isinstance(owner, Pairing) else (key,)
+        assert value == fresh.on_basis(*args), (owner, key)
+
+
+def test_accumulators_leave_caches_intact():
+    f = s(2, 1) + s(3).scale(-2) + s(1)
+    for rule in BRANCH_SERIES:
+        branch(f, rule)
+    for tag in SERIES_TAGS:
+        mul_by_series(f, tag, CAP + 1)
+        series_sum(tag, CAP)
+    for tag_a, tag_b in INVERSE_PAIR.items():
+        assert check_inverse_pair(tag_a, tag_b, CAP)
+    for m in range(3):
+        bernstein(m, f)
+    loop(3, f)
+
+    ident, anti = identity_cochain(), antipode_cochain()
+    inner, outer = inner_pairing(), outer_pairing()
+    conv1, inv1 = convolve1(ident, anti), milnor_moore_inverse1(anti)
+    conv2, inv2 = convolve2(inner, outer), milnor_moore_inverse2(outer)
+    for lam in BASIS:
+        conv1(SymFunc.basis(lam))
+        inv1(SymFunc.basis(lam))
+    for mu, nu in PAIRS:
+        conv2(SymFunc.basis(mu), SymFunc.basis(nu))
+        inv2(SymFunc.basis(mu), SymFunc.basis(nu))
+    spec = named_spec("murnaghan-littlewood")
+    build_hash(spec)(f, s(2) + s(1, 1))
+
+    for tag in SERIES_TAGS:
+        for d in range(CAP + 2):
+            assert series_degree_term(tag, d) == series_degree_term.__wrapped__(tag, d)
+    fresh_spec = named_spec("murnaghan-littlewood")
+    for owner, fresh in [
+        (ident, identity_cochain()),
+        (anti, antipode_cochain()),
+        (conv1, convolve1(identity_cochain(), antipode_cochain())),
+        (inv1, milnor_moore_inverse1(antipode_cochain())),
+        (inner, inner_pairing()),
+        (outer, outer_pairing()),
+        (conv2, convolve2(inner_pairing(), outer_pairing())),
+        (inv2, milnor_moore_inverse2(outer_pairing())),
+        *zip(sum(spec.stages, ()), sum(fresh_spec.stages, ())),
+    ]:
+        assert_memo_fresh(owner, fresh)
+    for mu in partitions_up_to(2 * CAP):
+        assert coproduct_basis(mu) == coproduct_basis.__wrapped__(mu)
+        for nu in BASIS:
+            assert product_basis(mu, nu) == product_basis.__wrapped__(mu, nu)
+            assert skew_basis(mu, nu) == skew_basis.__wrapped__(mu, nu)

@@ -3,23 +3,25 @@ rational GL characters, Thibon characters, reduced characters, Cummins."""
 
 import pytest
 
+from oracles import (
+    default_oracle_n,
+    murnaghan_littlewood_formula,
+    newell_littlewood_formula,
+    rational_mul_hash,
+    reduced_oracle,
+    thibon_inner_formula,
+)
 from symchar.characters import (
     RationalChar,
     branch,
     cummins_expand,
-    default_oracle_n,
     murnaghan_littlewood,
-    murnaghan_littlewood_formula,
     newell_littlewood,
-    newell_littlewood_formula,
     rational_convert,
     rational_mul,
-    rational_mul_hash,
     reduce_label,
-    reduced_oracle,
     thibon_convert,
     thibon_inner,
-    thibon_inner_formula,
     unreduce_label,
 )
 from symchar.kronecker import inner_mul

@@ -287,3 +287,59 @@ class TestNegativeBounds:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "must be >= 0" in err
+
+
+class TestFormatterGoldens:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("fgl", "loop", "gm", "-1", "--cap", "4"), "-X + X^2 - X^3 + X^4"),
+            (("fgl", "loop", "gm:2", "-2", "--cap", "3"), "-2*X + 6*X^2 - 16*X^3"),
+            (("fgl", "loop", "gm", "0"), "0"),
+            (("fgl", "coproduct", "multiplicative", "0"), "s[0](x)s[0]"),
+            (("decompose", "--product", "kronecker", "s[2]-3s[1,1]", "2"), "{2} - 3*{1,1}"),
+        ],
+    )
+    def test_output(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
+
+
+class TestNegativeMaxWeight:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "--product", "outer", "0", "0"),
+            ("table", "3"),
+        ],
+    )
+    def test_flag(self, capsys, argv):
+        code, out, err = run(capsys, "--max-weight", "-1", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "--max-weight must be >= 0" in err
+
+    def test_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("SYMCHAR_MAX_WEIGHT", "-1")
+        code, out, err = run(capsys, "decompose", "--product", "outer", "0", "0")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "SYMCHAR_MAX_WEIGHT must be >= 0" in err
+
+
+class TestCheckNames:
+    @pytest.mark.parametrize(
+        "prop, name",
+        [
+            ("laplace", "derived:m"),
+            ("laplace", "nope"),
+            ("alghom", "nope"),
+            ("alghom", "inner"),
+            ("frobenius", "derived:m:nope"),
+            ("cocycle2", "derived:nope:inner"),
+        ],
+    )
+    def test_unknown_name_lists_the_accepted_ones(self, capsys, prop, name):
+        code, out, err = run(capsys, "check", prop, name)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and repr(name) in err
+        for accepted in ("e2", "inner", "outer", "schur-hall", "antipode", "id", "m"):
+            assert accepted in err
+        assert "derived:<cochain>:<pairing>" in err

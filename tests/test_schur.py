@@ -19,6 +19,7 @@ from symchar.schur import (
     eval_monomials,
     eval_polynomial,
     h,
+    linear,
     loop,
     lr_coefficient,
     outer_mul,
@@ -26,6 +27,7 @@ from symchar.schur import (
     product_basis,
     s,
     scalar,
+    signed_sum,
     skew,
     skew_basis,
     tensor,
@@ -107,6 +109,57 @@ def reference_table() -> dict:
             if (c := reference_lr_coefficient(lam, mu, nu))
         }
     return table
+
+
+class TestCombinationCore:
+    def test_add_is_in_place_and_returns_self(self):
+        acc = s(2) + s(1, 1).scale(3)
+        other = s(1, 1) + s(3)
+        assert acc.add(other, -3) is acc
+        assert acc.terms == {(2,): 1, (3,): -3}
+        assert other == s(1, 1) + s(3)
+
+    def test_add_drops_cancelled_terms(self):
+        acc = s(1).scale(2)
+        acc.add(s(1), -2)
+        assert acc.terms == {} and acc.is_zero()
+        acc.add(s(1), 0)
+        assert acc.terms == {}
+
+    def test_add_on_tensors(self):
+        acc = TensorSymFunc.basis((1,), ())
+        acc.add(TensorSymFunc.basis((1,), ()) - TensorSymFunc.basis((), (1,)), -1)
+        assert acc == TensorSymFunc.basis((), (1,))
+
+    def test_operators_copy(self):
+        f, g = s(2) + s(1), s(1)
+        total, diff = f + g, f - g
+        assert f == s(2) + s(1) and g == s(1)
+        assert total.terms == {(2,): 1, (1,): 2} and diff == s(2)
+
+    @given(sym_elements, sym_elements, st.integers(-3, 3))
+    @settings(max_examples=60)
+    def test_add_matches_operators(self, f, g, c):
+        acc = SymFunc(f.terms)
+        assert acc.add(g, c) == f + g.scale(c)
+
+    def test_linear_extension(self):
+        f = s(2).scale(2) - s(1, 1)
+        assert linear(f, lambda lam: {lam[:1]: 1, (): 1}, SymFunc) == s(2).scale(2) - s(1) + unit()
+        assert linear(f, coproduct_basis, TensorSymFunc) == coproduct(f)
+
+    def test_signed_sum(self):
+        assert signed_sum([]) == "0"
+        assert signed_sum([(1, "a"), (-1, "b"), (3, "c"), (-2, "")]) == "a - b + 3*c - 2"
+        assert signed_sum([(-1, ""), (1, "X")]) == "-1 + X"
+        assert signed_sum([(-5, "y")]) == "-5*y"
+
+    def test_repr_goldens(self):
+        assert repr(SymFunc.zero()) == "0"
+        assert repr(-s(1)) == "-s[1]"
+        assert repr(s(2, 1).scale(2) - s(3) + unit()) == "s[0] - s[3] + 2*s[2,1]"
+        assert repr(TensorSymFunc.basis((1,), ()).scale(-2)) == "-2*s[1](x)s[0]"
+        assert repr(TensorSymFunc()) == "0"
 
 
 class TestOuterProduct:

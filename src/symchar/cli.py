@@ -2,7 +2,7 @@
 property checks, hash products, vertex operators, formal group laws, and
 character tables, with text and JSON output.
 
-Exit codes: 0 success, 1 failed check, 2 parse error, 3 resource bound.
+Exit codes: 0 success, 1 failed check, 2 parse error, 3 resource bound, 141 broken pipe.
 """
 
 from __future__ import annotations
@@ -475,7 +475,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _max_weight(args)  # a negative bound is a usage error for every subcommand
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here rather than at shutdown
+        return code
+    except BrokenPipeError:  # reader gone: 128 + SIGPIPE, silent, final flush quieted too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ResourceError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3

@@ -50,9 +50,10 @@ class Cochain1:
 class Pairing:
     """A 2-cochain: bilinear map Sym x Sym -> Sym given on basis pairs."""
 
-    def __init__(self, fn, name: str = "pairing"):
+    def __init__(self, fn, name: str = "pairing", grade_preserving: bool = False):
         self._fn = fn
         self.name = name
+        self.grade_preserving = grade_preserving  # declared: a(x, y) = 0 unless |x| = |y|
         self._memo: dict[tuple[Partition, Partition], SymFunc] = {}
 
     def on_basis(self, mu: Partition, nu: Partition) -> SymFunc:
@@ -104,9 +105,7 @@ def eps1_cochain() -> Cochain1:
 
 def unit_pairing() -> Pairing:
     """e2(x, y) = eps(x) eps(y) s_(), the unit of the pairing convolution monoid."""
-    return Pairing(
-        lambda mu, nu: SymFunc.one() if not mu and not nu else SymFunc.zero(), "e2"
-    )
+    return Pairing(lambda mu, nu: SymFunc({(): int(mu == nu == ())}), "e2", grade_preserving=True)
 
 
 def outer_pairing() -> Pairing:
@@ -116,14 +115,12 @@ def outer_pairing() -> Pairing:
 def inner_pairing() -> Pairing:
     from .kronecker import kronecker_basis
 
-    return Pairing(lambda mu, nu: SymFunc(kronecker_basis(mu, nu)), "inner")
+    return Pairing(lambda mu, nu: SymFunc(kronecker_basis(mu, nu)), "inner", grade_preserving=True)
 
 
 def schur_hall_pairing() -> Pairing:
     """a(x, y) = <x|y> s_(): the derived pairing (eta o eps^1) o inner."""
-    return Pairing(
-        lambda mu, nu: SymFunc.one() if mu == nu else SymFunc.zero(), "schur-hall"
-    )
+    return Pairing(lambda mu, nu: SymFunc({(): int(mu == nu)}), "schur-hall", grade_preserving=True)
 
 
 # -- convolution -------------------------------------------------------------
@@ -408,7 +405,8 @@ def derived_pairing(a: Pairing, phi: Cochain1, max_degree: int = 4) -> Pairing:
     """a_phi = phi o a; phi must be an algebra homomorphism (1-cocycle)."""
     if not is_algebra_hom(phi, max_degree):
         raise ValueError(f"cochain {phi.name!r} is not an algebra homomorphism")
-    return Pairing(lambda mu, nu: phi(a.on_basis(mu, nu)), f"{phi.name}.{a.name}")
+    name = f"{phi.name}.{a.name}"
+    return Pairing(lambda mu, nu: phi(a.on_basis(mu, nu)), name, grade_preserving=a.grade_preserving)
 
 
 def frobenius_inverse(a: Pairing, max_degree: int = 4) -> Pairing:

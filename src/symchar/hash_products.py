@@ -4,14 +4,15 @@ A hash spec lists stages (pairing a_j, algebra-hom cochain phi_j), j < k,
 and a final cochain psi on the ambient multiplication m.  `build_hash`
 evaluates the convolution of the phi_j o a_j with psi o m stage by stage
 over 2-fold coproducts: H_j(mu, nu) = sum phi_j(a_j(mu1, nu1)) H_{j+1}(mu2, nu2),
-H_k = psi o m, and s_mu # s_nu = H_0(mu, nu).  `named_product` builds (and
-validates) each named spec once per process.
+H_k = psi o m, and s_mu # s_nu = H_0(mu, nu), pairing only the terms with
+|mu1| = |nu1| when a_j is declared grade-preserving.  `named_product` builds
+(and validates) each named spec once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 
 from .convolution import (
     Cochain1,
@@ -51,20 +52,18 @@ class HashSpec:
     name: str = "hash"
 
 
+NAMED_STAGES = {  # (pairing, cochain) constructors per stage; the final cochain is id
+    "trivial": (),
+    "thibon": ((inner_pairing, identity_cochain),),
+    "newell-littlewood": ((inner_pairing, eps1_cochain),),
+    "murnaghan-littlewood": ((inner_pairing, eps1_cochain), (inner_pairing, identity_cochain)),
+}
+
+
 def named_spec(name: str) -> HashSpec:
-    if name == "trivial":
-        return HashSpec((), identity_cochain(), "trivial")
-    if name == "thibon":
-        return HashSpec(((inner_pairing(), identity_cochain()),), identity_cochain(), "thibon")
-    if name == "newell-littlewood":
-        return HashSpec(((inner_pairing(), eps1_cochain()),), identity_cochain(), "newell-littlewood")
-    if name == "murnaghan-littlewood":
-        return HashSpec(
-            ((inner_pairing(), eps1_cochain()), (inner_pairing(), identity_cochain())),
-            identity_cochain(),
-            "murnaghan-littlewood",
-        )
-    raise ValueError(f"unknown hash spec {name!r}")
+    if name not in NAMED_STAGES:
+        raise ValueError(f"unknown hash spec {name!r}")
+    return HashSpec(tuple((a(), phi()) for a, phi in NAMED_STAGES[name]), identity_cochain(), name)
 
 
 def validate_spec(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> None:
@@ -86,33 +85,40 @@ def validate_spec(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> None:
 def build_hash(spec: HashSpec):
     """Validate the spec and return the binary operation x # y on SymFunc.
 
-    Only the inner stages H_j, 0 < j < k, are memoized (one table per product):
-    H_0 is reached once per pair of input terms and H_k is a cached LR product."""
+    Memoized: the heads phi_j(a_j(x1, y1)) in one derived pairing per stage and
+    H_j, 0 < j <= k, in one table per product.  One LR product per unordered (a, b)."""
     validate_spec(spec)
-    stages, final = spec.stages, spec.final_cocycle
-    k = len(stages)
+    heads = [derived_pairing(pairing, cocycle) for pairing, cocycle in spec.stages]
+    final, k = spec.final_cocycle, len(heads)
     memo: dict[tuple[int, Partition, Partition], dict[Partition, int]] = {}
 
     def stage(j: int, mu: Partition, nu: Partition) -> dict[Partition, int]:
+        mu, nu = (nu, mu) if j == k and mu > nu else (mu, nu)  # H_k is symmetric
+        if (j, mu, nu) in memo:
+            return memo[j, mu, nu]
         if j == k:
-            return final(SymFunc(product_basis(mu, nu))).terms
-        if j and (j, mu, nu) in memo:
-            return memo[(j, mu, nu)]
-        pairing, cocycle = stages[j]
-        out: dict[Partition, int] = {}
-        for (x1, x2), cx in coproduct_basis(mu).items():
-            for (y1, y2), cy in coproduct_basis(nu).items():
-                head = cocycle(pairing.on_basis(x1, y1)).terms
-                tail = stage(j + 1, x2, y2) if head else None
-                if not tail:
-                    continue
-                for a, ca in head.items():
-                    for b, cb in tail.items():
-                        c = cx * cy * ca * cb
-                        for lam, cl in product_basis(a, b).items():
-                            out[lam] = out.get(lam, 0) + c * cl
+            out = final(SymFunc(product_basis(mu, nu))).terms
+        else:
+            leg = weight if heads[j].grade_preserving else lambda x1: None  # which y1 meet x1
+            ys: dict = {}
+            for y in coproduct_basis(nu).items():
+                ys.setdefault(leg(y[0][0]), []).append(y)
+            pairs: dict[tuple[Partition, Partition], int] = {}
+            for (x1, x2), cx in coproduct_basis(mu).items():
+                for (y1, y2), cy in ys.get(leg(x1), ()):
+                    top = heads[j].on_basis(x1, y1).terms
+                    tail = stage(j + 1, x2, y2) if top else {}
+                    for a, ca in top.items():
+                        ca *= cx * cy
+                        for b, cb in tail.items():
+                            ab = (a, b) if a <= b else (b, a)
+                            pairs[ab] = pairs.get(ab, 0) + ca * cb
+            out = {}
+            for (a, b), c in pairs.items():
+                for lam, cl in (product_basis(a, b) if c else {}).items():
+                    out[lam] = out.get(lam, 0) + c * cl
         if j:
-            memo[(j, mu, nu)] = out
+            memo[j, mu, nu] = out
         return out
 
     def product(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -129,10 +135,8 @@ def named_product(name: str):
 
 def composite_pairing(spec: HashSpec) -> Pairing:
     """The convolution product of the spec's derived pairings (e2 when empty)."""
-    acc = unit_pairing()
-    for pairing, cocycle in spec.stages:
-        acc = convolve2(acc, derived_pairing(pairing, cocycle, CHECK_DEGREE))
-    return acc
+    derived = (derived_pairing(pairing, cocycle, CHECK_DEGREE) for pairing, cocycle in spec.stages)
+    return reduce(convolve2, derived, unit_pairing())
 
 
 def hash_is_hopf(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> bool:

@@ -1,6 +1,10 @@
 """End-to-end command-line interface tests (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,22 @@ class TestExitCodes:
         )
         assert code == 3
         assert out == "" and "resource" in err
+
+    def test_reader_closing_the_pipe_exits_141_quietly(self):
+        # About 100 kB of output, more than a pipe buffer holds, so the
+        # writer is still printing when the reader goes away.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["decompose", "--product", "outer", "8,6,4,2", "8,6,4,2"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "symchar.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.stdout.read(10) == b"{16,12,8,4"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestCapsAboveMaxWeight:

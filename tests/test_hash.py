@@ -1,6 +1,8 @@
 """Hash (deformed) products, their Hopf classification, and the
 series-deformed coproduct / basis change."""
 
+from fractions import Fraction
+
 import pytest
 
 from symchar.convolution import pairings_equal, schur_hall_pairing, unit_pairing
@@ -17,13 +19,16 @@ from symchar.hash_products import (
 )
 from symchar.convolution import (
     Cochain1,
+    Pairing,
     antipode_cochain,
+    derived_pairing,
     eps1_cochain,
     identity_cochain,
     inner_pairing,
     outer_pairing,
 )
-from symchar.partitions import partitions_up_to, weight
+from symchar.kronecker import character, kronecker_basis
+from symchar.partitions import partitions_of, partitions_up_to, weight, z_and_n
 from symchar.schur import (
     SymFunc,
     TensorSymFunc,
@@ -98,6 +103,69 @@ class TestStagedEvaluator:
     def test_named_product_is_built_once(self):
         assert named_product("thibon") is named_product("thibon")
         assert named_product("thibon")(s(1), s(1)) == s(2) + s(1, 1) + s(1)
+
+
+def p2_plethysm_pairing() -> Pairing:
+    """a(x, y) = <x | y[p_2]> s_(): Laplace, since y -> y[p_2] is a bialgebra
+    map, but nonzero only where |x| = 2|y|, so it declares no grading."""
+
+    def fn(lam, mu):
+        if weight(lam) != 2 * weight(mu):
+            return SymFunc.zero()
+        # s_mu[p_2] = sum_rho chi^mu(rho) p_{2 rho} / z_rho
+        total = sum(
+            Fraction(character(mu, rho) * character(lam, tuple(2 * r for r in rho)), z_and_n(rho)[0])
+            for rho in partitions_of(weight(mu))
+        )
+        assert total.denominator == 1
+        return SymFunc.one().scale(int(total))
+
+    return Pairing(fn, "p2-plethysm")
+
+
+def undeclared_inner_pairing() -> Pairing:
+    """The inner pairing, graded but without the declaration."""
+    return Pairing(lambda mu, nu: SymFunc(kronecker_basis(mu, nu)), "inner-undeclared")
+
+
+class TestDeclaredGrading:
+    # pairing -> degree of a(x, y) for |x| = |y| = n
+    DECLARED = {
+        "inner": (inner_pairing, lambda n: n),
+        "schur-hall": (schur_hall_pairing, lambda n: 0),
+        "e2": (unit_pairing, lambda n: 0),
+        "id.inner": (lambda: derived_pairing(inner_pairing(), identity_cochain()), lambda n: n),
+        "antipode.inner": (lambda: derived_pairing(inner_pairing(), antipode_cochain()), lambda n: n),
+        "eta.eps1.inner": (lambda: derived_pairing(inner_pairing(), eps1_cochain()), lambda n: 0),
+    }
+
+    @pytest.mark.parametrize("name", DECLARED)
+    def test_declared_pairing_is_zero_off_degree_and_homogeneous(self, name):
+        make, degree = self.DECLARED[name]
+        pairing = make()
+        assert pairing.grade_preserving
+        basis = partitions_up_to(6)
+        for x in basis:
+            for y in basis:
+                value = pairing.on_basis(x, y)
+                if weight(x) != weight(y):
+                    assert not value, (x, y)
+                else:
+                    assert value.degrees() <= {degree(weight(x))}, (x, y)
+
+    def test_undeclared_pairings(self):
+        for pairing in (outer_pairing(), p2_plethysm_pairing(), undeclared_inner_pairing()):
+            assert not pairing.grade_preserving
+            assert not derived_pairing(pairing, identity_cochain()).grade_preserving
+
+    def test_undeclared_graded_pairing_matches_reference(self):
+        stages = ((undeclared_inner_pairing(), identity_cochain()), (inner_pairing(), eps1_cochain()))
+        agrees_with_reference(HashSpec(stages, identity_cochain(), "undeclared"))
+
+    def test_off_degree_pairing_matches_reference(self):
+        pairing = p2_plethysm_pairing()
+        assert pairing.on_basis((2,), (1,)) == unit()
+        agrees_with_reference(HashSpec(((pairing, identity_cochain()),), identity_cochain(), "p2"))
 
 
 class TestNamedSpecs:

@@ -2,49 +2,23 @@
 property checks, hash products, vertex operators, formal group laws, and
 character tables, with text and JSON output.
 
+Each subcommand imports only the modules it runs, and building the parser
+imports none: a cold process may compile every module it imports.
+
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 resource bound, 141 broken pipe.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
 from operator import mul
 
-from . import characters, vertex
-from .convolution import (
-    antipode_cochain,
-    eps1_cochain,
-    identity_cochain,
-    inner_pairing,
-    is_algebra_hom,
-    is_cocycle2,
-    is_frobenius,
-    is_laplace,
-    outer_pairing,
-    schur_hall_pairing,
-    unit_counit_cochain,
-    unit_pairing,
-    derived_pairing,
-)
-from .fgl import additive, coproduct_from_fgl, fgl_log, loop_n, multiplicative
-from .formats import (
-    format_rational,
-    format_symfunc,
-    pair_order,
-    parse_rational_label,
-    parse_symfunc,
-    rational_json,
-    symfunc_json,
-)
-from .hash_products import HashSpec, build_hash, named_product
+# The package itself loads these; other modules are imported by their handlers.
 from .kronecker import character_table, inner_mul
 from .partitions import format_partition, parse_partition, partitions_of, z_and_n
 from .schur import SymFunc, outer_mul, signed_sum
-from .series import series_degree_term
 
 DEFAULT_MAX_WEIGHT = 20
 
@@ -81,6 +55,8 @@ def _guard(f: SymFunc, args) -> SymFunc:
 
 def _emit(args, text: str, payload=None) -> None:
     if getattr(args, "json", False) and payload is not None:
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print(text)
@@ -88,48 +64,62 @@ def _emit(args, text: str, payload=None) -> None:
 
 # -- subcommand handlers -----------------------------------------------------
 
+# Accepted names, kept as literals so that building the parser loads no library
+# module; tests check them against characters.BRANCH_SERIES and the
+# convolution.PAIRINGS and convolution.COCHAINS constructor tables.
+_BRANCH_RULES = ("gl_to_glm1", "gl_to_o", "gl_to_sp", "glm1_to_gl", "o_to_gl", "sp_to_gl")
+_PAIRING_NAMES = ("e2", "inner", "outer", "schur-hall")
+_COCHAIN_NAMES = ("antipode", "e", "id", "m")
+
+_PRODUCTS = {  # --product -> (characters function or None, label kind); rational apart
+    "outer": (None, "gl"),
+    "kronecker": (None, "gl"),
+    "newell-littlewood-o": ("newell_littlewood", "o"),
+    "newell-littlewood-sp": ("newell_littlewood", "sp"),
+    "thibon": ("thibon_inner", "thibon"),
+    "reduced": ("murnaghan_littlewood", "reduced"),
+}
+
+
 def _cmd_decompose(args) -> int:
-    kind_of = {
-        "outer": "gl",
-        "kronecker": "gl",
-        "newell-littlewood-o": "o",
-        "newell-littlewood-sp": "sp",
-        "thibon": "thibon",
-        "reduced": "reduced",
-    }
+    from .formats import format_symfunc, parse_symfunc, symfunc_json
+
     if args.product == "rational":
+        from .characters import RationalChar, rational_mul
+        from .formats import format_rational, parse_rational_label, rational_json
+
         labels = [parse_rational_label(args.lhs), parse_rational_label(args.rhs)]
         _bounded(max(sum(lam) + sum(mu) for lam, mu in labels), "input weight", args)
-        lhs, rhs = (characters.RationalChar.basis(*label) for label in labels)
-        result = characters.rational_mul(lhs, rhs)
+        result = rational_mul(*(RationalChar.basis(*label) for label in labels))
         _emit(args, format_rational(result.element), rational_json(result.element))
         return 0
     lhs = _guard(parse_symfunc(args.lhs), args)
     rhs = _guard(parse_symfunc(args.rhs), args)
-    if args.product == "outer":
-        result = outer_mul(lhs, rhs)
-    elif args.product == "kronecker":
-        result = inner_mul(lhs, rhs)
-    elif args.product in ("newell-littlewood-o", "newell-littlewood-sp"):
-        result = characters.newell_littlewood(lhs, rhs)
-    elif args.product == "thibon":
-        result = characters.thibon_inner(lhs, rhs)
+    name, kind = _PRODUCTS[args.product]
+    if name is None:
+        result = (outer_mul if args.product == "outer" else inner_mul)(lhs, rhs)
     else:
-        result = characters.murnaghan_littlewood(lhs, rhs)
-    kind = kind_of[args.product]
+        from . import characters
+
+        result = getattr(characters, name)(lhs, rhs)
     _emit(args, format_symfunc(result, kind), symfunc_json(result, kind))
     return 0
 
 
 def _cmd_branch(args) -> int:
-    f = _guard(parse_symfunc(args.element), args)
-    result = characters.branch(f, args.rule)
+    from .characters import branch
+    from .formats import format_symfunc, parse_symfunc, symfunc_json
+
+    result = branch(_guard(parse_symfunc(args.element), args), args.rule)
     kind = {"gl_to_o": "o", "gl_to_sp": "sp"}.get(args.rule, "gl")
     _emit(args, format_symfunc(result, kind), symfunc_json(result, kind))
     return 0
 
 
 def _cmd_series(args) -> int:
+    from .formats import format_symfunc, symfunc_json
+    from .series import series_degree_term
+
     _bounded(args.cap, "cap", args)
     lines = []
     payload_terms = []
@@ -141,23 +131,8 @@ def _cmd_series(args) -> int:
     return 0
 
 
-_PAIRINGS = {
-    "inner": inner_pairing,
-    "outer": outer_pairing,
-    "schur-hall": schur_hall_pairing,
-    "e2": unit_pairing,
-}
-
-_COCHAINS = {
-    "id": identity_cochain,
-    "antipode": antipode_cochain,
-    "e": unit_counit_cochain,
-    "m": eps1_cochain,
-}
-
-
 _CHECK_NAMES = (
-    f"pairings {', '.join(sorted(_PAIRINGS))}; cochains {', '.join(sorted(_COCHAINS))};"
+    f"pairings {', '.join(_PAIRING_NAMES)}; cochains {', '.join(_COCHAIN_NAMES)};"
     " or derived:<cochain>:<pairing>"
 )
 
@@ -165,19 +140,23 @@ _CHECK_NAMES = (
 def _check_target(args):
     """The cochain (alghom) or pairing that check names; ValueError listing the
     accepted names otherwise."""
+    from .convolution import COCHAINS, PAIRINGS, derived_pairing
+
     parts = args.name.split(":")
     try:
         if args.property == "alghom":
-            return _COCHAINS[args.name]()
+            return COCHAINS[args.name]()
         if len(parts) == 3 and parts[0] == "derived":
-            base, phi = _PAIRINGS[parts[2]], _COCHAINS[parts[1]]
+            base, phi = PAIRINGS[parts[2]], COCHAINS[parts[1]]
             return derived_pairing(base(), phi())
-        return _PAIRINGS[args.name]()
+        return PAIRINGS[args.name]()
     except KeyError:
         raise ValueError(f"unknown name {args.name!r}; accepted: {_CHECK_NAMES}") from None
 
 
 def _cmd_check(args) -> int:
+    from .convolution import is_algebra_hom, is_cocycle2, is_frobenius, is_laplace
+
     d = _bounded(args.max_degree, "max degree", args)
     witness: list = []
     target = _check_target(args)
@@ -195,18 +174,21 @@ def _cmd_check(args) -> int:
 
 _SPEC_SHAPE = (
     'inline spec must look like {"stages": [{"pairing": P, "cocycle": C}, ...], "final": C}'
-    f" with P in {sorted(_PAIRINGS)} and C in {sorted(_COCHAINS)}"
+    f" with P in {list(_PAIRING_NAMES)} and C in {list(_COCHAIN_NAMES)}"
 )
 
 
-def _parse_spec(data) -> HashSpec:
+def _parse_spec(data):
     """An inline hash spec decoded from JSON; ValueError naming the expected shape otherwise."""
+    from .convolution import COCHAINS, PAIRINGS
+    from .hash_products import HashSpec
+
     try:
         stages = tuple(
-            (_PAIRINGS[st["pairing"]](), _COCHAINS[st["cocycle"]]())
+            (PAIRINGS[st["pairing"]](), COCHAINS[st["cocycle"]]())
             for st in data.get("stages", [])
         )
-        final = _COCHAINS[data.get("final", "id")]()
+        final = COCHAINS[data.get("final", "id")]()
     except (AttributeError, KeyError, TypeError):
         raise ValueError(_SPEC_SHAPE) from None
     return HashSpec(stages, final, "custom")
@@ -214,6 +196,11 @@ def _parse_spec(data) -> HashSpec:
 
 def _cmd_hash(args) -> int:
     """Any spec that parses as JSON is inline; anything else is a spec name."""
+    import json
+
+    from .formats import format_symfunc, parse_symfunc, symfunc_json
+    from .hash_products import build_hash, named_product
+
     try:
         data = json.loads(args.spec)
     except ValueError:
@@ -235,15 +222,17 @@ def _cmd_hash(args) -> int:
 
 
 def _cmd_vertex(args) -> int:
+    from . import vertex
+
     if args.action == "schur":
         lam = parse_partition(args.partition)
         _bounded(sum(lam), "partition weight", args)
-        built = vertex.schur_via_bernstein(lam)
-        expected = SymFunc.basis(lam)
-        diff = built - expected
+        diff = vertex.schur_via_bernstein(lam) - SymFunc.basis(lam)
         if diff.is_zero():
             print(f"OK: vertex-operator chain reproduces s[{format_partition(lam)}]")
             return 0
+        from .formats import format_symfunc
+
         print(f"MISMATCH: difference {format_symfunc(diff)}")
         return 1
     ok = vertex.check_commutation(_bounded(args.cap, "cap", args))
@@ -258,6 +247,8 @@ def _poly_text(p) -> str:
 
 
 def _parse_fgl(token: str):
+    from .fgl import additive, multiplicative
+
     if token == "ga":
         return additive(cap=8)
     if token == "gm":
@@ -268,16 +259,20 @@ def _parse_fgl(token: str):
 
 
 def _cmd_fgl(args) -> int:
+    from . import fgl
+
     if args.action in ("loop", "log"):
         F = _parse_fgl(args.law)
         F = type(F)(F.coeffs, _bounded(args.cap, "cap", args))
         if args.action == "loop":
             _bounded(abs(args.n), "|n|", args)
-        print(_poly_text(loop_n(F, args.n) if args.action == "loop" else fgl_log(F)))
+        print(_poly_text(fgl.loop_n(F, args.n) if args.action == "loop" else fgl.fgl_log(F)))
         return 0
+    from .formats import pair_order
+
     lam = parse_partition(args.partition)
     _bounded(sum(lam), "partition weight", args)
-    result = coproduct_from_fgl(args.law, SymFunc.basis(lam)).terms
+    result = fgl.coproduct_from_fgl(args.law, SymFunc.basis(lam)).terms
     print(signed_sum(
         (result[a, b], f"s[{format_partition(a)}](x)s[{format_partition(b)}]")
         for a, b in sorted(result, key=pair_order)
@@ -289,6 +284,8 @@ def _cached_table(path: str, n: int):
     """The character table of S_n stored at path, or None unless the file holds
     exactly that: version 1, every pair of partitions of n once, integer values,
     and columns orthogonal with sum_lam chi^lam(rho)^2 = z_rho."""
+    import json
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -317,6 +314,9 @@ def _cached_table(path: str, n: int):
 def _write_atomically(path: str, payload) -> None:
     """Write JSON to a temporary file beside path, then rename it over path, so
     a reader sees the old file or the complete new one."""
+    import json
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -345,29 +345,17 @@ def _cmd_table(args) -> int:
     if table is None:
         table = character_table(n)
         if cache_file:
-            payload = {
-                "version": 1,
-                "n": n,
-                "entries": [
-                    {"lam": list(lam), "rho": list(rho), "value": v}
-                    for (lam, rho), v in table.items()
-                ],
-            }
-            _write_atomically(cache_file, payload)
+            entries = [{"lam": list(lam), "rho": list(rho), "value": v} for (lam, rho), v in table.items()]
+            try:
+                _write_atomically(cache_file, {"version": 1, "n": n, "entries": entries})
+            except OSError as exc:
+                raise ValueError(f"cannot write cache file {cache_file}: {exc.strerror}") from None
     labels = list(partitions_of(n))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": n,
-                    "classes": [list(rho) for rho in labels],
-                    "rows": [
-                        {"lam": list(lam), "values": [table[(lam, rho)] for rho in labels]}
-                        for lam in labels
-                    ],
-                }
-            )
-        )
+        import json
+
+        rows = [{"lam": list(lam), "values": [table[(lam, rho)] for rho in labels]} for lam in labels]
+        print(json.dumps({"n": n, "classes": [list(rho) for rho in labels], "rows": rows}))
         return 0
     width = max(len(str(v)) for v in table.values()) + 1
     head = " " * 12 + "".join(f"{format_partition(rho):>{width + 4}}" for rho in labels)
@@ -393,15 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--product",
         required=True,
-        choices=[
-            "outer",
-            "kronecker",
-            "newell-littlewood-o",
-            "newell-littlewood-sp",
-            "thibon",
-            "reduced",
-            "rational",
-        ],
+        choices=[*_PRODUCTS, "rational"],
     )
     p.add_argument("lhs")
     p.add_argument("rhs")
@@ -409,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("branch", help="apply a branching rule")
-    p.add_argument("rule", choices=sorted(characters.BRANCH_SERIES))
+    p.add_argument("rule", choices=_BRANCH_RULES)
     p.add_argument("element")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_branch)

@@ -123,6 +123,11 @@ def schur_hall_pairing() -> Pairing:
     return Pairing(lambda mu, nu: SymFunc({(): int(mu == nu)}), "schur-hall", grade_preserving=True)
 
 
+# Constructors by the names `symchar check` and inline hash specs accept.
+PAIRINGS = {"inner": inner_pairing, "outer": outer_pairing, "schur-hall": schur_hall_pairing, "e2": unit_pairing}
+COCHAINS = {"id": identity_cochain, "antipode": antipode_cochain, "e": unit_counit_cochain, "m": eps1_cochain}
+
+
 # -- convolution -------------------------------------------------------------
 
 def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:

@@ -7,7 +7,7 @@ total degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .kronecker import inner_coproduct_basis
@@ -64,12 +64,11 @@ def _nvars(p: Poly) -> int:
     return len(next(iter(p))) if p else 0
 
 
-@dataclass(frozen=True)
-class FGL1:
-    """One-dimensional formal group law given by its mixed coefficients."""
+class FGL1(namedtuple("FGL1", "coeffs cap")):
+    """One-dimensional formal group law given by its mixed coefficients
+    coeffs = ((i, j, c_{i,j}), ...), i, j >= 1, truncated at total degree cap."""
 
-    coeffs: tuple[tuple[int, int, Fraction], ...]  # (i, j, c_{i,j}), i, j >= 1
-    cap: int
+    __slots__ = ()
 
     @staticmethod
     def make(coeffs: dict[tuple[int, int], object], cap: int) -> "FGL1":

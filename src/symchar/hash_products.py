@@ -11,7 +11,7 @@ H_k = psi o m, and s_mu # s_nu = H_0(mu, nu), pairing only the terms with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, reduce
 
 from .convolution import (
@@ -45,11 +45,13 @@ from .series import INVERSE_PAIR, check_inverse_pair, series_degree_term, skew_b
 CHECK_DEGREE = 4  # working bound for validating spec components
 
 
-@dataclass(frozen=True)
-class HashSpec:
-    stages: tuple[tuple[Pairing, Cochain1], ...]
-    final_cocycle: Cochain1 = field(default_factory=identity_cochain)
-    name: str = "hash"
+class HashSpec(namedtuple("HashSpec", "stages final_cocycle name")):
+    """Stages ((pairing, cochain), ...), a final cochain (a new identity if omitted), a name."""
+
+    __slots__ = ()
+
+    def __new__(cls, stages, final_cocycle: Cochain1 | None = None, name: str = "hash"):
+        return super().__new__(cls, stages, final_cocycle or identity_cochain(), name)
 
 
 NAMED_STAGES = {  # (pairing, cochain) constructors per stage; the final cochain is id

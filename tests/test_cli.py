@@ -219,6 +219,16 @@ class TestTable:
         assert len(err.splitlines()) == 1 and "--cache-dir" in err and "not a directory" in err
         assert blocker.read_text() == "not a directory"
 
+    def test_cache_file_that_cannot_be_written(self, capsys, tmp_path):
+        cache_file = tmp_path / "sn-character-table-3.json"
+        cache_file.mkdir()
+        code, out, err = run(capsys, "table", "3", "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and str(cache_file) in err
+        assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
+        assert cache_file.is_dir() and not any(cache_file.iterdir())
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys):

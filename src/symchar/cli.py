@@ -53,13 +53,14 @@ def _guard(f: SymFunc, args) -> SymFunc:
     return f
 
 
-def _emit(args, text: str, payload=None) -> None:
-    if getattr(args, "json", False) and payload is not None:
+def _emit(args, text, payload) -> None:
+    """Print payload() as JSON under --json, else text(); only the printed one is built."""
+    if args.json:
         import json
 
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text)
+        print(text())
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -91,7 +92,7 @@ def _cmd_decompose(args) -> int:
         labels = [parse_rational_label(args.lhs), parse_rational_label(args.rhs)]
         _bounded(max(sum(lam) + sum(mu) for lam, mu in labels), "input weight", args)
         result = rational_mul(*(RationalChar.basis(*label) for label in labels))
-        _emit(args, format_rational(result.element), rational_json(result.element))
+        _emit(args, lambda: format_rational(result.element), lambda: rational_json(result.element))
         return 0
     lhs = _guard(parse_symfunc(args.lhs), args)
     rhs = _guard(parse_symfunc(args.rhs), args)
@@ -102,7 +103,7 @@ def _cmd_decompose(args) -> int:
         from . import characters
 
         result = getattr(characters, name)(lhs, rhs)
-    _emit(args, format_symfunc(result, kind), symfunc_json(result, kind))
+    _emit(args, lambda: format_symfunc(result, kind), lambda: symfunc_json(result, kind))
     return 0
 
 
@@ -112,7 +113,7 @@ def _cmd_branch(args) -> int:
 
     result = branch(_guard(parse_symfunc(args.element), args), args.rule)
     kind = {"gl_to_o": "o", "gl_to_sp": "sp"}.get(args.rule, "gl")
-    _emit(args, format_symfunc(result, kind), symfunc_json(result, kind))
+    _emit(args, lambda: format_symfunc(result, kind), lambda: symfunc_json(result, kind))
     return 0
 
 
@@ -121,13 +122,13 @@ def _cmd_series(args) -> int:
     from .series import series_degree_term
 
     _bounded(args.cap, "cap", args)
-    lines = []
-    payload_terms = []
-    for d in range(args.cap + 1):
-        term = series_degree_term(args.tag, d)
-        lines.append(f"degree {d}: {format_symfunc(term)}")
-        payload_terms.append(symfunc_json(term, "gl", cap=args.cap)["terms"])
-    _emit(args, "\n".join(lines), {"degrees": payload_terms, "meta": {"cap": args.cap}})
+    terms = [series_degree_term(args.tag, d) for d in range(args.cap + 1)]
+    _emit(
+        args,
+        lambda: "\n".join(f"degree {d}: {format_symfunc(term)}" for d, term in enumerate(terms)),
+        lambda: {"degrees": [symfunc_json(term, "gl", cap=args.cap)["terms"] for term in terms],
+                 "meta": {"cap": args.cap}},
+    )
     return 0
 
 
@@ -217,7 +218,7 @@ def _cmd_hash(args) -> int:
     x = _guard(parse_symfunc(args.lhs), args)
     y = _guard(parse_symfunc(args.rhs), args)
     result = product(x, y)
-    _emit(args, format_symfunc(result), symfunc_json(result, "gl"))
+    _emit(args, lambda: format_symfunc(result), lambda: symfunc_json(result, "gl"))
     return 0
 
 

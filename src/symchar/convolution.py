@@ -1,8 +1,9 @@
 """Convolution monoids of 1-cochains and pairings over symmetric functions.
 
 Cochains map basis elements into the algebra (linear extension implied).
-Checkers are bounded exhaustive searches over the Schur basis that return
-a counterexample witness on failure.
+`convolve2` is the one pairing convolution: each hash product is a fold of it,
+each stage memoized in its `Pairing._memo`.  Checkers are bounded exhaustive
+searches over the Schur basis that return a counterexample witness on failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .schur import (
     iterated_coproduct_basis,
     linear,
     outer_mul,
+    product_basis,
     scalar,
     tensor,
 )
@@ -141,12 +143,29 @@ def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:
 
 
 def convolve2(a: Pairing, b: Pairing) -> Pairing:
+    """(a * b)(x, y) = a(x1, y1) b(x2, y2): one LR product per unordered pair of
+    terms, no b where a vanishes, only |x1| = |y1| when a declares its grading."""
+    leg = weight if a.grade_preserving else lambda x1: None  # which y1 meet x1
+
     def fn(mu: Partition, nu: Partition) -> SymFunc:
-        out = SymFunc.zero()
+        ys: dict = {}
+        for y in coproduct_basis(nu).items():
+            ys.setdefault(leg(y[0][0]), []).append(y)
+        pairs: dict[tuple[Partition, Partition], int] = {}
         for (x1, x2), cx in coproduct_basis(mu).items():
-            for (y1, y2), cy in coproduct_basis(nu).items():
-                out.add(outer_mul(a.on_basis(x1, y1), b.on_basis(x2, y2)), cx * cy)
-        return out
+            for (y1, y2), cy in ys.get(leg(x1), ()):
+                head = a.on_basis(x1, y1).terms
+                tail = b.on_basis(x2, y2).terms if head else {}
+                for p, cp in head.items():
+                    cp *= cx * cy
+                    for q, cq in tail.items():
+                        pq = (p, q) if p <= q else (q, p)
+                        pairs[pq] = pairs.get(pq, 0) + cp * cq
+        out: dict[Partition, int] = {}
+        for (p, q), c in pairs.items():
+            for lam, cl in (product_basis(p, q) if c else {}).items():
+                out[lam] = out.get(lam, 0) + c * cl
+        return SymFunc(out)
 
     return Pairing(fn, f"({a.name})*({b.name})")
 

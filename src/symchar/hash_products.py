@@ -1,18 +1,18 @@
 """Deformed (hash) products on symmetric functions.
 
 A hash spec lists stages (pairing a_j, algebra-hom cochain phi_j), j < k,
-and a final cochain psi on the ambient multiplication m.  `build_hash`
-evaluates the convolution of the phi_j o a_j with psi o m stage by stage
-over 2-fold coproducts: H_j(mu, nu) = sum phi_j(a_j(mu1, nu1)) H_{j+1}(mu2, nu2),
-H_k = psi o m, and s_mu # s_nu = H_0(mu, nu), pairing only the terms with
-|mu1| = |nu1| when a_j is declared grade-preserving.  `named_product` builds
-(and validates) each named spec once per process.
+and a final cochain psi on the ambient multiplication m.  The hash product is
+the convolution (phi_1 o a_1) * ... * (phi_k o a_k) * (psi o m): `build_hash`
+folds `convolution.convolve2` from the right, so each stage H_j(mu, nu) =
+sum phi_j(a_j(mu1, nu1)) H_{j+1}(mu2, nu2) is a `Pairing` with its own memo,
+and s_mu # s_nu = H_0(mu, nu).  `composite_pairing` is the same fold onto the
+unit e2.  `named_product` builds (and validates) each named spec once per process.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, reduce
+from functools import cache
 
 from .convolution import (
     Cochain1,
@@ -28,13 +28,12 @@ from .convolution import (
     is_laplace,
     unit_pairing,
 )
-from .partitions import Partition, weight
+from .partitions import weight
 from .schur import (
     SymFunc,
     TensorSymFunc,
     _bilinear,
     coproduct,
-    coproduct_basis,
     iterated_coproduct_basis,
     product_basis,
     scalar,
@@ -46,7 +45,11 @@ CHECK_DEGREE = 4  # working bound for validating spec components
 
 
 class HashSpec(namedtuple("HashSpec", "stages final_cocycle name")):
-    """Stages ((pairing, cochain), ...), a final cochain (a new identity if omitted), a name."""
+    """Stages ((pairing, cochain), ...), a final cochain (a new identity if omitted), a name.
+
+    With final id (the paper's case) x # y is associative with unit s_(), and
+    commutative for symmetric stage pairings.  A final psi != id is this library's
+    extension, promised none of these laws: psi = S gives x # s_() = S(x)."""
 
     __slots__ = ()
 
@@ -85,48 +88,24 @@ def validate_spec(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> None:
 
 
 def build_hash(spec: HashSpec):
-    """Validate the spec and return the binary operation x # y on SymFunc.
-
-    Memoized: the heads phi_j(a_j(x1, y1)) in one derived pairing per stage and
-    H_j, 0 < j <= k, in one table per product.  One LR product per unordered (a, b)."""
+    """Validate the spec and return x # y on SymFunc, the bilinear extension of
+    the unmemoized top stage H_0; see HashSpec for the laws it keeps."""
     validate_spec(spec)
-    heads = [derived_pairing(pairing, cocycle) for pairing, cocycle in spec.stages]
-    final, k = spec.final_cocycle, len(heads)
-    memo: dict[tuple[int, Partition, Partition], dict[Partition, int]] = {}
-
-    def stage(j: int, mu: Partition, nu: Partition) -> dict[Partition, int]:
-        mu, nu = (nu, mu) if j == k and mu > nu else (mu, nu)  # H_k is symmetric
-        if (j, mu, nu) in memo:
-            return memo[j, mu, nu]
-        if j == k:
-            out = final(SymFunc(product_basis(mu, nu))).terms
-        else:
-            leg = weight if heads[j].grade_preserving else lambda x1: None  # which y1 meet x1
-            ys: dict = {}
-            for y in coproduct_basis(nu).items():
-                ys.setdefault(leg(y[0][0]), []).append(y)
-            pairs: dict[tuple[Partition, Partition], int] = {}
-            for (x1, x2), cx in coproduct_basis(mu).items():
-                for (y1, y2), cy in ys.get(leg(x1), ()):
-                    top = heads[j].on_basis(x1, y1).terms
-                    tail = stage(j + 1, x2, y2) if top else {}
-                    for a, ca in top.items():
-                        ca *= cx * cy
-                        for b, cb in tail.items():
-                            ab = (a, b) if a <= b else (b, a)
-                            pairs[ab] = pairs.get(ab, 0) + ca * cb
-            out = {}
-            for (a, b), c in pairs.items():
-                for lam, cl in (product_basis(a, b) if c else {}).items():
-                    out[lam] = out.get(lam, 0) + c * cl
-        if j:
-            memo[j, mu, nu] = out
-        return out
+    final = spec.final_cocycle
+    last = Pairing(lambda mu, nu: final(SymFunc(product_basis(mu, nu))), f"{final.name}.m")
+    top = _fold(spec, last)
 
     def product(f: SymFunc, g: SymFunc) -> SymFunc:
-        return _bilinear(f, g, lambda mu, nu: stage(0, mu, nu))
+        return _bilinear(f, g, top._fn)
 
     return product
+
+
+def _fold(spec: HashSpec, tail: Pairing) -> Pairing:
+    """phi_1 o a_1 * ... * phi_k o a_k * tail, folded from the right."""
+    for pairing, cocycle in reversed(spec.stages):
+        tail = convolve2(derived_pairing(pairing, cocycle, CHECK_DEGREE), tail)
+    return tail
 
 
 @cache
@@ -137,8 +116,7 @@ def named_product(name: str):
 
 def composite_pairing(spec: HashSpec) -> Pairing:
     """The convolution product of the spec's derived pairings (e2 when empty)."""
-    derived = (derived_pairing(pairing, cocycle, CHECK_DEGREE) for pairing, cocycle in spec.stages)
-    return reduce(convolve2, derived, unit_pairing())
+    return _fold(spec, unit_pairing())
 
 
 def hash_is_hopf(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> bool:

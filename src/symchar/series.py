@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import Partition, in_class, partitions_of
+from .partitions import in_class, partitions_of
 from .schur import SymFunc, TensorSymFunc, coproduct, outer_mul, scalar, skew, tensor
 
 SERIES_TAGS = ("M", "L", "A", "B", "C", "D")

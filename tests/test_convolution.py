@@ -31,7 +31,8 @@ from symchar.convolution import (
 )
 from symchar.kronecker import inner_coproduct_basis
 from symchar.partitions import partitions_up_to
-from symchar.schur import SymFunc, antipode, outer_mul, s, unit
+from symchar.schur import SymFunc, antipode, coproduct_basis, outer_mul, s, unit
+from test_hash import p2_plethysm_pairing
 
 
 class TestConvolutionMonoid:
@@ -50,6 +51,49 @@ class TestConvolutionMonoid:
         e2 = unit_pairing()
         assert pairings_equal(convolve2(e2, inner_pairing()), inner_pairing(), 5)
         assert pairings_equal(convolve2(inner_pairing(), e2), inner_pairing(), 5)
+
+
+def reference_convolve2(a: Pairing, b: Pairing) -> Pairing:
+    """The plain double loop over both coproducts, one outer product per term pair."""
+
+    def fn(mu, nu):
+        out = SymFunc.zero()
+        for (x1, x2), cx in coproduct_basis(mu).items():
+            for (y1, y2), cy in coproduct_basis(nu).items():
+                out.add(outer_mul(a.on_basis(x1, y1), b.on_basis(x2, y2)), cx * cy)
+        return out
+
+    return Pairing(fn, f"ref({a.name})*({b.name})")
+
+
+class TestConvolutionKernel:
+    """convolve2 groups the coproduct terms by first-leg weight only when the
+    first factor declares its grading; it must agree with the double loop."""
+
+    CASES = {
+        "inner*inner": (inner_pairing, inner_pairing),
+        "e2*inner": (unit_pairing, inner_pairing),
+        "inner*outer": (inner_pairing, outer_pairing),
+        "outer*inner": (outer_pairing, inner_pairing),
+        "p2-plethysm*inner": (p2_plethysm_pairing, inner_pairing),
+        "antipode.inner*outer": (
+            lambda: derived_pairing(inner_pairing(), antipode_cochain()),
+            outer_pairing,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_double_loop(self, name):
+        make_a, make_b = self.CASES[name]
+        a, b = make_a(), make_b()
+        fast, reference = convolve2(a, b), reference_convolve2(a, b)
+        for x in partitions_up_to(5):
+            for y in partitions_up_to(5):
+                assert fast.on_basis(x, y) == reference.on_basis(x, y), (x, y)
+        sums = [s(2, 1) + s(1), s(3) - s(1, 1).scale(2), s(2) + s(1, 1) + unit()]
+        for x in sums:
+            for y in sums:
+                assert fast(x, y) == reference(x, y)
 
 
 class TestMilnorMooreInverse:

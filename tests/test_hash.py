@@ -32,6 +32,7 @@ from symchar.partitions import partitions_of, partitions_up_to, weight, z_and_n
 from symchar.schur import (
     SymFunc,
     TensorSymFunc,
+    antipode,
     iterated_coproduct_basis,
     outer_mul,
     s,
@@ -87,18 +88,30 @@ def agrees_with_reference(spec: HashSpec) -> None:
             assert staged(y, x) == reference(y, x)
 
 
+def three_stage_antipode_spec() -> HashSpec:
+    stages = (
+        (inner_pairing(), identity_cochain()),
+        (inner_pairing(), eps1_cochain()),
+        (inner_pairing(), identity_cochain()),
+    )
+    return HashSpec(stages, antipode_cochain(), "custom")
+
+
 class TestStagedEvaluator:
     @pytest.mark.parametrize("name", NAMES)
     def test_named_spec_matches_reference(self, name):
         agrees_with_reference(named_spec(name))
 
     def test_three_stage_custom_spec_matches_reference(self):
-        stages = (
-            (inner_pairing(), identity_cochain()),
-            (inner_pairing(), eps1_cochain()),
-            (inner_pairing(), identity_cochain()),
-        )
-        agrees_with_reference(HashSpec(stages, antipode_cochain(), "custom"))
+        agrees_with_reference(three_stage_antipode_spec())
+
+    def test_antipode_final_has_no_unit(self):
+        """A final psi != id keeps none of the hash laws: x # s_() = S(x)."""
+        product = build_hash(three_stage_antipode_spec())
+        for lam in partitions_up_to(4):
+            x = SymFunc.basis(lam)
+            assert product(x, unit()) == antipode(x)
+        assert product(s(1), unit()) == -s(1)
 
     def test_named_product_is_built_once(self):
         assert named_product("thibon") is named_product("thibon")

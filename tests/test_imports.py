@@ -1,7 +1,9 @@
-"""Which modules a cold process loads.  Each check runs in a fresh interpreter,
-since this test process has already imported everything; only module names are
-checked, not timing."""
+"""Which modules a cold process loads, and that every module-level import in
+the package is used.  Each load check runs in a fresh interpreter, since this
+test process has already imported everything; only module names are checked,
+not timing."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+MODULES = sorted((Path(SRC) / "symchar").glob("*.py"))
 LIBRARY = [
     "symchar.characters",
     "symchar.convolution",
@@ -72,3 +75,22 @@ def test_characters_loads_no_dataclasses():
     loaded = loaded_after("import symchar.characters")
     assert "symchar.hash_products" in loaded
     assert "dataclasses" not in loaded
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names bound by module-level imports of path that its code never reads."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []

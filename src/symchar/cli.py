@@ -236,7 +236,10 @@ def _cmd_vertex(args) -> int:
 
         print(f"MISMATCH: difference {format_symfunc(diff)}")
         return 1
-    ok = vertex.check_commutation(_bounded(args.cap, "cap", args))
+    cap = _bounded(args.cap, "cap", args)
+    if cap < 1:  # the window of compared exponents, max < cap, would be empty
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    ok = vertex.check_commutation(cap)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -418,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="action", required=True)
     v1 = vsub.add_parser("schur")
     v1.add_argument("partition")
-    v1.set_defaults(fn=_cmd_vertex, action="schur")
+    v1.set_defaults(fn=_cmd_vertex)
     v2 = vsub.add_parser("check-commutation")
     v2.add_argument("--cap", type=int, default=4)
-    v2.set_defaults(fn=_cmd_vertex, action="check-commutation")
+    v2.set_defaults(fn=_cmd_vertex)
 
     p = sub.add_parser("fgl", help="formal group law utilities")
     fsub = p.add_subparsers(dest="action", required=True)
@@ -429,15 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
     f1.add_argument("law")
     f1.add_argument("n", type=int)
     f1.add_argument("--cap", type=int, default=6)
-    f1.set_defaults(fn=_cmd_fgl, action="loop")
+    f1.set_defaults(fn=_cmd_fgl)
     f2 = fsub.add_parser("log")
     f2.add_argument("law")
     f2.add_argument("--cap", type=int, default=6)
-    f2.set_defaults(fn=_cmd_fgl, action="log")
+    f2.set_defaults(fn=_cmd_fgl)
     f3 = fsub.add_parser("coproduct")
     f3.add_argument("law", choices=["additive", "multiplicative"])
     f3.add_argument("partition")
-    f3.set_defaults(fn=_cmd_fgl, action="coproduct")
+    f3.set_defaults(fn=_cmd_fgl)
 
     p = sub.add_parser("table", help="print a symmetric-group character table")
     p.add_argument("n", type=int)

@@ -1,21 +1,21 @@
 """Convolution monoids of 1-cochains and pairings over symmetric functions.
 
 Cochains map basis elements into the algebra (linear extension implied).
-`convolve2` is the one pairing convolution: each hash product is a fold of it,
-each stage memoized in its `Pairing._memo`.  Checkers are bounded exhaustive
-searches over the Schur basis that return a counterexample witness on failure.
+`convolve2` is the one pairing convolution: each hash product and the coboundary
+are folds of it, each stage memoized in its `Pairing._memo`; the inverses recurse
+through the memo of the cochain or pairing they return.  Checkers are bounded
+exhaustive searches over the Schur basis that return a counterexample witness.
 """
 
 from __future__ import annotations
 
-from .partitions import Partition, partitions_up_to, weight
+from .partitions import Partition, partitions_of, partitions_up_to, weight
 from .schur import (
     SymFunc,
     TensorSymFunc,
     _bilinear,
     antipode,
     coproduct_basis,
-    iterated_coproduct_basis,
     linear,
     outer_mul,
     product_basis,
@@ -70,14 +70,6 @@ class Pairing:
 
     def is_unital(self) -> bool:
         return self.on_basis((), ()) == SymFunc.one()
-
-    def is_normalized(self, max_degree: int = 4) -> bool:
-        """a(x,1) = a(1,x) = eta(eps(x)) on basis elements up to the bound."""
-        for lam in partitions_up_to(max_degree):
-            expected = SymFunc.one() if not lam else SymFunc.zero()
-            if self.on_basis(lam, ()) != expected or self.on_basis((), lam) != expected:
-                return False
-        return True
 
     def __repr__(self) -> str:
         return f"Pairing({self.name})"
@@ -174,21 +166,17 @@ def milnor_moore_inverse1(f: Cochain1) -> Cochain1:
     """Convolutive inverse of a normalized 1-cochain via cut-coproduct recursion."""
     if not f.is_normalized():
         raise ValueError(f"cochain {f.name!r} violates the normalized flag (f(1) != 1)")
-    memo: dict[Partition, SymFunc] = {(): SymFunc.one()}
 
-    def inv(lam: Partition) -> SymFunc:
-        hit = memo.get(lam)
-        if hit is not None:
-            return hit
+    def fn(lam: Partition) -> SymFunc:
         out = -f.on_basis(lam)
         for (a, b), c in coproduct_basis(lam).items():
-            if not a or not b:
-                continue
-            out.add(outer_mul(inv(a), f.on_basis(b)), -c)
-        memo[lam] = out
+            if a and b:
+                out.add(outer_mul(inv.on_basis(a), f.on_basis(b)), -c)
         return out
 
-    return Cochain1(inv, f"inv({f.name})")
+    inv = Cochain1(fn, f"inv({f.name})")
+    inv._memo[()] = SymFunc.one()
+    return inv
 
 
 def milnor_moore_inverse2(a: Pairing) -> Pairing:
@@ -201,44 +189,31 @@ def milnor_moore_inverse2(a: Pairing) -> Pairing:
     """
     if not a.is_unital():
         raise ValueError(f"pairing {a.name!r} violates the unital flag (a(1,1) != 1)")
-    memo: dict[tuple[Partition, Partition], SymFunc] = {((), ()): SymFunc.one()}
 
-    def inv(mu: Partition, nu: Partition) -> SymFunc:
-        key = (mu, nu)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def fn(mu: Partition, nu: Partition) -> SymFunc:
         out = -a.on_basis(mu, nu)
         for (x1, x2), cx in coproduct_basis(mu).items():
             for (y1, y2), cy in coproduct_basis(nu).items():
-                if (not x1 and not y1) or (not x2 and not y2):
-                    continue
-                out.add(outer_mul(inv(x1, y1), a.on_basis(x2, y2)), -cx * cy)
-        memo[key] = out
+                if (x1 or y1) and (x2 or y2):
+                    out.add(outer_mul(inv.on_basis(x1, y1), a.on_basis(x2, y2)), -cx * cy)
         return out
 
-    return Pairing(inv, f"inv({a.name})")
+    inv = Pairing(fn, f"inv({a.name})")
+    inv._memo[(), ()] = SymFunc.one()
+    return inv
 
 
 def coboundary1(f: Cochain1) -> Pairing:
-    """Sweedler coboundary of an invertible 1-cochain:
+    """Sweedler coboundary of an invertible 1-cochain, the convolve2 fold
     (eps (x) f) * (fbar o m) * (f (x) eps)."""
     fbar = milnor_moore_inverse1(f)
-
-    def fn(mu: Partition, nu: Partition) -> SymFunc:
-        out = SymFunc.zero()
-        for (x1, x2, x3), cx in iterated_coproduct_basis(mu, 3).items():
-            if x1:
-                continue  # eps kills the first left leg
-            for (y1, y2, y3), cy in iterated_coproduct_basis(nu, 3).items():
-                if y3:
-                    continue  # eps kills the last right leg
-                mid = fbar(outer_mul(SymFunc.basis(x2), SymFunc.basis(y2)))
-                term = outer_mul(outer_mul(f.on_basis(y1), mid), f.on_basis(x3))
-                out.add(term, cx * cy)
-        return out
-
-    return Pairing(fn, f"d({f.name})")
+    zero = SymFunc.zero()
+    left = Pairing(lambda mu, nu: zero if mu else f.on_basis(nu), f"eps(x){f.name}")
+    middle = Pairing(lambda mu, nu: fbar(SymFunc(product_basis(mu, nu))), f"{fbar.name}.m")
+    right = Pairing(lambda mu, nu: zero if nu else f.on_basis(mu), f"{f.name}(x)eps")
+    d = convolve2(left, convolve2(middle, right))
+    d.name = f"d({f.name})"
+    return d
 
 
 # -- property checkers -------------------------------------------------------
@@ -334,8 +309,6 @@ def adjoint_comultiplication(a: Pairing, lam: Partition) -> TensorSymFunc:
     Finite only for grade-preserving pairings, where both legs live in the
     degree of lam.
     """
-    from .partitions import partitions_of
-
     n = weight(lam)
     out: dict[tuple[Partition, Partition], int] = {}
     for mu in partitions_of(n):
@@ -366,9 +339,6 @@ def is_frobenius(
         def delta_a(lam):
             return adjoint_comultiplication(a, lam)
 
-    def delta_lin(f: SymFunc) -> TensorSymFunc:
-        return linear(f, delta_a, TensorSymFunc)
-
     basis = partitions_up_to(max_degree)
     # Unit and counit per grade: on every degree n where a does not vanish
     # identically, s_(n) must be a two-sided unit and eps1 the counit of the
@@ -398,7 +368,7 @@ def is_frobenius(
     for x, y in _basis_pairs(max_degree):
         # Frobenius law on equal degrees (a vanishes otherwise).
         if weight(x) == weight(y):
-            middle = delta_lin(a.on_basis(x, y))
+            middle = linear(a.on_basis(x, y), delta_a, TensorSymFunc)
             lhs = TensorSymFunc()
             for (y1, y2), cy in delta_a(y).terms.items():
                 lhs.add(tensor(a.on_basis(x, y1), SymFunc.basis(y2)), cy)
@@ -410,19 +380,26 @@ def is_frobenius(
                     witness.append(("frobenius-law", x, y, lhs, middle, rhs))
                 return False
         # Mixed bialgebra law on all pairs.
-        lhs = delta_lin(outer_mul(SymFunc.basis(x), SymFunc.basis(y)))
-        rhs = TensorSymFunc()
-        for (x1, x2), cx in delta_a(x).terms.items():
-            for (y1, y2), cy in delta_a(y).terms.items():
-                rhs.add(tensor(
-                    outer_mul(SymFunc.basis(x1), SymFunc.basis(y1)),
-                    outer_mul(SymFunc.basis(x2), SymFunc.basis(y2)),
-                ), cx * cy)
+        lhs, rhs = _bialgebra_sides(x, y, outer_mul, delta_a)
         if lhs != rhs:
             if witness is not None:
                 witness.append(("mixed-bialgebra", x, y, lhs, rhs))
             return False
     return True
+
+
+def _bialgebra_sides(x: Partition, y: Partition, mul, delta) -> tuple[TensorSymFunc, TensorSymFunc]:
+    """delta(x y) and delta(x) delta(y) at basis elements x, y, for a product mul
+    on SymFunc and a comultiplication delta from a partition to a TensorSymFunc."""
+    lhs = linear(mul(SymFunc.basis(x), SymFunc.basis(y)), delta, TensorSymFunc)
+    rhs = TensorSymFunc()
+    for (x1, x2), cx in delta(x).terms.items():
+        for (y1, y2), cy in delta(y).terms.items():
+            rhs.add(tensor(
+                mul(SymFunc.basis(x1), SymFunc.basis(y1)),
+                mul(SymFunc.basis(x2), SymFunc.basis(y2)),
+            ), cx * cy)
+    return lhs, rhs
 
 
 def derived_pairing(a: Pairing, phi: Cochain1, max_degree: int = 4) -> Pairing:

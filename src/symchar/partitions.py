@@ -10,9 +10,6 @@ import math
 from functools import cache
 
 Partition = tuple[int, ...]
-Composition = tuple[int, ...]
-
-EMPTY: Partition = ()
 
 
 def is_partition(parts) -> bool:

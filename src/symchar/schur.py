@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import prod
-from operator import mul, sub
+from operator import sub
 
 from .partitions import (
     Partition,
@@ -160,9 +160,6 @@ class TensorSymFunc(_Combination):
                     out.add(tensor(left, right), c1 * c2)
             return out
         return NotImplemented
-
-    def swap(self) -> "TensorSymFunc":
-        return TensorSymFunc({(b, a): v for (a, b), v in self.terms.items()})
 
     def __repr__(self) -> str:
         return signed_sum(
@@ -448,31 +445,6 @@ def eval_monomials(lam: Partition, n_vars: int) -> dict[Monomial, int]:
 
     fill(0, [0] * n_vars)
     return poly
-
-
-def poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Product of two polynomials.  Exponent vectors are packed into integers in
-    a base above the product's total degree, so that a monomial product is one
-    integer addition."""
-    if not p or not q:
-        return {}
-    base = max(map(sum, p)) + max(map(sum, q)) + 1
-    digits = [base**i for i in range(len(next(iter(p))))]
-    packed = [[(sum(map(mul, e, digits)), c) for e, c in f.items()] for f in (p, q)]
-    out: dict[int, int] = {}
-    for ea, ca in packed[0]:
-        for eb, cb in packed[1]:
-            key = ea + eb
-            out[key] = out.get(key, 0) + ca * cb
-    return {tuple([k // d % base for d in digits]): c for k, c in out.items() if c}
-
-
-def eval_polynomial(f: SymFunc, n_vars: int) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for lam, c in f.terms.items():
-        for expo, m in eval_monomials(lam, n_vars).items():
-            out[expo] = out.get(expo, 0) + c * m
-    return {k: v for k, v in out.items() if v}
 
 
 def dimension_gl(lam: Partition, d: int) -> int:

@@ -1,14 +1,16 @@
 """Bernstein vertex operators on symmetric functions.
 
 V(z) = M(z) L-perp(z-bar); its z^m coefficient is the Bernstein operator
-B_m(f) = sum_i (-1)^i h_{m+i} (f / e_i), which adds a part m.
+B_m(f) = sum_i (-1)^i h_{m+i} (f / e_i), which adds a part m.  One L-perp(z)
+and one M(w) operator act on (z, w)-parameter polynomials: `check_commutation`
+composes both ways round, and `bernstein` multiplies the L-perp terms by h_{m+i}.
 """
 
 from __future__ import annotations
 
-from .partitions import Partition, weight
+from .partitions import Partition, partitions_up_to, weight
 from .schur import SymFunc, e, h, outer_mul, scalar, skew
-from .series import mul_by_series, skew_by_series
+from .series import mul_by_series, series_degree_term, skew_by_series
 
 ParamPolySym = dict[tuple[int, int], SymFunc]  # (z-exponent, w-exponent) -> SymFunc
 
@@ -17,10 +19,8 @@ def bernstein(m: int, f: SymFunc) -> SymFunc:
     if m < 0:
         raise ValueError("negative Bernstein indices are not supported")
     out = SymFunc.zero()
-    for i in range(f.max_degree() + 1):
-        skewed = skew(f, e(i))
-        if skewed:
-            out.add(outer_mul(h(m + i), skewed), (-1) ** i)
+    for (i, _), val in _apply_l_perp({(0, 0): f}, f.max_degree()).items():
+        out.add(outer_mul(h(m + i), val))
     return out
 
 
@@ -39,14 +39,15 @@ def reduced_embedding(mu: Partition, cap: int) -> SymFunc:
     return mul_by_series(skew_by_series(SymFunc.basis(mu), "L"), "M", cap)
 
 
-def _apply_l_perp(f: SymFunc, cap: int) -> ParamPolySym:
-    """L-perp(z) f = sum_i z^i (-1)^i (f / e_i) as a z-polynomial (w-exponent 0)."""
+def _apply_l_perp(poly: ParamPolySym, cap: int) -> ParamPolySym:
+    """L-perp(z) applied to every coefficient: (-1)^i (f / e_i), shifting z-exponent."""
     out: ParamPolySym = {}
-    for i in range(min(cap, f.max_degree()) + 1):
-        val = skew(f, e(i)).scale((-1) ** i)
-        if val:
-            out[(i, 0)] = val
-    return out
+    for (zi, wi), val in poly.items():
+        for i in range(min(cap - zi, val.max_degree()) + 1):
+            term = skew(val, e(i)).scale((-1) ** i)
+            if term:
+                out.setdefault((zi + i, wi), SymFunc.zero()).add(term)
+    return {k: v for k, v in out.items() if v}
 
 
 def _apply_m(poly: ParamPolySym, cap: int) -> ParamPolySym:
@@ -58,53 +59,27 @@ def _apply_m(poly: ParamPolySym, cap: int) -> ParamPolySym:
     return {k: v for k, v in out.items() if v}
 
 
-def _apply_m_first(f: SymFunc, cap: int) -> ParamPolySym:
-    return _apply_m({(0, 0): f}, cap)
-
-
-def _apply_l_perp_second(poly: ParamPolySym, cap: int) -> ParamPolySym:
-    out: ParamPolySym = {}
-    for (zi, wi), val in poly.items():
-        for i in range(min(cap - zi, val.max_degree()) + 1):
-            term = skew(val, e(i)).scale((-1) ** i)
-            if term:
-                out.setdefault((zi + i, wi), SymFunc.zero()).add(term)
-    return {k: v for k, v in out.items() if v}
-
-
 def check_commutation(cap: int) -> bool:
     """L-perp(z) M(w) = (1 - z w) M(w) L-perp(z) applied to every Schur basis
-    element of weight <= cap, with z, w exponents <= cap; exact equality."""
-    from .partitions import partitions_up_to
+    element of weight <= cap, compared on z, w exponents < cap; exact equality."""
+
+    def window(poly: ParamPolySym) -> ParamPolySym:
+        # Beyond the window the (1 - zw) shift leaves the truncations incomparable.
+        return {k: v for k, v in poly.items() if v and max(k) < cap}
 
     for lam in partitions_up_to(cap):
-        f = SymFunc.basis(lam)
-        lhs = _apply_l_perp_second(_apply_m_first(f, cap), cap)
-        right = _apply_m(_apply_l_perp(f, cap), cap)
-        rhs: ParamPolySym = dict(right)
-        for (zi, wi), val in right.items():
-            if zi + 1 <= cap and wi + 1 <= cap:
-                key = (zi + 1, wi + 1)
-                rhs[key] = rhs.get(key, SymFunc.zero()) - val
-        rhs = {k: v for k, v in rhs.items() if v}
-        lhs = {k: v for k, v in lhs.items() if v}
-        # Compare only exponents fully inside the cap window: beyond it the
-        # (1 - zw) shift leaves the truncations incomparable.
-        window = {
-            k: v for k, v in lhs.items() if k[0] <= cap - 1 and k[1] <= cap - 1
-        }
-        window_rhs = {
-            k: v for k, v in rhs.items() if k[0] <= cap - 1 and k[1] <= cap - 1
-        }
-        if window != window_rhs:
+        f = {(0, 0): SymFunc.basis(lam)}
+        lhs = _apply_l_perp(_apply_m(f, cap), cap)
+        rhs = _apply_m(_apply_l_perp(f, cap), cap)
+        for (zi, wi), val in list(rhs.items()):  # times (1 - z w)
+            rhs[zi + 1, wi + 1] = rhs.get((zi + 1, wi + 1), SymFunc.zero()) - val
+        if window(lhs) != window(rhs):
             return False
     return True
 
 
 def series_pairing_coefficients(cap: int) -> dict[tuple[int, int], int]:
     """<L(z)|M(w)> degreewise: coefficient of z^i w^j, expected (1 - zw)."""
-    from .series import series_degree_term
-
     out: dict[tuple[int, int], int] = {}
     for i in range(cap + 1):
         for j in range(cap + 1):

@@ -1,15 +1,20 @@
 """Independent oracles for the character products: closed sum-over-skews
 formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
 form of the rational GL product, and the embedded-S_n path for reduced
-characters.  The library computes each product one way; these check it."""
+characters, and the product and evaluation of monomial-expanded polynomials.
+The library computes each product one way; these check it."""
+
+from operator import mul
 
 from symchar.characters import RationalChar, reduce_label, unreduce_label
 from symchar.kronecker import inner_mul, kronecker_basis
 from symchar.partitions import partitions_of, partitions_up_to, weight
 from symchar.schur import (
+    Monomial,
     SymFunc,
     TensorSymFunc,
     coproduct_basis,
+    eval_monomials,
     outer_mul,
     skew,
     skew_basis,
@@ -122,3 +127,28 @@ def reduced_oracle(x: SymFunc, y: SymFunc, n: int) -> SymFunc:
 
 def default_oracle_n(x: SymFunc, y: SymFunc) -> int:
     return 2 * (x.max_degree() + y.max_degree()) + 2
+
+
+def poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Product of two polynomials.  Exponent vectors are packed into integers in
+    a base above the product's total degree, so that a monomial product is one
+    integer addition."""
+    if not p or not q:
+        return {}
+    base = max(map(sum, p)) + max(map(sum, q)) + 1
+    digits = [base**i for i in range(len(next(iter(p))))]
+    packed = [[(sum(map(mul, e, digits)), c) for e, c in f.items()] for f in (p, q)]
+    out: dict[int, int] = {}
+    for ea, ca in packed[0]:
+        for eb, cb in packed[1]:
+            key = ea + eb
+            out[key] = out.get(key, 0) + ca * cb
+    return {tuple([k // d % base for d in digits]): c for k, c in out.items() if c}
+
+
+def eval_polynomial(f: SymFunc, n_vars: int) -> dict[Monomial, int]:
+    out: dict[Monomial, int] = {}
+    for lam, c in f.terms.items():
+        for expo, m in eval_monomials(lam, n_vars).items():
+            out[expo] = out.get(expo, 0) + c * m
+    return {k: v for k, v in out.items() if v}

@@ -10,8 +10,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    eval_polynomial,
     murnaghan_littlewood_formula,
     newell_littlewood_formula,
+    poly_mul,
     rational_mul_hash,
     reduced_oracle,
     thibon_inner_formula,
@@ -60,9 +62,7 @@ from symchar.schur import (
     coproduct,
     coproduct_basis,
     counit,
-    eval_polynomial,
     outer_mul,
-    poly_mul,
     s,
     scalar,
     scalar_tensor,

@@ -6,6 +6,7 @@ from symchar.characters import BRANCH_SERIES, branch
 from symchar.convolution import (
     Pairing,
     antipode_cochain,
+    coboundary1,
     convolve1,
     convolve2,
     identity_cochain,
@@ -58,12 +59,14 @@ def test_accumulators_leave_caches_intact():
     inner, outer = inner_pairing(), outer_pairing()
     conv1, inv1 = convolve1(ident, anti), milnor_moore_inverse1(anti)
     conv2, inv2 = convolve2(inner, outer), milnor_moore_inverse2(outer)
+    cobound = coboundary1(antipode_cochain())
     for lam in BASIS:
         conv1(SymFunc.basis(lam))
         inv1(SymFunc.basis(lam))
     for mu, nu in PAIRS:
         conv2(SymFunc.basis(mu), SymFunc.basis(nu))
         inv2(SymFunc.basis(mu), SymFunc.basis(nu))
+        cobound(SymFunc.basis(mu), SymFunc.basis(nu))
     spec = named_spec("murnaghan-littlewood")
     build_hash(spec)(f, s(2) + s(1, 1))
 
@@ -80,6 +83,7 @@ def test_accumulators_leave_caches_intact():
         (outer, outer_pairing()),
         (conv2, convolve2(inner_pairing(), outer_pairing())),
         (inv2, milnor_moore_inverse2(outer_pairing())),
+        (cobound, coboundary1(antipode_cochain())),
         *zip(sum(spec.stages, ()), sum(fresh_spec.stages, ())),
     ]:
         assert_memo_fresh(owner, fresh)

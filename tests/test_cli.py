@@ -318,6 +318,11 @@ class TestNegativeBounds:
         assert out == ""
         assert len(err.splitlines()) == 1 and "must be >= 0" in err
 
+    def test_commutation_cap_zero_compares_nothing_and_is_refused(self, capsys):
+        code, out, err = run(capsys, "vertex", "check-commutation", "--cap", "0")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "cap must be >= 1" in err
+
 
 class TestFormatterGoldens:
     @pytest.mark.parametrize(

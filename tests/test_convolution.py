@@ -30,8 +30,16 @@ from symchar.convolution import (
     Pairing,
 )
 from symchar.kronecker import inner_coproduct_basis
-from symchar.partitions import partitions_up_to
-from symchar.schur import SymFunc, antipode, coproduct_basis, outer_mul, s, unit
+from symchar.partitions import partitions_up_to, weight
+from symchar.schur import (
+    SymFunc,
+    antipode,
+    coproduct_basis,
+    iterated_coproduct_basis,
+    outer_mul,
+    s,
+    unit,
+)
 from test_hash import p2_plethysm_pairing
 
 
@@ -136,7 +144,43 @@ class TestMilnorMooreInverse:
         assert pairings_equal(convolve2(lopsided, inv), unit_pairing(), 4)
 
 
+def reference_coboundary1(f: Cochain1) -> Pairing:
+    """The plain 3-fold loop: eps kills x1 and y3, leaving f(y1) fbar(x2 y2) f(x3)."""
+    fbar = milnor_moore_inverse1(f)
+
+    def fn(mu, nu):
+        out = SymFunc.zero()
+        for (x1, x2, x3), cx in iterated_coproduct_basis(mu, 3).items():
+            if x1:
+                continue
+            for (y1, y2, y3), cy in iterated_coproduct_basis(nu, 3).items():
+                if y3:
+                    continue
+                mid = fbar(outer_mul(SymFunc.basis(x2), SymFunc.basis(y2)))
+                out.add(outer_mul(outer_mul(f.on_basis(y1), mid), f.on_basis(x3)), cx * cy)
+        return out
+
+    return Pairing(fn, f"ref-d({f.name})")
+
+
 class TestCoboundary:
+    CASES = {
+        "id": identity_cochain,
+        "antipode": antipode_cochain,
+        "eps1": eps1_cochain,
+        "e": unit_counit_cochain,
+        "id*id": lambda: convolve1(identity_cochain(), identity_cochain()),
+        "eps1*antipode": lambda: convolve1(eps1_cochain(), antipode_cochain()),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_three_fold_loop(self, name):
+        f = self.CASES[name]()
+        fast, reference = coboundary1(f), reference_coboundary1(f)
+        for x in partitions_up_to(6):
+            for y in partitions_up_to(6 - weight(x)):
+                assert fast.on_basis(x, y) == reference.on_basis(x, y), (x, y)
+
     def test_coboundary_of_unit_is_e2(self):
         assert pairings_equal(coboundary1(unit_counit_cochain()), unit_pairing(), 4)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import eval_polynomial
 from symchar.fgl import (
     FGL1,
     additive,
@@ -24,7 +25,6 @@ from symchar.partitions import partitions_up_to
 from symchar.schur import (
     SymFunc,
     coproduct,
-    eval_polynomial,
     s,
     tensor,
     unit,

@@ -94,3 +94,50 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+ROOT = Path(SRC).parent
+SEARCHED = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def defined_names(stmt: ast.stmt) -> set[str]:
+    """The module-level function, class or constant names that stmt defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names that node reads, imports, or spells in a string of bare identifiers
+    (the tracer looks functions up by such strings)."""
+    out: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            words = sub.value.split()
+            if words and all(w.isidentifier() for w in words):
+                out.update(words)
+    return out
+
+
+def test_every_module_level_name_is_referenced():
+    """Each function, class and constant of the package is used somewhere other
+    than its own definition: in src/, tests/ or bench/."""
+    defined: set[tuple[str, str]] = set()
+    referenced: set[str] = set()
+    for path in SEARCHED:
+        for stmt in ast.parse(path.read_text()).body:
+            own = defined_names(stmt)
+            if path.parent.name == "symchar":
+                defined.update((path.name, name) for name in own if not name.startswith("__"))
+            referenced |= referenced_names(stmt) - own
+    assert sorted(f"{module}:{name}" for module, name in defined if name not in referenced) == []

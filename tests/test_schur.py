@@ -5,6 +5,7 @@ import functools
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import eval_polynomial, poly_mul
 from symchar.partitions import partitions_of, partitions_up_to, weight
 from symchar.schur import (
     SymFunc,
@@ -17,13 +18,11 @@ from symchar.schur import (
     dimension_gl,
     e,
     eval_monomials,
-    eval_polynomial,
     h,
     linear,
     loop,
     lr_coefficient,
     outer_mul,
-    poly_mul,
     product_basis,
     s,
     scalar,

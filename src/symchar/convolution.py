@@ -406,6 +406,11 @@ def derived_pairing(a: Pairing, phi: Cochain1, max_degree: int = 4) -> Pairing:
     """a_phi = phi o a; phi must be an algebra homomorphism (1-cocycle)."""
     if not is_algebra_hom(phi, max_degree):
         raise ValueError(f"cochain {phi.name!r} is not an algebra homomorphism")
+    return _composed(phi, a)
+
+
+def _composed(phi: Cochain1, a: Pairing) -> Pairing:
+    """phi o a, for a phi already checked to be an algebra homomorphism."""
     name = f"{phi.name}.{a.name}"
     return Pairing(lambda mu, nu: phi(a.on_basis(mu, nu)), name, grade_preserving=a.grade_preserving)
 

@@ -7,14 +7,20 @@ bitmasks (n beads, bead i at lam_i + n - 1 - i), p_r moves one bead up by r
 onto an empty position, with sign (-1)^(beads jumped).  Per-degree Kronecker
 coefficients are the character triple sum
 g^lam_{mu,nu} = sum_rho chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho,
-taken over the classes where chi^mu chi^nu is nonzero.
+taken over the classes where chi^mu chi^nu is nonzero, as a packed-column
+matrix-vector product: every column of the table is also one big integer
+holding chi^lam(rho) in the w-byte slot of lam, so the sum costs one
+big-integer multiply-add per class, and every den * g^lam is read back from
+one byte string.  No slot can overflow: g is symmetric in lam, mu, nu and
+sum_lam g^lam_{mu,nu} f^lam = f^mu f^nu, so 0 <= g^lam_{mu,nu} <= f^lam <= max f,
+the largest entry of the column of rho = (1^n).
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import compress, repeat
+from itertools import repeat
 from operator import mul
 
 from .partitions import Partition, partitions_of, weight, z_and_n
@@ -58,16 +64,31 @@ def _columns(n: int, classes) -> list[dict[int, int]]:
 
 
 @cache
-def _table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, dict]:
-    """(rows, scales, den, index) for S_n: rows[index[lam]][j] = chi^lam(rho_j)
-    over rho_j in partitions_of(n), scales[j] = den // z_rho_j, den = lcm z_rho."""
+def _table(n: int) -> tuple[
+    tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], int, int, int, dict
+]:
+    """(rows, packed, scales, den, w, bias, index) for S_n.
+
+    rows[index[lam]][j] = chi^lam(rho_j) over rho_j in partitions_of(n),
+    scales[j] = den // z_rho_j, den = lcm z_rho.  packed[j] = sum_i rows[i][j]
+    2^(8wi) is column j in slots of w bytes, w the fewest with den * max f <
+    2^(8w - 2), so each slot of a triple sum holds 0 <= den * g^lam <= den * f^lam
+    with room to spare.  bias has 2^(8w - 1) in every slot; added to the sum,
+    it keeps each slot's value in [0, 2^(8w)), so no slot borrows from another."""
     labels = partitions_of(n)
     masks = [_mask(lam, n) for lam in labels]
     columns = [list(map(col.get, masks, repeat(0))) for col in _columns(n, labels)]
-    rows = tuple(zip(*columns))
     zs = [z_and_n(rho)[0] for rho in labels]
     den = math.lcm(*zs)
-    return rows, tuple(den // z for z in zs), den, {lam: i for i, lam in enumerate(labels)}
+    w = ((den * max(columns[-1])).bit_length() + 9) // 8  # columns[-1]: rho = (1^n)
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes(half.to_bytes(w, "little") * len(labels), "little")
+    packed = tuple(
+        int.from_bytes(b"".join((half + v).to_bytes(w, "little") for v in col), "little") - bias
+        for col in columns
+    )
+    index = {lam: i for i, lam in enumerate(labels)}
+    return tuple(zip(*columns)), packed, tuple(den // z for z in zs), den, w, bias, index
 
 
 def character(lam: Partition, rho: Partition) -> int:
@@ -93,17 +114,21 @@ def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
 
 @cache
 def kronecker_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """Expansion of s_mu * s_nu; zero unless |mu| = |nu|."""
+    """Expansion of s_mu * s_nu; zero unless |mu| = |nu|.  One multiply-add of a
+    packed column per class with chi^mu chi^nu != 0 leaves den * g^lam_{mu,nu}
+    + 2^(8w - 1) in the w-byte slot of each lam (see _table)."""
     n = weight(mu)
     if n != weight(nu):
         return {}
-    rows, scales, den, index = _table(n)
-    pairs = [a * b for a, b in zip(rows[index[mu]], rows[index[nu]])]
-    keep = [ab != 0 for ab in pairs]
-    weights = [ab * s for ab, s in zip(pairs, scales) if ab]
+    rows, packed, scales, den, w, total, index = _table(n)
+    for ab, s, column in zip(map(mul, rows[index[mu]], rows[index[nu]]), scales, packed):
+        if ab:
+            total += ab * s * column
+    data = total.to_bytes(w * len(rows), "little")
+    half = 1 << (8 * w - 1)
     out: dict[Partition, int] = {}
-    for lam, row in zip(partitions_of(n), rows):
-        q, r = divmod(sum(map(mul, compress(row, keep), weights)), den)
+    for lam, i in zip(partitions_of(n), range(0, len(data), w)):
+        q, r = divmod(int.from_bytes(data[i:i + w], "little") - half, den)
         if r:
             raise ArithmeticError("non-integer Kronecker coefficient")
         if q:

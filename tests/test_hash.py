@@ -117,6 +117,25 @@ class TestStagedEvaluator:
         assert named_product("thibon") is named_product("thibon")
         assert named_product("thibon")(s(1), s(1)) == s(2) + s(1, 1) + s(1)
 
+    def test_final_stage_is_shared_by_swapped_pairs(self):
+        """psi(s_mu s_nu) = psi(s_nu s_mu): s_nu # s_mu after s_mu # s_nu makes
+        no new call of the final cochain."""
+        calls = []
+
+        class CountedIdentity(Cochain1):
+            def __call__(self, f):
+                calls.append(f)
+                return super().__call__(f)
+
+        final = CountedIdentity(lambda lam: SymFunc.basis(lam), "id")
+        product = build_hash(HashSpec(named_spec("thibon").stages, final, "counted"))
+        x, y = s(3, 2, 1), s(2, 2, 1, 1)
+        calls.clear()
+        forward = product(x, y)
+        first = len(calls)
+        assert first and product(y, x) == forward
+        assert len(calls) == first
+
 
 def p2_plethysm_pairing() -> Pairing:
     """a(x, y) = <x | y[p_2]> s_(): Laplace, since y -> y[p_2] is a bialgebra
@@ -226,6 +245,40 @@ class TestValidation:
         doubling = Cochain1(lambda lam: SymFunc.basis(lam).scale(2), "doubling")
         with pytest.raises(ValueError, match="algebra homomorphism"):
             validate_spec(HashSpec(((inner_pairing(), doubling),)), 3)
+
+
+class TestValidatedOnce:
+    """Every path that builds a spec's derived pairings checks each of its
+    cochains exactly once."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        from symchar import convolution, hash_products
+
+        real, seen = convolution.is_algebra_hom, []
+
+        def counted(cochain, *args):
+            seen.append(cochain)
+            return real(cochain, *args)
+
+        for module in (convolution, hash_products):
+            monkeypatch.setattr(module, "is_algebra_hom", counted)
+        return seen
+
+    @staticmethod
+    def cochains(spec: HashSpec) -> list:
+        return sorted(map(id, [phi for _, phi in spec.stages] + [spec.final_cocycle]))
+
+    def test_named_product(self, checked):
+        named_product.__wrapped__("thibon")
+        assert len(checked) == 2
+
+    @pytest.mark.parametrize("build", (build_hash, composite_pairing, hash_is_hopf))
+    @pytest.mark.parametrize("name", ("thibon", "murnaghan-littlewood"))
+    def test_each_cochain_once(self, checked, build, name):
+        spec = named_spec(name)
+        build(spec)
+        assert sorted(map(id, checked)) == self.cochains(spec)
 
 
 class TestCompositePairing:

@@ -16,7 +16,7 @@ from symchar.kronecker import (
     inner_mul,
     kronecker_basis,
 )
-from symchar.partitions import partitions_of, partitions_up_to, weight, z_and_n
+from symchar.partitions import conjugate, partitions_of, partitions_up_to, weight, z_and_n
 from symchar.schur import SymFunc, outer_mul, s, scalar, tensor, unit
 
 
@@ -77,7 +77,7 @@ class TestAgainstReference:
                 assert character(lam, rho) == value
 
     def test_kronecker_basis(self):
-        for n in range(8):
+        for n in range(10):
             for mu in partitions_of(n):
                 for nu in partitions_of(n):
                     assert kronecker_basis(mu, nu) == reference_kronecker(mu, nu)
@@ -98,6 +98,42 @@ class TestAgainstReference:
         assert kronecker_basis((), ()) == {(): 1}
         assert kronecker_basis((1,), (1,)) == {(1,): 1}
         assert inner_mul(s(), s()) == s()
+
+
+@cache
+def hook_dimension(lam) -> int:
+    """f^lam = n! / (product of hook lengths), independent of the table."""
+    cols = conjugate(lam)
+    hooks = math.prod(
+        row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row)
+    )
+    return math.factorial(weight(lam)) // hooks
+
+
+def assert_kronecker_identities(mu, nu):
+    """sum_lam g^lam_{mu,nu} f^lam = f^mu f^nu and g^{lam'}_{mu,nu} = g^lam_{mu,nu'}."""
+    g = kronecker_basis(mu, nu)
+    assert sum(c * hook_dimension(lam) for lam, c in g.items()) == (
+        hook_dimension(mu) * hook_dimension(nu)
+    ), (mu, nu)
+    assert kronecker_basis(mu, conjugate(nu)) == {conjugate(lam): c for lam, c in g.items()}, (mu, nu)
+
+
+class TestPackedIdentities:
+    """Identities with no oracle, where the packed slots are widest."""
+
+    def test_all_pairs_n12(self):
+        for mu in partitions_of(12):
+            for nu in partitions_of(12):
+                assert_kronecker_identities(mu, nu)
+
+    def test_extreme_pairs_n16(self):
+        # (4, 4, 4, 4) is self-conjugate; g = 72973 at lam = mu = nu =
+        # (6, 4, 3, 2, 1) is the largest Kronecker coefficient of S_16.
+        for mu in ((16,), (1,) * 16, (4, 4, 4, 4), (6, 4, 3, 2, 1)):
+            assert_kronecker_identities(mu, mu)
+        assert conjugate((4, 4, 4, 4)) == (4, 4, 4, 4)
+        assert max(kronecker_basis((6, 4, 3, 2, 1), (6, 4, 3, 2, 1)).values()) == 72973
 
 
 class TestCharacter:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from operator import mul
 
 # The package itself loads these; other modules are imported by their handlers.
 from .kronecker import character_table, inner_mul
-from .partitions import format_partition, parse_partition, partitions_of, z_and_n
+from .partitions import format_partition, parse_partition, partitions_of
 from .schur import SymFunc, outer_mul, signed_sum
 
 DEFAULT_MAX_WEIGHT = 20
@@ -250,24 +249,28 @@ def _poly_text(p) -> str:
     )
 
 
-def _parse_fgl(token: str):
+def _parse_fgl(token: str, args):
+    """The law named by token at the bounded --cap; a bad token is reported first."""
+    from functools import partial
+
     from .fgl import additive, multiplicative
 
     if token == "ga":
-        return additive(cap=8)
-    if token == "gm":
-        return multiplicative(1, cap=8)
-    if token.startswith("gm:"):
-        return multiplicative(int(token.split(":", 1)[1]), cap=8)
-    raise ValueError(f"unknown formal group law {token!r}")
+        law = additive
+    elif token == "gm":
+        law = multiplicative
+    elif token.startswith("gm:"):
+        law = partial(multiplicative, int(token.split(":", 1)[1]))
+    else:
+        raise ValueError(f"unknown formal group law {token!r}")
+    return law(cap=_bounded(args.cap, "cap", args))
 
 
 def _cmd_fgl(args) -> int:
     from . import fgl
 
     if args.action in ("loop", "log"):
-        F = _parse_fgl(args.law)
-        F = type(F)(F.coeffs, _bounded(args.cap, "cap", args))
+        F = _parse_fgl(args.law, args)
         if args.action == "loop":
             _bounded(abs(args.n), "|n|", args)
         print(_poly_text(fgl.loop_n(F, args.n) if args.action == "loop" else fgl.fgl_log(F)))
@@ -284,76 +287,11 @@ def _cmd_fgl(args) -> int:
     return 0
 
 
-def _cached_table(path: str, n: int):
-    """The character table of S_n stored at path, or None unless the file holds
-    exactly that: version 1, every pair of partitions of n once, integer values,
-    and columns orthogonal with sum_lam chi^lam(rho)^2 = z_rho."""
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data["version"] != 1 or data["n"] != n:
-            return None
-        entries = [((tuple(e["lam"]), tuple(e["rho"])), e["value"]) for e in data["entries"]]
-        table = dict(entries)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    labels = partitions_of(n)
-    if (
-        len(entries) != len(labels) ** 2
-        or set(table) != {(lam, rho) for lam in labels for rho in labels}
-        or any(type(v) is not int for v in table.values())
-    ):
-        return None
-    columns = [[table[(lam, rho)] for lam in labels] for rho in labels]
-    orthogonal = all(
-        sum(map(mul, a, b)) == (z_and_n(rho)[0] if i == j else 0)
-        for i, (rho, a) in enumerate(zip(labels, columns))
-        for j, b in enumerate(columns[i:], i)
-    )
-    return table if orthogonal else None
-
-
-def _write_atomically(path: str, payload) -> None:
-    """Write JSON to a temporary file beside path, then rename it over path, so
-    a reader sees the old file or the complete new one."""
-    import json
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _cmd_table(args) -> int:
     n = _nonnegative(args.n, "n")
     if n > 12:
         raise ResourceError("character tables limited to n <= 12")
-    table = None
-    cache_file = None
-    if args.cache_dir:
-        try:
-            os.makedirs(args.cache_dir, exist_ok=True)
-        except OSError:
-            raise ValueError(f"--cache-dir is not a directory: {args.cache_dir}") from None
-        cache_file = os.path.join(args.cache_dir, f"sn-character-table-{n}.json")
-        table = _cached_table(cache_file, n)
-    if table is None:
-        table = character_table(n)
-        if cache_file:
-            entries = [{"lam": list(lam), "rho": list(rho), "value": v} for (lam, rho), v in table.items()]
-            try:
-                _write_atomically(cache_file, {"version": 1, "n": n, "entries": entries})
-            except OSError as exc:
-                raise ValueError(f"cannot write cache file {cache_file}: {exc.strerror}") from None
+    table = character_table(n)
     labels = list(partitions_of(n))
     if args.json:
         import json
@@ -444,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="print a symmetric-group character table")
     p.add_argument("n", type=int)
-    p.add_argument("--cache-dir", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_table)
 

@@ -75,7 +75,7 @@ def format_rational(x: TensorSymFunc) -> str:
     )
 
 
-def rational_json(x: TensorSymFunc, cap: int | None = None) -> dict:
+def rational_json(x: TensorSymFunc) -> dict:
     terms = [
         {
             "label": {"kind": "rational", "partition": list(lam), "contra": list(mu)},
@@ -83,4 +83,4 @@ def rational_json(x: TensorSymFunc, cap: int | None = None) -> dict:
         }
         for (lam, mu) in sorted(x.terms, key=pair_order)
     ]
-    return {"terms": terms, "meta": {"cap": cap}}
+    return {"terms": terms, "meta": {"cap": None}}

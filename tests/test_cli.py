@@ -179,65 +179,19 @@ class TestTable:
         row = {tuple(r["lam"]): r["values"] for r in payload["rows"]}
         assert row[(1, 1, 1)] == [1, -1, 1]
 
-    def test_cache_round_trip(self, capsys, tmp_path):
-        code1, out1, _ = run(capsys, "table", "4", "--cache-dir", str(tmp_path), "--json")
-        assert code1 == 0
-        cache_file = tmp_path / "sn-character-table-4.json"
-        assert cache_file.exists()
-        data = json.loads(cache_file.read_text())
-        assert data["version"] == 1 and data["n"] == 4
-        code2, out2, _ = run(capsys, "table", "4", "--cache-dir", str(tmp_path), "--json")
-        assert code2 == 0
-        assert out1 == out2
-
-    @pytest.mark.parametrize("corruption", ["truncated", "wrong value", "non-integer value"])
-    def test_bad_cache_recomputed_and_rewritten(self, capsys, tmp_path, corruption):
-        code, fresh, _ = run(capsys, "table", "5", "--json")
-        assert code == 0
-        run(capsys, "table", "5", "--cache-dir", str(tmp_path))
-        cache_file = tmp_path / "sn-character-table-5.json"
-        good = cache_file.read_text()
-        if corruption == "truncated":
-            cache_file.write_text(good[: len(good) // 2])
-        else:
-            data = json.loads(good)
-            entry = data["entries"][7]
-            entry["value"] = entry["value"] + 1 if corruption == "wrong value" else "1"
-            cache_file.write_text(json.dumps(data))
-        code, out, err = run(capsys, "table", "5", "--cache-dir", str(tmp_path), "--json")
-        assert (code, out, err) == (0, fresh, "")
-        assert cache_file.read_text() == good
-        assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
-
-    @pytest.mark.parametrize("below", ["", "sub"])
-    def test_cache_dir_on_a_file(self, capsys, tmp_path, below):
-        blocker = tmp_path / "file"
-        blocker.write_text("not a directory")
-        code, out, err = run(capsys, "table", "3", "--cache-dir", str(blocker / below))
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and "--cache-dir" in err and "not a directory" in err
-        assert blocker.read_text() == "not a directory"
-
-    def test_cache_file_that_cannot_be_written(self, capsys, tmp_path):
-        cache_file = tmp_path / "sn-character-table-3.json"
-        cache_file.mkdir()
-        code, out, err = run(capsys, "table", "3", "--cache-dir", str(tmp_path))
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and str(cache_file) in err
-        assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
-        assert cache_file.is_dir() and not any(cache_file.iterdir())
-
 
 class TestExitCodes:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "decompose", "--product", "outer", "1,x", "1")
         assert code == 2
 
-    def test_unknown_flag(self, capsys):
+    def test_unknown_flag(self, capsys, tmp_path):
         code, _, _ = run(capsys, "decompose", "--banana", "1", "1")
         assert code == 2
+        # table has no on-disk cache: --cache-dir is refused and nothing is written
+        code, out, _ = run(capsys, "table", "3", "--cache-dir", str(tmp_path / "c"))
+        assert (code, out) == (2, "")
+        assert not (tmp_path / "c").exists()
 
     def test_resource_bound_flag(self, capsys):
         code, _, err = run(
@@ -252,8 +206,10 @@ class TestExitCodes:
         assert code == 3
 
     def test_table_resource_bound(self, capsys):
-        code, _, _ = run(capsys, "table", "40")
-        assert code == 3
+        for n, expected in ((12, 0), (13, 3), (40, 3)):
+            code, _, err = run(capsys, "table", str(n))
+            assert code == expected, n
+            assert err.startswith("resource bound exceeded:") == (code == 3), n
 
     def test_rational_resource_bound(self, capsys):
         code, out, err = run(
@@ -295,6 +251,12 @@ class TestCapsAboveMaxWeight:
         assert code == 3
         assert out == ""
         assert err.startswith("resource bound exceeded:") and "maximum 20" in err
+
+    @pytest.mark.parametrize("law", ["bogus", "gm:x"])
+    def test_bad_law_is_reported_before_the_cap(self, capsys, law):
+        code, out, err = run(capsys, "fgl", "loop", law, "3", "--cap", "21")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:")
 
     def test_max_weight_flag_lowers_the_cap_bound(self, capsys):
         assert run(capsys, "--max-weight", "2", "vertex", "check-commutation", "--cap", "3")[0] == 3

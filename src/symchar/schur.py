@@ -1,10 +1,11 @@
 """The Hopf algebra of symmetric functions in the Schur basis.
 
 Elements are sparse integer combinations of Schur functions.  LR coefficients
-are generated directly: products add one factor's rows as horizontal strips
-under the lattice bound, skews fill lam/mu once with free content, and the
-coproduct skews by each eta inside lam.  Semistandard-tableau monomial
-expansion is the independent oracle."""
+are generated directly, one fused step per label or row that adds every
+state's successors straight into the next state dict: products add one
+factor's rows as horizontal strips under the lattice bound, skews fill lam/mu
+once with free content, and the coproduct skews by each eta inside lam.
+Semistandard-tableau monomial expansion is the independent oracle."""
 
 from __future__ import annotations
 
@@ -192,62 +193,52 @@ def signed_sum(pairs) -> str:
 # Littlewood-Richardson rule
 # ---------------------------------------------------------------------------
 
-def _advance(states: dict, step, *args) -> dict:
-    """Apply step to every state, merging equal successors with multiplicities."""
+def _strip_step(states: dict, k: int, room: int, final: bool) -> dict:
+    """One content label on every state (shape, below): each horizontal strip
+    of k > 0 cells whose row counts a obey the lattice bound a_0 + .. + a_r <=
+    room + last_0 + .. + last_{r-1}, last = shape - below, goes straight into
+    the next dict, keyed (new shape, shape), or by the new shape when final."""
     out: dict = {}
-    for state, c in states.items():
-        for key in step(*state, *args):
-            out[key] = out.get(key, 0) + c
-    return out
-
-
-def _strips(shape: Partition, last: Partition, k: int, room: int) -> list:
-    """Horizontal strips of k > 0 cells on shape, as (new shape, row counts a)
-    pairs, under the lattice bound a_0 + .. + a_r <= room + last_0 + .. + last_{r-1}."""
-    n = len(shape)
-    ext, last = shape + (0,), last + (0,) * (n + 1 - len(last))
-    new, out = list(ext), []
 
     def place(r: int, left: int, room: int) -> None:
-        # Row r grows at most to the old row r - 1; the rows below r take <= ext[r] cells.
-        while not (hi := min(left, room, ext[r - 1] - ext[r] if r else left)):
+        # Row r grows by <= cap[r], to the old row r - 1; the rows below r take <= ext[r] cells.
+        while not (hi := left if left < room else room) or not cap[r]:
             if left > ext[r]:
                 return
-            room += last[r]
-            r += 1
-        for a in range(hi, max(left - ext[r], 0) - 1, -1):
+            room, r = room + last[r], r + 1
+        for a in range(hi if hi < cap[r] else cap[r], max(left - ext[r], 0) - 1, -1):
             new[r] += a
-            if a == left:
-                size = n + (new[n] > 0)
-                out.append((tuple(new[:size]), tuple(map(sub, new[:size], ext))))
-            else:
+            if a < left:
                 place(r + 1, left - a, room - a + last[r])
+            else:
+                key = tuple(new) if new[n] else tuple(new[:n])
+                key = key if final else (key, shape)
+                out[key] = out.get(key, 0) + c
             new[r] -= a
 
-    place(0, k, room)
+    for (shape, below), c in states.items():
+        n, ext, new = len(shape), shape + (0,), [*shape, 0]
+        cap, last = [k, *map(sub, shape, ext[1:])], [*map(sub, ext, below), *ext[len(below):]]
+        place(0, k, room)
     return out
 
 
 @cache
 def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """Expansion of s_mu s_nu in the Schur basis.
-
-    The factor with fewer rows (of the conjugates, if they need fewer labels:
-    c^lam_{mu,nu} = c^lam'_{mu',nu'}) is the content.  Its rows are added
-    label by label, each as a horizontal strip with row counts under the
-    lattice bound sum_{s<=r} a_{s,i+1} <= sum_{s<r} a_{s,i}; states (shape,
-    row counts of the last label) merge with multiplicities."""
+    """Expansion of s_mu s_nu in the Schur basis.  The factor with fewer rows
+    (of the conjugates, if they need fewer: c^lam_{mu,nu} = c^lam'_{mu',nu'})
+    is added one label at a time by the fused `_strip_step`, straight into the
+    next state dict, where equal states merge; the last label keys by shape."""
     if (mu, nu) > (nu, mu):
         return product_basis(nu, mu)
     flip = bool(mu) and min(mu[0], nu[0]) < min(len(mu), len(nu))
     if flip:
         mu, nu = conjugate(mu), conjugate(nu)
     shape, content = (mu, nu) if len(nu) <= len(mu) else (nu, mu)
-    states = {(shape, ()): 1}
+    states = {(shape, ()): 1} if content else {shape: 1}
     for i, k in enumerate(content):
-        states = _advance(states, _strips, k, 0 if i else k)
-    out = _advance(states, lambda lam, last: [lam])
-    return {conjugate(lam): c for lam, c in out.items()} if flip else out
+        states = _strip_step(states, k, 0 if i else k, i == len(content) - 1)
+    return {conjugate(lam): c for lam, c in states.items()} if flip else states
 
 
 def linear(f: _Combination, on_basis, cls):
@@ -276,15 +267,19 @@ def outer_mul(f: SymFunc, g: SymFunc) -> SymFunc:
     return _bilinear(f, g, product_basis)
 
 
-def _rows(above: tuple, content: Partition, lo: int, hi: int, off: int) -> list:
-    """(entries, new content) for each filling of the cells lo..hi-1 of a row
-    under `above` (its entries from column off on): right to left, weakly
-    decreasing, each entry larger than the one above it, the reading word lattice."""
-    counts, row, out = list(content) + [0], [0] * (hi - lo), []
+def _row_step(states: dict, lo: int, hi: int, off: int, final: bool) -> dict:
+    """One row of lam/mu on every state (above, content), `above` holding the
+    row before's entries from column off on: each lattice filling of the cells
+    lo..hi-1, right to left, weakly decreasing and larger than the entry above,
+    goes straight into the next dict, keyed (entries, content) or, when final,
+    by the content alone."""
+    out, row = {}, [0] * (hi - lo)
 
     def fill(j: int, top: int) -> None:
         if j < lo:
-            out.append((tuple(row), tuple(c for c in counts if c)))
+            key = tuple(counts) if counts[-1] else tuple(counts[:-1])
+            key = key if final else (tuple(row), key)
+            out[key] = out.get(key, 0) + c
             return
         for v in range(above[j - off] + 1 if j >= off else 1, top + 1):
             if v == 1 or counts[v - 1] < counts[v - 2]:
@@ -293,22 +288,24 @@ def _rows(above: tuple, content: Partition, lo: int, hi: int, off: int) -> list:
                 fill(j - 1, v)
                 counts[v - 1] -= 1
 
-    fill(hi - 1, len(content) + 1)
+    for (above, content), c in states.items():
+        counts = [*content, 0]
+        fill(hi - 1, len(content) + 1)
     return out
 
 
 @cache
 def skew_basis(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Schur expansion of s_{lam/mu}: lam/mu is filled once, row by row, with
-    the content free; states (last row's entries, content) merge with
-    multiplicities, and the final contents nu carry c^lam_{mu,nu}."""
+    """Schur expansion of s_{lam/mu}: lam/mu is filled once, content free, by
+    one fused `_row_step` per row, straight into the next state dict; the last
+    row keys the fillings by their contents nu, which carry c^lam_{mu,nu}."""
     if not contains(lam, mu):
         return {}
-    states, off = {((), ()): 1}, lam[0] if lam else 0  # nothing above the first row
+    states, off = ({((), ()): 1}, lam[0]) if lam else ({(): 1}, 0)  # s_{()/()} = 1
     for i, hi in enumerate(lam):
         lo = mu[i] if i < len(mu) else 0
-        states, off = _advance(states, _rows, lo, hi, off), lo
-    return _advance(states, lambda last, nu: [nu])
+        states, off = _row_step(states, lo, hi, off, i == len(lam) - 1), lo
+    return states
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -1,14 +1,17 @@
 """Independent oracles for the character products: closed sum-over-skews
 formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
 form of the rational GL product, and the embedded-S_n path for reduced
-characters, and the product and evaluation of monomial-expanded polynomials.
-The library computes each product one way; these check it."""
+characters, the product and evaluation of monomial-expanded polynomials, and
+the hook length formula.  The library computes each product one way; these
+check it."""
 
+from functools import cache
+from math import factorial, prod
 from operator import mul
 
 from symchar.characters import RationalChar, reduce_label, unreduce_label
 from symchar.kronecker import inner_mul, kronecker_basis
-from symchar.partitions import partitions_of, partitions_up_to, weight
+from symchar.partitions import hooks_and_contents, partitions_of, partitions_up_to, weight
 from symchar.schur import (
     Monomial,
     SymFunc,
@@ -152,3 +155,10 @@ def eval_polynomial(f: SymFunc, n_vars: int) -> dict[Monomial, int]:
         for expo, m in eval_monomials(lam, n_vars).items():
             out[expo] = out.get(expo, 0) + c * m
     return {k: v for k, v in out.items() if v}
+
+
+@cache
+def hook_dimension(lam) -> int:
+    """f^lam = |lam|! / (product of hook lengths), from neither a character
+    table nor an LR generator."""
+    return factorial(weight(lam)) // prod(h for _, _, h in hooks_and_contents(lam))

@@ -7,6 +7,7 @@ from functools import cache
 
 import pytest
 
+from oracles import hook_dimension
 from symchar.kronecker import (
     character,
     character_table,
@@ -98,16 +99,6 @@ class TestAgainstReference:
         assert kronecker_basis((), ()) == {(): 1}
         assert kronecker_basis((1,), (1,)) == {(1,): 1}
         assert inner_mul(s(), s()) == s()
-
-
-@cache
-def hook_dimension(lam) -> int:
-    """f^lam = n! / (product of hook lengths), independent of the table."""
-    cols = conjugate(lam)
-    hooks = math.prod(
-        row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row)
-    )
-    return math.factorial(weight(lam)) // hooks
 
 
 def assert_kronecker_identities(mu, nu):

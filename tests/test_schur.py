@@ -2,11 +2,13 @@
 scalar product, skews, and the monomial-expansion oracle."""
 
 import functools
+import math
+import random
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import eval_polynomial, poly_mul
-from symchar.partitions import partitions_of, partitions_up_to, weight
+from oracles import eval_polynomial, hook_dimension, poly_mul
+from symchar.partitions import conjugate, contains, partitions_of, partitions_up_to, weight
 from symchar.schur import (
     SymFunc,
     TensorSymFunc,
@@ -221,6 +223,56 @@ class TestLittlewoodRichardsonGenerators:
             for mu in partitions_up_to(6):
                 for nu in partitions_up_to(6):
                     assert lr_coefficient(lam, mu, nu) == row.get((mu, nu), 0)
+
+
+def identity_sample(count: int = 120, seed: int = 12) -> list:
+    """A fixed seeded sample of ordered factor pairs (mu, nu), total weight 12..16."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(12, 16)
+        a = rng.randint(3, n - 3)
+        pairs.append((rng.choice(partitions_of(a)), rng.choice(partitions_of(n - a))))
+    return pairs
+
+
+class TestLittlewoodRichardsonIdentities:
+    """Identities beyond the reference's weight: no LR code on the right-hand side."""
+
+    def test_product_skew_duality(self):
+        for mu, nu in identity_sample():
+            prod_terms = product_basis(mu, nu)
+            n = weight(mu) + weight(nu)
+            for lam in partitions_of(n):
+                if contains(lam, mu) and contains(lam, nu):
+                    c = prod_terms.get(lam, 0)
+                    assert skew_basis(lam, mu).get(nu, 0) == c, (lam, mu, nu)
+                    assert skew_basis(lam, nu).get(mu, 0) == c, (lam, nu, mu)
+                else:
+                    assert lam not in prod_terms, (lam, mu, nu)
+
+    def test_conjugation_symmetry_runs_both_branches(self):
+        generate = product_basis.__wrapped__
+        flipped = set()
+        for mu, nu in identity_sample():
+            mu, nu = min((mu, nu), (nu, mu))
+            flipped.add(min(mu[0], nu[0]) < min(len(mu), len(nu)))
+            conj = min((conjugate(mu), conjugate(nu)), (conjugate(nu), conjugate(mu)))
+            assert generate(*conj) == {conjugate(lam): c for lam, c in generate(mu, nu).items()}
+        assert flipped == {False, True}
+
+    def test_sum_of_dimensions(self):
+        for mu, nu in identity_sample():
+            total = sum(c * hook_dimension(lam) for lam, c in product_basis(mu, nu).items())
+            expected = math.comb(weight(mu) + weight(nu), weight(mu))
+            assert total == expected * hook_dimension(mu) * hook_dimension(nu), (mu, nu)
+
+    def test_gl_dimensions(self):
+        for mu, nu in identity_sample():
+            terms = product_basis(mu, nu)
+            for d in (2, 3, 5, 8):
+                rhs = sum(c * dimension_gl(lam, d) for lam, c in terms.items())
+                assert dimension_gl(mu, d) * dimension_gl(nu, d) == rhs, (mu, nu, d)
 
 
 class TestCoproduct:

@@ -33,9 +33,13 @@ def weight(lam: Partition) -> int:
 
 @cache
 def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    """Columns lam_{i+1} + 1 .. lam_i have height i (rows from 1, lam_{l+1} = 0)."""
+    out: list[int] = []
+    below = 0
+    for height in range(len(lam), 0, -1):
+        out += [height] * (lam[height - 1] - below)
+        below = lam[height - 1]
+    return tuple(out)
 
 
 def z_and_n(lam: Partition) -> tuple[int, int]:

@@ -3,6 +3,7 @@
 border-strip recursion and character-table triple sum."""
 
 import math
+import random
 from functools import cache
 
 import pytest
@@ -127,6 +128,47 @@ class TestPackedIdentities:
         assert max(kronecker_basis((6, 4, 3, 2, 1), (6, 4, 3, 2, 1)).values()) == 72973
 
 
+class TestTableIdentities:
+    """Identities with no oracle, at the sizes the benchmark and the CLI serve."""
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_identity_class_is_hook_dimension(self, n):
+        table = character_table(n)
+        ones = (1,) * n
+        for lam in partitions_of(n):
+            assert table[(lam, ones)] == hook_dimension(lam), lam
+
+    def test_conjugate_row_is_sign_twist_n16(self):
+        n = 16
+        table = character_table(n)
+        for lam in partitions_of(n):
+            lam_c = conjugate(lam)
+            for rho in partitions_of(n):
+                assert table[(lam_c, rho)] == (-1) ** (n - len(rho)) * table[(lam, rho)]
+
+    def test_row_orthogonality_sample_n16(self):
+        # sum_rho |class of rho| chi^lam(rho) chi^mu(rho) = n! [lam = mu].
+        n = 16
+        table = character_table(n)
+        labels = partitions_of(n)
+        sizes = [math.factorial(n) // z_and_n(rho)[0] for rho in labels]
+        rng = random.Random(16)
+        pairs = [(lam, lam) for lam in rng.sample(labels, 40)]
+        pairs += [tuple(rng.sample(labels, 2)) for _ in range(160)]
+        for lam, mu in pairs:
+            acc = sum(c * table[(lam, rho)] * table[(mu, rho)] for c, rho in zip(sizes, labels))
+            assert acc == (math.factorial(n) if lam == mu else 0), (lam, mu)
+
+    def test_single_character_matches_table_sample_n12(self):
+        table = character_table(12)
+        rng = random.Random(12)
+        for key in rng.sample(sorted(table), 300):
+            assert character(*key) == table[key], key
+
+    def test_largest_default_product(self):
+        assert kronecker_basis((20,), (10, 10)) == {(10, 10): 1}
+
+
 class TestCharacter:
     def test_sign_character(self):
         assert character((1, 1), (2,)) == -1
@@ -138,6 +180,12 @@ class TestCharacter:
 
     def test_standard_dimension(self):
         assert character((2, 1), (1, 1, 1)) == 2
+
+    def test_padded_and_unsorted_labels(self):
+        assert character([2, 1, 0], [1, 0, 1, 1]) == 2
+        assert character((3, 1), (1, 2, 1)) == character((3, 1), (2, 1, 1)) == 1
+        with pytest.raises(ValueError):
+            character((1, 2), (3,))
 
     def test_sign_representation(self):
         # chi^{1^n}(rho) = (-1)^{n - len(rho)}

@@ -46,6 +46,12 @@ class TestConjugate:
     def test_preserves_weight(self, lam):
         assert weight(conjugate(lam)) == weight(lam)
 
+    def test_counting_definition_up_to_20(self):
+        # lam'_j = #{i : lam_i >= j}, for every partition of n <= 20.
+        for lam in partitions_up_to(20):
+            counted = tuple(sum(1 for p in lam if p >= j) for j in range(1, max(lam, default=0) + 1))
+            assert conjugate(lam) == counted, lam
+
 
 class TestZandN:
     def test_running_example(self):

@@ -136,7 +136,8 @@ def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:
 
 def convolve2(a: Pairing, b: Pairing) -> Pairing:
     """(a * b)(x, y) = a(x1, y1) b(x2, y2): one LR product per unordered pair of
-    terms, no b where a vanishes, only |x1| = |y1| when a declares its grading."""
+    terms, no b where a vanishes, only |x1| = |y1| when a declares its grading.
+    a * b declares its grading when a and b do (then |x1| = |y1|, |x2| = |y2|)."""
     leg = weight if a.grade_preserving else lambda x1: None  # which y1 meet x1
 
     def fn(mu: Partition, nu: Partition) -> SymFunc:
@@ -159,7 +160,7 @@ def convolve2(a: Pairing, b: Pairing) -> Pairing:
                 out[lam] = out.get(lam, 0) + c * cl
         return SymFunc(out)
 
-    return Pairing(fn, f"({a.name})*({b.name})")
+    return Pairing(fn, f"({a.name})*({b.name})", a.grade_preserving and b.grade_preserving)
 
 
 def milnor_moore_inverse1(f: Cochain1) -> Cochain1:

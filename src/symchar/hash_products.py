@@ -1,20 +1,19 @@
 """Deformed (hash) products on symmetric functions.
 
 A hash spec lists stages (pairing a_j, algebra-hom cochain phi_j), j < k,
-and a final cochain psi on the ambient multiplication m.  The hash product is
-the convolution (phi_1 o a_1) * ... * (phi_k o a_k) * (psi o m): `build_hash`
-folds `convolution.convolve2` from the right, so each stage H_j(mu, nu) =
-sum phi_j(a_j(mu1, nu1)) H_{j+1}(mu2, nu2) is a `Pairing` with its own memo,
-and s_mu # s_nu = H_0(mu, nu).  `composite_pairing` is the same fold onto the
-unit e2.  Each entry point (`build_hash`, `composite_pairing`, `hash_is_hopf`)
-validates the spec once, and the fold does not check its cochains again.
+and a final cochain psi on the ambient multiplication m.  `composite_pairing`
+folds `convolution.convolve2` from the left into the composite derived pairing
+A = (phi_1 o a_1) * ... * (phi_k o a_k), whose memo computes each A(x1, y1) once
+for all (mu, nu), and x # y = (A * psi o m)(x, y) is one more `convolve2`.
+Each entry point (`build_hash`, `composite_pairing`, `hash_is_hopf`) validates
+the spec once, and the fold does not check its cochains again.
 `named_product` builds (and validates) each named spec once per process.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, reduce
 
 from .convolution import (
     Cochain1,
@@ -90,15 +89,15 @@ def validate_spec(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> None:
 
 
 def build_hash(spec: HashSpec):
-    """Validate the spec and return x # y on SymFunc, the bilinear extension of
-    the unmemoized top stage H_0; see HashSpec for the laws it keeps."""
-    validate_spec(spec)
-    return _product(spec)
+    """Validate the spec and return x # y = (A * psi o m)(x, y) on SymFunc,
+    A = composite_pairing(spec); see HashSpec for the laws it keeps."""
+    return _product(spec, composite_pairing(spec))
 
 
-def _product(spec: HashSpec):
-    """x # y for a validated spec.  The final psi o m stage answers (mu, nu) with
-    mu > nu from its (nu, mu) entry, since s_mu s_nu = s_nu s_mu."""
+def _product(spec: HashSpec, composite: Pairing):
+    """x # y, the bilinear extension of the unmemoized composite * psi o m.  The
+    final psi o m stage answers (mu, nu) with mu > nu from its (nu, mu) entry,
+    since s_mu s_nu = s_nu s_mu."""
     final = spec.final_cocycle
 
     def last_fn(mu: Partition, nu: Partition) -> SymFunc:
@@ -107,20 +106,12 @@ def _product(spec: HashSpec):
         return final(SymFunc(product_basis(mu, nu)))
 
     last = Pairing(last_fn, f"{final.name}.m")
-    top = _fold(spec, last)
+    top = convolve2(composite, last)
 
     def product(f: SymFunc, g: SymFunc) -> SymFunc:
         return _bilinear(f, g, top._fn)
 
     return product
-
-
-def _fold(spec: HashSpec, tail: Pairing) -> Pairing:
-    """phi_1 o a_1 * ... * phi_k o a_k * tail, folded from the right, for a
-    validated spec (validate_spec has checked every phi_j)."""
-    for pairing, cocycle in reversed(spec.stages):
-        tail = convolve2(_composed(cocycle, pairing), tail)
-    return tail
 
 
 @cache
@@ -130,17 +121,21 @@ def named_product(name: str):
 
 
 def composite_pairing(spec: HashSpec) -> Pairing:
-    """The convolution product of the spec's derived pairings (e2 when empty)."""
+    """Validate the spec and fold its derived pairings from the left into
+    A = phi_1 o a_1 * ... * phi_k o a_k (e2 when k = 0), declared grade
+    preserving when every a_j is."""
     validate_spec(spec)
-    return _fold(spec, unit_pairing())
+    derived = [_composed(cocycle, pairing) for pairing, cocycle in spec.stages]
+    return reduce(convolve2, derived) if derived else unit_pairing()
 
 
 def hash_is_hopf(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> bool:
-    """True iff the composite derived pairing is Frobenius; cross-validated
-    against the bialgebra law Delta(x # y) = Delta(x) #(x)# Delta(y)."""
-    validate_spec(spec)
-    frob = is_frobenius(_fold(spec, unit_pairing()), max_degree)
-    bialg = _bialgebra_law_holds(_product(spec), max_degree)
+    """True iff the composite derived pairing A is Frobenius; cross-validated
+    against the bialgebra law Delta(x # y) = Delta(x) #(x)# Delta(y) of the
+    product built on the same A, so the two checks share its memo."""
+    composite = composite_pairing(spec)
+    frob = is_frobenius(composite, max_degree)
+    bialg = _bialgebra_law_holds(_product(spec, composite), max_degree)
     if frob != bialg:
         raise AssertionError(
             f"hash spec {spec.name!r}: Frobenius check ({frob}) disagrees with "

@@ -82,6 +82,7 @@ class TestConvolutionKernel:
         "inner*inner": (inner_pairing, inner_pairing),
         "e2*inner": (unit_pairing, inner_pairing),
         "inner*outer": (inner_pairing, outer_pairing),
+        "(inner*inner)*outer": (lambda: convolve2(inner_pairing(), inner_pairing()), outer_pairing),
         "outer*inner": (outer_pairing, inner_pairing),
         "p2-plethysm*inner": (p2_plethysm_pairing, inner_pairing),
         "antipode.inner*outer": (

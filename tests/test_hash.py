@@ -21,6 +21,7 @@ from symchar.convolution import (
     Cochain1,
     Pairing,
     antipode_cochain,
+    convolve2,
     derived_pairing,
     eps1_cochain,
     identity_cochain,
@@ -74,10 +75,11 @@ def reference_hash(spec: HashSpec):
     return product
 
 
-def agrees_with_reference(spec: HashSpec) -> None:
-    """On basis pairs of weight <= 4 and on two-term sums."""
-    staged, reference = build_hash(spec), reference_hash(spec)
-    basis = [SymFunc.basis(lam) for lam in partitions_up_to(4)]
+def agrees_with_reference(spec: HashSpec, reference=None, max_weight: int = 4) -> None:
+    """On basis pairs of weight <= max_weight each and on two-term sums; the
+    reference is `reference_hash(spec)` unless one is given."""
+    staged, reference = build_hash(spec), reference or reference_hash(spec)
+    basis = [SymFunc.basis(lam) for lam in partitions_up_to(max_weight)]
     for x in basis:
         for y in basis:
             assert staged(x, y) == reference(x, y)
@@ -104,6 +106,19 @@ class TestStagedEvaluator:
 
     def test_three_stage_custom_spec_matches_reference(self):
         agrees_with_reference(three_stage_antipode_spec())
+
+    @pytest.mark.parametrize(
+        "spec", (named_spec("murnaghan-littlewood"), three_stage_antipode_spec()), ids=("ml", "three-stage")
+    )
+    def test_left_fold_equals_right_fold(self, spec):
+        """build_hash folds the stages from the left into A and evaluates
+        A * psi o m; by associativity of the convolution this is the right fold
+        phi_1 o a_1 * (phi_2 o a_2 * (... * psi o m))."""
+        final = spec.final_cocycle
+        right = Pairing(lambda mu, nu: final(outer_mul(SymFunc.basis(mu), SymFunc.basis(nu))), "psi.m")
+        for pairing, cocycle in reversed(spec.stages):
+            right = convolve2(derived_pairing(pairing, cocycle), right)
+        agrees_with_reference(spec, right, max_weight=5)
 
     def test_antipode_final_has_no_unit(self):
         """A final psi != id keeps none of the hash laws: x # s_() = S(x)."""
@@ -189,6 +204,25 @@ class TestDeclaredGrading:
         for pairing in (outer_pairing(), p2_plethysm_pairing(), undeclared_inner_pairing()):
             assert not pairing.grade_preserving
             assert not derived_pairing(pairing, identity_cochain()).grade_preserving
+            assert not convolve2(inner_pairing(), pairing).grade_preserving
+            assert not convolve2(pairing, inner_pairing()).grade_preserving
+        stages = ((inner_pairing(), eps1_cochain()), (undeclared_inner_pairing(), identity_cochain()))
+        assert not composite_pairing(HashSpec(stages)).grade_preserving
+
+    @pytest.mark.parametrize(
+        "spec", [*map(named_spec, NAMES), three_stage_antipode_spec()], ids=(*NAMES, "three-stage")
+    )
+    def test_composite_inherits_the_declaration(self, spec):
+        """A is declared exactly when every stage pairing is, and then it is zero
+        off |x| = |y| (checked on values computed without A's own flag).  A need
+        not be homogeneous: the Newell-Littlewood A is schur-hall, of degree 0."""
+        composite = composite_pairing(spec)
+        assert composite.grade_preserving == all(a.grade_preserving for a, _ in spec.stages)
+        basis = partitions_up_to(5)
+        for x in basis:
+            for y in basis:
+                if weight(x) != weight(y):
+                    assert not composite.on_basis(x, y), (x, y)
 
     def test_undeclared_graded_pairing_matches_reference(self):
         stages = ((undeclared_inner_pairing(), identity_cochain()), (inner_pairing(), eps1_cochain()))
@@ -292,6 +326,25 @@ class TestCompositePairing:
 
 
 class TestHopfClassification:
+    def test_both_checks_share_one_composite(self, monkeypatch):
+        from symchar import hash_products
+
+        seen = []
+        real_frobenius, real_product = hash_products.is_frobenius, hash_products._product
+
+        def frobenius(composite, *args):
+            seen.append(composite)
+            return real_frobenius(composite, *args)
+
+        def product(spec, composite):
+            seen.append(composite)
+            return real_product(spec, composite)
+
+        monkeypatch.setattr(hash_products, "is_frobenius", frobenius)
+        monkeypatch.setattr(hash_products, "_product", product)
+        assert not hash_is_hopf(named_spec("murnaghan-littlewood"), 3)
+        assert len(seen) == 2 and seen[0] is seen[1]
+
     def test_trivial_is_hopf(self):
         assert hash_is_hopf(named_spec("trivial"), 4)
 

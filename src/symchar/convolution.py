@@ -293,7 +293,10 @@ def is_laplace(a: Pairing, max_degree: int, witness: list | None = None) -> bool
     return True
 
 
-def _is_grade_preserving(a: Pairing, max_degree: int) -> bool:
+def _is_degree_preserving(a: Pairing, max_degree: int) -> bool:
+    """a(x, y) = 0 unless |x| = |y| (the `grade_preserving` property) and a(x, y)
+    lies in degree |x|, which a declared pairing need not satisfy (schur_hall_pairing
+    has values in degree 0); checked on basis pairs up to max_degree."""
     for x, y in _basis_pairs(max_degree):
         val = a.on_basis(x, y)
         if weight(x) != weight(y):
@@ -326,13 +329,13 @@ def is_frobenius(
     delta_a=None,
     witness: list | None = None,
 ) -> bool:
-    """Frobenius Laplace test: grade preservation, per-grade unitality with
+    """Frobenius Laplace test: degree preservation, per-grade unitality with
     the canonical unit s_(n) and counit law with eps1 (checked on every grade
     where the pairing is not identically zero), the Frobenius law
     x1 (x) a(x2, y) = delta_a(a(x,y)) = a(x, y1) (x) y2 with delta_a the
     dual comultiplication, and the mixed bialgebra law
     delta_a o m = (m (x) m) o (1 (x) sw (x) 1) o (delta_a (x) delta_a)."""
-    if not _is_grade_preserving(a, max_degree):
+    if not _is_degree_preserving(a, max_degree):
         if witness is not None:
             witness.append(("not grade-preserving",))
         return False

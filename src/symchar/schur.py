@@ -297,14 +297,18 @@ def _row_step(states: dict, lo: int, hi: int, off: int, final: bool) -> dict:
 @cache
 def skew_basis(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Schur expansion of s_{lam/mu}: lam/mu is filled once, content free, by
-    one fused `_row_step` per row, straight into the next state dict; the last
-    row keys the fillings by their contents nu, which carry c^lam_{mu,nu}."""
+    one fused `_row_step` per row from the first row holding a cell, straight
+    into the next state dict; the last row keys the fillings by their contents
+    nu, which carry c^lam_{mu,nu}."""
     if not contains(lam, mu):
         return {}
-    states, off = ({((), ()): 1}, lam[0]) if lam else ({(): 1}, 0)  # s_{()/()} = 1
-    for i, hi in enumerate(lam):
+    first = next((i for i, lo in enumerate(mu) if lo < lam[i]), len(mu))
+    if first == len(lam):
+        return {(): 1}  # lam = mu
+    states, off = {((), ()): 1}, lam[0]
+    for i in range(first, len(lam)):
         lo = mu[i] if i < len(mu) else 0
-        states, off = _row_step(states, lo, hi, off, i == len(lam) - 1), lo
+        states, off = _row_step(states, lo, lam[i], off, i == len(lam) - 1), lo
     return states
 
 

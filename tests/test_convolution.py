@@ -28,6 +28,7 @@ from symchar.convolution import (
     unit_pairing,
     Cochain1,
     Pairing,
+    _is_degree_preserving,
 )
 from symchar.kronecker import inner_coproduct_basis
 from symchar.partitions import partitions_up_to, weight
@@ -241,6 +242,15 @@ class TestCheckers:
     def test_frobenius_examples(self):
         assert is_frobenius(inner_pairing(), 5)
         assert not is_frobenius(outer_pairing(), 4)
+
+    def test_degree_check_demands_more_than_the_grading_flag(self):
+        # schur-hall vanishes off |x| = |y|, as declared, but its values lie in degree 0.
+        assert schur_hall_pairing().grade_preserving
+        assert not _is_degree_preserving(schur_hall_pairing(), 3)
+        assert _is_degree_preserving(inner_pairing(), 4)
+        witness: list = []
+        assert not is_frobenius(schur_hall_pairing(), 3, witness=witness)
+        assert witness == [("not grade-preserving",)]
 
     def test_frobenius_accepts_explicit_comultiplication(self):
         def delta(lam):

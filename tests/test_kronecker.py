@@ -9,6 +9,7 @@ from functools import cache
 import pytest
 
 from oracles import hook_dimension
+from symchar import kronecker
 from symchar.kronecker import (
     character,
     character_table,
@@ -159,14 +160,58 @@ class TestTableIdentities:
             acc = sum(c * table[(lam, rho)] * table[(mu, rho)] for c, rho in zip(sizes, labels))
             assert acc == (math.factorial(n) if lam == mu else 0), (lam, mu)
 
-    def test_single_character_matches_table_sample_n12(self):
-        table = character_table(12)
-        rng = random.Random(12)
-        for key in rng.sample(sorted(table), 300):
-            assert character(*key) == table[key], key
+    def test_single_character_matches_reference_sample_n14(self):
+        labels = partitions_of(14)
+        rng = random.Random(14)
+        for _ in range(200):
+            lam, rho = rng.choice(labels), rng.choice(labels)
+            assert character(lam, rho) == reference_character(lam, rho), (lam, rho)
 
     def test_largest_default_product(self):
         assert kronecker_basis((20,), (10, 10)) == {(10, 10): 1}
+
+
+class TestSharedColumns:
+    """Class columns, move gathers and slot values are cached per process and
+    shared between levels; nothing may depend on the order they are built in."""
+
+    @pytest.mark.parametrize("order", [(16, 12), (12, 16)])
+    def test_tables_and_products_do_not_depend_on_build_order(self, order):
+        for memo in (kronecker._masks, kronecker._moves, kronecker._column, kronecker._table):
+            memo.cache_clear()
+        kronecker_basis.cache_clear()
+        tables = {n: character_table(n) for n in order}
+        rng = random.Random(1612)
+        for n in (12, 16):
+            assert tables[n] == _reference_table(n), n
+            labels = partitions_of(n)
+            for _ in range(12):
+                mu, nu = rng.choice(labels), rng.choice(labels)
+                assert kronecker_basis(mu, nu) == reference_kronecker(mu, nu), (mu, nu)
+
+    def test_second_read_of_a_class_builds_nothing(self):
+        rho = (5, 3, 3, 1)
+        assert character((4, 4, 4), rho) == reference_character((4, 4, 4), rho)
+        columns, moves = kronecker._column.cache_info(), kronecker._moves.cache_info()
+        assert character((6, 6), rho) == reference_character((6, 6), rho)
+        after = kronecker._column.cache_info()
+        assert (after.hits, after.misses) == (columns.hits + 1, columns.misses)
+        assert kronecker._moves.cache_info() == moves
+
+    def test_corrupt_slot_raises_with_warm_decode_cache(self, monkeypatch):
+        n, mu, nu = 12, (5, 4, 2, 1), (4, 4, 3, 1)
+        assert kronecker_basis.__wrapped__(mu, nu) == reference_kronecker(mu, nu)
+        table = kronecker._table(n)
+        columns, packed, scales, w, _, index, slots = table
+        assert slots  # warm: every slot value of that sum is decoded
+        # Add 1 to the slot of lam = (n) in the column of rho = (1^n), whose
+        # weight f^mu f^nu den / n! in the sum is not a multiple of den.
+        ab = columns[-1][index[mu]] * columns[-1][index[nu]]
+        assert ab * scales[-1] % slots.den
+        bad = packed[:-1] + (packed[-1] + (1 << (8 * w * index[(n,)])),)
+        monkeypatch.setattr(kronecker, "_table", lambda m: (columns, bad, *table[2:]))
+        with pytest.raises(ArithmeticError):
+            kronecker_basis.__wrapped__(mu, nu)
 
 
 class TestCharacter:

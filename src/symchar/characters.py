@@ -3,10 +3,9 @@ characters, Thibon characters, and reduced symmetric-group characters."""
 
 from __future__ import annotations
 
-from .kronecker import kronecker_basis
-from .partitions import Partition, conjugate, partitions_up_to, standardize, weight
-from .schur import SymFunc, TensorSymFunc, coproduct_basis, outer_mul, skew_basis, tensor
-from .series import mul_by_series, skew_by_series
+from .partitions import conjugate, partitions_up_to, weight
+from .schur import SymFunc, TensorSymFunc, outer_mul, skew_basis, tensor
+from .series import skew_by_series
 from .hash_products import named_product
 
 # Branch rule -> series to skew by.
@@ -113,16 +112,6 @@ def rational_convert(x: RationalChar, direction: str) -> RationalChar:
 
 # -- Thibon characters -------------------------------------------------------
 
-def thibon_convert(f: SymFunc, direction: str, cap: int) -> SymFunc:
-    """to_thibon: {lam} -> <<lam>> = {lam M}; to_schur: <<lam>> -> {lam L},
-    both truncated at cap."""
-    if direction == "to_thibon":
-        return mul_by_series(f, "M", cap)
-    if direction == "to_schur":
-        return mul_by_series(f, "L", cap)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def thibon_inner(x: SymFunc, y: SymFunc) -> SymFunc:
     """Inner product of Thibon characters on labels: <<mu>>*<<nu>> = <<mu #_{1,1} nu>>."""
     return named_product("thibon")(x, y)
@@ -134,45 +123,3 @@ def murnaghan_littlewood(x: SymFunc, y: SymFunc) -> SymFunc:
     """Inner product of reduced characters on labels:
     <mu>*<nu> = <mu #_{m,1,1} nu>."""
     return named_product("murnaghan-littlewood")(x, y)
-
-
-def reduce_label(lam: Partition) -> Partition:
-    """Drop the first row of a genuine symmetric-group label."""
-    return tuple(lam[1:])
-
-
-def unreduce_label(mu: Partition, n: int) -> tuple[int, Partition]:
-    """Reconstruct the S_n label {n-|mu|, mu} with raising-operator
-    standardization; returns (sign, partition), sign 0 when annihilated."""
-    return standardize((n - weight(mu),) + tuple(mu))
-
-
-# -- Cummins expansion -------------------------------------------------------
-
-def cummins_expand(a: SymFunc, b: SymFunc, c: SymFunc, d: SymFunc) -> SymFunc:
-    """(A B)*(C D) = (A1*C1)(A2*D1)(B1*C2)(B2*D2)."""
-    out = SymFunc.zero()
-    for la, ca in a.terms.items():
-        for lb, cb in b.terms.items():
-            for lc, cc in c.terms.items():
-                for ld, cd in d.terms.items():
-                    coeff = ca * cb * cc * cd
-                    for (a1, a2), wa in coproduct_basis(la).items():
-                        for (c1, c2), wc in coproduct_basis(lc).items():
-                            t1 = SymFunc(kronecker_basis(a1, c1))
-                            if not t1:
-                                continue
-                            for (b1, b2), wb in coproduct_basis(lb).items():
-                                t3 = SymFunc(kronecker_basis(b1, c2))
-                                if not t3:
-                                    continue
-                                for (d1, d2), wd in coproduct_basis(ld).items():
-                                    t2 = SymFunc(kronecker_basis(a2, d1))
-                                    if not t2:
-                                        continue
-                                    t4 = SymFunc(kronecker_basis(b2, d2))
-                                    if not t4:
-                                        continue
-                                    term = outer_mul(outer_mul(t1, t2), outer_mul(t3, t4))
-                                    out.add(term, coeff * wa * wb * wc * wd)
-    return out

@@ -323,12 +323,7 @@ def adjoint_comultiplication(a: Pairing, lam: Partition) -> TensorSymFunc:
     return TensorSymFunc(out)
 
 
-def is_frobenius(
-    a: Pairing,
-    max_degree: int,
-    delta_a=None,
-    witness: list | None = None,
-) -> bool:
+def is_frobenius(a: Pairing, max_degree: int, witness: list | None = None) -> bool:
     """Frobenius Laplace test: degree preservation, per-grade unitality with
     the canonical unit s_(n) and counit law with eps1 (checked on every grade
     where the pairing is not identically zero), the Frobenius law
@@ -339,9 +334,9 @@ def is_frobenius(
         if witness is not None:
             witness.append(("not grade-preserving",))
         return False
-    if delta_a is None:
-        def delta_a(lam):
-            return adjoint_comultiplication(a, lam)
+
+    def delta_a(lam):
+        return adjoint_comultiplication(a, lam)
 
     basis = partitions_up_to(max_degree)
     # Unit and counit per grade: on every degree n where a does not vanish
@@ -424,13 +419,3 @@ def frobenius_inverse(a: Pairing, max_degree: int = 4) -> Pairing:
     if not is_frobenius(a, max_degree):
         raise ValueError(f"pairing {a.name!r} is not Frobenius up to degree {max_degree}")
     return Pairing(lambda mu, nu: antipode(a.on_basis(mu, nu)), f"S.{a.name}")
-
-
-def cochains_equal(f: Cochain1, g: Cochain1, max_degree: int) -> bool:
-    return all(
-        f.on_basis(lam) == g.on_basis(lam) for lam in partitions_up_to(max_degree)
-    )
-
-
-def pairings_equal(a: Pairing, b: Pairing, max_degree: int) -> bool:
-    return all(a.on_basis(x, y) == b.on_basis(x, y) for x, y in _basis_pairs(max_degree))

@@ -101,24 +101,6 @@ def multiplicative(b=1, cap: int = 8) -> FGL1:
     return FGL1.make({(1, 1): b}, cap)
 
 
-def check_axioms(F: FGL1) -> bool:
-    """Associativity, two-sided identity, commutativity, inverse existence,
-    all as identities truncated at F.cap."""
-    cap = F.cap
-    x3, y3, z3 = var(3, 0), var(3, 1), var(3, 2)
-    if F.apply(F.apply(x3, y3, cap), z3, cap) != F.apply(x3, F.apply(y3, z3, cap), cap):
-        return False
-    x1 = var(1, 0)
-    zero = {}
-    if F.apply(x1, zero, cap) != x1 or F.apply(zero, x1, cap) != x1:
-        return False
-    table = {(i, j): c for i, j, c in F.coeffs}
-    if any(table.get((i, j)) != table.get((j, i)) for i, j, _ in F.coeffs):
-        return False
-    lam = antipode_series(F)
-    return F.apply(x1, lam, cap) == {}
-
-
 def antipode_series(F: FGL1) -> Poly:
     """The unique lambda(X) = -X + ... with F(X, lambda(X)) = 0, by fixed-point
     iteration lambda <- -X - sum c_{i,j} X^i lambda^j (gains a degree per pass)."""
@@ -179,20 +161,6 @@ def fgl_log(F: FGL1) -> Poly:
         if c and d + 1 <= cap:
             out[(d + 1,)] = c / (d + 1)
     return out
-
-
-def compositional_inverse(p: Poly, cap: int) -> Poly:
-    """Inverse under composition of a univariate series X + O(X^2)."""
-    x = var(1, 0)
-    inv = dict(x)
-    for _ in range(cap):
-        # Newton-style fixed point: inv <- inv - (p(inv) - X).
-        err = padd(compose(p, inv, cap), pscale(x, -1))
-        correction = {e: c for e, c in err.items() if e[0] >= 2}
-        if not correction:
-            break
-        inv = padd(inv, pscale(correction, -1))
-    return inv
 
 
 def coproduct_from_fgl(which: str, f: SymFunc) -> TensorSymFunc:

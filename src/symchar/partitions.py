@@ -87,10 +87,6 @@ def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> Partition:
     return make_partition(rows + extra)
 
 
-def rank(lam: Partition) -> int:
-    return sum(1 for k in range(len(lam)) if lam[k] >= k + 1)
-
-
 def in_class(lam: Partition, cls: str) -> bool:
     """Membership in the partition classes P, A, B, C, D, E.
 

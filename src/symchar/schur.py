@@ -106,17 +106,11 @@ class SymFunc(_Combination):
     def degrees(self) -> set[int]:
         return {weight(k) for k in self.terms}
 
-    def homogeneous(self, d: int) -> "SymFunc":
-        return SymFunc({k: v for k, v in self.terms.items() if weight(k) == d})
-
     def max_degree(self) -> int:
         return max((weight(k) for k in self.terms), default=0)
 
     def truncate(self, cap: int) -> "SymFunc":
         return SymFunc({k: v for k, v in self.terms.items() if weight(k) <= cap})
-
-    def coeff(self, lam: Partition) -> int:
-        return self.terms.get(tuple(lam), 0)
 
     def __repr__(self) -> str:
         return signed_sum(
@@ -374,9 +368,6 @@ def scalar(f: _Combination, g: _Combination) -> int:
     if len(f.terms) > len(g.terms):
         f, g = g, f
     return sum(c * g.terms.get(key, 0) for key, c in f.terms.items())
-
-
-scalar_tensor = scalar
 
 
 @cache

@@ -8,9 +8,8 @@ composes both ways round, and `bernstein` multiplies the L-perp terms by h_{m+i}
 
 from __future__ import annotations
 
-from .partitions import Partition, partitions_up_to, weight
-from .schur import SymFunc, e, h, outer_mul, scalar, skew
-from .series import mul_by_series, series_degree_term, skew_by_series
+from .partitions import Partition, partitions_up_to
+from .schur import SymFunc, e, h, outer_mul, skew
 
 ParamPolySym = dict[tuple[int, int], SymFunc]  # (z-exponent, w-exponent) -> SymFunc
 
@@ -30,13 +29,6 @@ def schur_via_bernstein(lam: Partition) -> SymFunc:
     for part in reversed(tuple(lam)):
         out = bernstein(part, out)
     return out
-
-
-def reduced_embedding(mu: Partition, cap: int) -> SymFunc:
-    """M(1) L-perp(1) s_mu truncated at cap: the reduced-character series view."""
-    if cap < weight(mu):
-        raise ValueError("cap must be at least |mu|")
-    return mul_by_series(skew_by_series(SymFunc.basis(mu), "L"), "M", cap)
 
 
 def _apply_l_perp(poly: ParamPolySym, cap: int) -> ParamPolySym:
@@ -76,14 +68,3 @@ def check_commutation(cap: int) -> bool:
         if window(lhs) != window(rhs):
             return False
     return True
-
-
-def series_pairing_coefficients(cap: int) -> dict[tuple[int, int], int]:
-    """<L(z)|M(w)> degreewise: coefficient of z^i w^j, expected (1 - zw)."""
-    out: dict[tuple[int, int], int] = {}
-    for i in range(cap + 1):
-        for j in range(cap + 1):
-            c = scalar(series_degree_term("L", i), series_degree_term("M", j))
-            if c:
-                out[(i, j)] = c
-    return out

@@ -1,17 +1,26 @@
 """Independent oracles for the character products: closed sum-over-skews
 formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
-form of the rational GL product, and the embedded-S_n path for reduced
-characters, the product and evaluation of monomial-expanded polynomials, and
-the hook length formula.  The library computes each product one way; these
-check it."""
+form of the rational GL product, the embedded-S_n path for reduced
+characters, the Cummins four-factor expansion of a Kronecker product, the
+product and evaluation of monomial-expanded polynomials, and the hook length
+formula.  The library computes each product one way; these check it.  Also
+the bounded equality checks of cochains and pairings, and the mutual-inverse
+check of the series pairs, which only the tests use."""
 
 from functools import cache
 from math import factorial, prod
 from operator import mul
 
-from symchar.characters import RationalChar, reduce_label, unreduce_label
+from symchar.characters import RationalChar
+from symchar.convolution import Cochain1, Pairing, _basis_pairs
 from symchar.kronecker import inner_mul, kronecker_basis
-from symchar.partitions import hooks_and_contents, partitions_of, partitions_up_to, weight
+from symchar.partitions import (
+    hooks_and_contents,
+    partitions_of,
+    partitions_up_to,
+    standardize,
+    weight,
+)
 from symchar.schur import (
     Monomial,
     SymFunc,
@@ -23,6 +32,7 @@ from symchar.schur import (
     skew_basis,
     tensor,
 )
+from symchar.series import series_degree_term
 
 
 def newell_littlewood_formula(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -110,26 +120,55 @@ def murnaghan_littlewood_formula(x: SymFunc, y: SymFunc) -> SymFunc:
 
 
 def reduced_oracle(x: SymFunc, y: SymFunc, n: int) -> SymFunc:
-    """S_n oracle: unreduce both labels, take the genuine Kronecker product,
-    and re-reduce.  n must be large enough for stable first rows."""
+    """S_n oracle: unreduce both labels to {n-|mu|, mu} (standardized with
+    raising operators), take the genuine Kronecker product, and drop the first
+    row again.  n must be large enough for stable first rows."""
     out = SymFunc.zero()
     for mu, cx in x.terms.items():
-        smu, lam_mu = unreduce_label(mu, n)
+        smu, lam_mu = standardize((n - weight(mu),) + mu)
         if smu == 0:
             raise ValueError(f"n={n} too small to reconstruct label {mu}")
         for nu, cy in y.terms.items():
-            snu, lam_nu = unreduce_label(nu, n)
+            snu, lam_nu = standardize((n - weight(nu),) + nu)
             if snu == 0:
                 raise ValueError(f"n={n} too small to reconstruct label {nu}")
             prod = inner_mul(SymFunc.basis(lam_mu), SymFunc.basis(lam_nu))
             for lam, c in prod.terms.items():
-                key = reduce_label(lam)
-                out.add(SymFunc.basis(key), cx * cy * c * smu * snu)
+                out.add(SymFunc.basis(lam[1:]), cx * cy * c * smu * snu)
     return out
 
 
 def default_oracle_n(x: SymFunc, y: SymFunc) -> int:
     return 2 * (x.max_degree() + y.max_degree()) + 2
+
+
+def cummins_expand(a: SymFunc, b: SymFunc, c: SymFunc, d: SymFunc) -> SymFunc:
+    """(A B)*(C D) = (A1*C1)(A2*D1)(B1*C2)(B2*D2)."""
+    out = SymFunc.zero()
+    for la, ca in a.terms.items():
+        for lb, cb in b.terms.items():
+            for lc, cc in c.terms.items():
+                for ld, cd in d.terms.items():
+                    coeff = ca * cb * cc * cd
+                    for (a1, a2), wa in coproduct_basis(la).items():
+                        for (c1, c2), wc in coproduct_basis(lc).items():
+                            t1 = SymFunc(kronecker_basis(a1, c1))
+                            if not t1:
+                                continue
+                            for (b1, b2), wb in coproduct_basis(lb).items():
+                                t3 = SymFunc(kronecker_basis(b1, c2))
+                                if not t3:
+                                    continue
+                                for (d1, d2), wd in coproduct_basis(ld).items():
+                                    t2 = SymFunc(kronecker_basis(a2, d1))
+                                    if not t2:
+                                        continue
+                                    t4 = SymFunc(kronecker_basis(b2, d2))
+                                    if not t4:
+                                        continue
+                                    term = outer_mul(outer_mul(t1, t2), outer_mul(t3, t4))
+                                    out.add(term, coeff * wa * wb * wc * wd)
+    return out
 
 
 def poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
@@ -162,3 +201,29 @@ def hook_dimension(lam) -> int:
     """f^lam = |lam|! / (product of hook lengths), from neither a character
     table nor an LR generator."""
     return factorial(weight(lam)) // prod(h for _, _, h in hooks_and_contents(lam))
+
+
+def cochains_equal(f: Cochain1, g: Cochain1, max_degree: int) -> bool:
+    return all(
+        f.on_basis(lam) == g.on_basis(lam) for lam in partitions_up_to(max_degree)
+    )
+
+
+def pairings_equal(a: Pairing, b: Pairing, max_degree: int) -> bool:
+    return all(a.on_basis(x, y) == b.on_basis(x, y) for x, y in _basis_pairs(max_degree))
+
+
+# The inverse partner of each series tag.
+INVERSE_PAIR = {"M": "L", "L": "M", "A": "B", "B": "A", "C": "D", "D": "C"}
+
+
+def check_inverse_pair(tag_a: str, tag_b: str, cap: int) -> bool:
+    """Degreewise product of the two series equals 1 (delta_{d,0} s_()) up to cap."""
+    for d in range(cap + 1):
+        acc = SymFunc.zero()
+        for i in range(d + 1):
+            acc.add(outer_mul(series_degree_term(tag_a, i), series_degree_term(tag_b, d - i)))
+        expected = SymFunc.one() if d == 0 else SymFunc.zero()
+        if acc != expected:
+            return False
+    return True

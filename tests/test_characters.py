@@ -4,6 +4,7 @@ rational GL characters, Thibon characters, reduced characters, Cummins."""
 import pytest
 
 from oracles import (
+    cummins_expand,
     default_oracle_n,
     murnaghan_littlewood_formula,
     newell_littlewood_formula,
@@ -14,19 +15,16 @@ from oracles import (
 from symchar.characters import (
     RationalChar,
     branch,
-    cummins_expand,
     murnaghan_littlewood,
     newell_littlewood,
     rational_convert,
     rational_mul,
-    reduce_label,
-    thibon_convert,
     thibon_inner,
-    unreduce_label,
 )
 from symchar.kronecker import inner_mul
-from symchar.partitions import partitions_up_to, weight
+from symchar.partitions import partitions_up_to, standardize, weight
 from symchar.schur import SymFunc, TensorSymFunc, outer_mul, s, tensor, unit
+from symchar.series import mul_by_series
 
 
 class TestBranch:
@@ -127,15 +125,15 @@ class TestRationalGL:
 
 class TestThibon:
     def test_convert_cap_three(self):
-        assert thibon_convert(s(1), "to_thibon", 3) == (
-            s(1) + s(2) + s(1, 1) + s(3) + s(2, 1)
-        )
+        # {lam} -> <<lam>> = {lam M}, truncated at the cap.
+        assert mul_by_series(s(1), "M", 3) == s(1) + s(2) + s(1, 1) + s(3) + s(2, 1)
 
     def test_convert_round_trip(self):
+        # <<lam>> -> {lam} = <<lam L>> undoes it below the cap.
         cap = 6
         for lam in partitions_up_to(3):
             f = SymFunc.basis(lam)
-            back = thibon_convert(thibon_convert(f, "to_thibon", cap), "to_schur", cap)
+            back = mul_by_series(mul_by_series(f, "M", cap), "L", cap)
             assert back.truncate(cap - f.max_degree()) == f
 
     def test_golden(self):
@@ -151,8 +149,9 @@ class TestThibon:
                 assert thibon_inner(f, g) == thibon_inner_formula(f, g)
 
     def test_direction_error(self):
-        with pytest.raises(ValueError):
-            thibon_convert(s(1), "upwards", 3)
+        # The conversion is chosen by its series tag; an unknown one is refused.
+        with pytest.raises(ValueError, match="unknown series"):
+            mul_by_series(s(1), "upwards", 3)
 
 
 class TestMurnaghanLittlewood:
@@ -171,13 +170,14 @@ class TestMurnaghanLittlewood:
 
 class TestReducedLabels:
     def test_reduce_unreduce(self):
-        assert reduce_label((5, 2, 1)) == (2, 1)
-        assert unreduce_label((2, 1), 8) == (1, (5, 2, 1))
+        # The oracle unreduces mu to {n-|mu|, mu} and reduces by dropping the first row.
+        assert standardize((8 - 3, 2, 1)) == (1, (5, 2, 1))
+        assert reduced_oracle(s(2, 1), unit(), 8) == s(2, 1)
 
     def test_unreduce_with_standardization(self):
         # n - |mu| smaller than mu_1 forces a raising-operator rewrite.
-        assert unreduce_label((2, 1), 3) == (-1, (1, 1, 1))
-        assert unreduce_label((2, 1), 2) == (0, ())
+        assert standardize((3 - 3, 2, 1)) == (-1, (1, 1, 1))
+        assert standardize((2 - 3, 2, 1)) == (0, ())
 
     def test_oracle_golden(self):
         assert reduced_oracle(s(1), s(1), 6) == s(2) + s(1, 1) + s(1) + unit()

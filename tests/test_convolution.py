@@ -3,11 +3,11 @@ coboundaries, and the Laplace/cocycle/Frobenius property checkers."""
 
 import pytest
 
+from oracles import cochains_equal, pairings_equal
 from symchar.convolution import (
     adjoint_comultiplication,
     antipode_cochain,
     coboundary1,
-    cochains_equal,
     convolve1,
     convolve2,
     derived_pairing,
@@ -22,7 +22,6 @@ from symchar.convolution import (
     milnor_moore_inverse1,
     milnor_moore_inverse2,
     outer_pairing,
-    pairings_equal,
     schur_hall_pairing,
     unit_counit_cochain,
     unit_pairing,
@@ -251,14 +250,6 @@ class TestCheckers:
         witness: list = []
         assert not is_frobenius(schur_hall_pairing(), 3, witness=witness)
         assert witness == [("not grade-preserving",)]
-
-    def test_frobenius_accepts_explicit_comultiplication(self):
-        def delta(lam):
-            from symchar.schur import TensorSymFunc
-
-            return TensorSymFunc(dict(inner_coproduct_basis(lam)))
-
-        assert is_frobenius(inner_pairing(), 4, delta_a=delta)
 
     def test_derived_antipode_inner_laplace_not_frobenius(self):
         a = derived_pairing(inner_pairing(), antipode_cochain(), 4)

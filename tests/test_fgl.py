@@ -8,11 +8,10 @@ import pytest
 from oracles import eval_polynomial
 from symchar.fgl import (
     FGL1,
+    Poly,
     additive,
     antipode_series,
-    check_axioms,
     compose,
-    compositional_inverse,
     coproduct_from_fgl,
     fgl_log,
     loop_n,
@@ -36,6 +35,38 @@ X = var(1, 0)
 def poly(coeffs):
     """{degree: coefficient} -> sparse univariate polynomial."""
     return {(d,): Fraction(c) for d, c in coeffs.items() if c}
+
+
+def check_axioms(F: FGL1) -> bool:
+    """Associativity, two-sided identity, commutativity, inverse existence,
+    all as identities truncated at F.cap."""
+    cap = F.cap
+    x3, y3, z3 = var(3, 0), var(3, 1), var(3, 2)
+    if F.apply(F.apply(x3, y3, cap), z3, cap) != F.apply(x3, F.apply(y3, z3, cap), cap):
+        return False
+    x1 = var(1, 0)
+    zero = {}
+    if F.apply(x1, zero, cap) != x1 or F.apply(zero, x1, cap) != x1:
+        return False
+    table = {(i, j): c for i, j, c in F.coeffs}
+    if any(table.get((i, j)) != table.get((j, i)) for i, j, _ in F.coeffs):
+        return False
+    lam = antipode_series(F)
+    return F.apply(x1, lam, cap) == {}
+
+
+def compositional_inverse(p: Poly, cap: int) -> Poly:
+    """Inverse under composition of a univariate series X + O(X^2)."""
+    x = var(1, 0)
+    inv = dict(x)
+    for _ in range(cap):
+        # Newton-style fixed point: inv <- inv - (p(inv) - X).
+        err = padd(compose(p, inv, cap), pscale(x, -1))
+        correction = {e: c for e, c in err.items() if e[0] >= 2}
+        if not correction:
+            break
+        inv = padd(inv, pscale(correction, -1))
+    return inv
 
 
 class TestAxioms:

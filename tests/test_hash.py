@@ -1,17 +1,16 @@
-"""Hash (deformed) products, their Hopf classification, and the
-series-deformed coproduct / basis change."""
+"""Hash (deformed) products, their Hopf classification, and the basis
+change between group and subgroup characters by a series pair."""
 
 from fractions import Fraction
 
 import pytest
 
-from symchar.convolution import pairings_equal, schur_hall_pairing, unit_pairing
+from oracles import pairings_equal
+from symchar.convolution import schur_hall_pairing, unit_pairing
 from symchar.hash_products import (
     HashSpec,
-    basis_change,
     build_hash,
     composite_pairing,
-    deformed_coproduct,
     hash_is_hopf,
     named_product,
     named_spec,
@@ -26,6 +25,7 @@ from symchar.convolution import (
     eps1_cochain,
     identity_cochain,
     inner_pairing,
+    is_frobenius,
     outer_pairing,
 )
 from symchar.kronecker import character, kronecker_basis
@@ -40,6 +40,7 @@ from symchar.schur import (
     tensor,
     unit,
 )
+from symchar.series import skew_by_series
 
 NAMES = ("trivial", "thibon", "newell-littlewood", "murnaghan-littlewood")
 
@@ -354,54 +355,39 @@ class TestHopfClassification:
     def test_newell_littlewood_is_not(self):
         assert not hash_is_hopf(named_spec("newell-littlewood"), 4)
 
-
-class TestDeformedCoproduct:
-    def test_m_pair_on_s1(self):
-        # Delta_M(s1) = s1 (x) 1 + 1 (x) s1 + <M|s1> 1 (x) 1
-        result = deformed_coproduct(s(1), ("M", "L"))
-        expected = tensor(s(1), unit()) + tensor(unit(), s(1)) + tensor(unit(), unit())
-        assert result == expected
-
-    def test_trivial_series_leg_reduces_to_coproduct(self):
-        # For pair (D, C) the degree-1 series term vanishes, so on s1 the
-        # deformation is invisible.
-        from symchar.schur import coproduct
-
-        assert deformed_coproduct(s(1), ("D", "C")) == coproduct(s(1))
-
-    def test_counit_law(self):
-        # (Id (x) eps) Delta_pi = skew by the series: collapse the right leg.
-        for lam in partitions_up_to(4):
-            f = SymFunc.basis(lam)
-            result = deformed_coproduct(f, ("M", "L"))
-            collapsed = SymFunc.zero()
-            for (a, b), c in result.terms.items():
-                if not b:
-                    collapsed = collapsed + SymFunc.basis(a).scale(c)
-            from symchar.series import skew_by_series
-
-            assert collapsed == skew_by_series(f, "M")
-
-    def test_rejects_invalid_pair(self):
-        with pytest.raises(ValueError, match="not mutually inverse"):
-            deformed_coproduct(s(1), ("M", "M"))
+    @pytest.mark.parametrize(
+        "stages",
+        (
+            ((inner_pairing, identity_cochain),) * 2,
+            ((inner_pairing, identity_cochain),) * 3,
+            ((inner_pairing, antipode_cochain),),
+        ),
+        ids=("inner*inner", "inner*inner*inner", "antipode.inner"),
+    )
+    def test_law_without_frobenius(self, stages):
+        """A composite that is not Frobenius (s_(1) is no unit of it) but whose
+        hash keeps the bialgebra law: the verdict is the law's, not an error."""
+        spec = HashSpec(tuple((a(), phi()) for a, phi in stages))
+        assert not is_frobenius(composite_pairing(spec), 4)
+        assert hash_is_hopf(spec, 4) is True
 
 
 class TestBasisChange:
+    """f / M_pi goes to the subgroup basis and f / L_pi back: mutually inverse skews."""
+
     def test_to_subgroup(self):
-        assert basis_change(s(2), "to_subgroup", ("D", "C")) == s(2) + unit()
+        assert skew_by_series(s(2), "D") == s(2) + unit()
 
     def test_to_group(self):
-        assert basis_change(s(2) + unit(), "to_group", ("D", "C")) == s(2)
+        assert skew_by_series(s(2) + unit(), "C") == s(2)
 
     def test_round_trip(self):
         for pair in (("M", "L"), ("A", "B"), ("C", "D")):
             for lam in partitions_up_to(6):
                 f = SymFunc.basis(lam)
-                assert basis_change(
-                    basis_change(f, "to_subgroup", pair), "to_group", pair
-                ) == f
+                assert skew_by_series(skew_by_series(f, pair[0]), pair[1]) == f
 
     def test_rejects_unknown_direction(self):
-        with pytest.raises(ValueError, match="unknown direction"):
-            basis_change(s(1), "sideways", ("M", "L"))
+        # The direction is chosen by its series tag; an unknown one is refused.
+        with pytest.raises(ValueError, match="unknown series"):
+            skew_by_series(s(1), "sideways")

@@ -3,21 +3,22 @@ forms, group-likeness, and inverse pairs."""
 
 import pytest
 
+from oracles import INVERSE_PAIR, check_inverse_pair
+from symchar.kronecker import counit_eps1
 from symchar.partitions import partitions_up_to
-from symchar.schur import SymFunc, outer_mul, s, unit
+from symchar.schur import SymFunc, outer_mul, s, scalar, unit
 from symchar.series import (
-    INVERSE_PAIR,
     SERIES_TAGS,
-    check_inverse_pair,
     is_group_like,
-    linear_form_l,
-    linear_form_m,
     mul_by_series,
     series_degree_term,
-    series_sum,
-    series_terms,
     skew_by_series,
 )
+
+
+def pair_with_l(f: SymFunc) -> int:
+    """l(f) = <L(1)|f>, with L(1) truncated at the degree of f."""
+    return scalar(mul_by_series(unit(), "L", f.max_degree()), f)
 
 
 class TestSeriesTerms:
@@ -31,10 +32,10 @@ class TestSeriesTerms:
 
     def test_d_degree_four(self):
         assert series_degree_term("D", 4) == s(4) + s(2, 2)
-        assert series_sum("D", 4) == unit() + s(2) + s(4) + s(2, 2)
+        assert mul_by_series(unit(), "D", 4) == unit() + s(2) + s(4) + s(2, 2)
 
     def test_l_sum(self):
-        assert series_sum("L", 2) == unit() - s(1) + s(1, 1)
+        assert mul_by_series(unit(), "L", 2) == unit() - s(1) + s(1, 1)
 
     def test_c_degree_two(self):
         assert series_degree_term("C", 2) == s(2).scale(-1)
@@ -49,7 +50,7 @@ class TestSeriesTerms:
             series_degree_term("X", 1)
 
     def test_terms_map(self):
-        terms = series_terms("M", 3)
+        terms = {d: series_degree_term("M", d) for d in range(4)}
         assert set(terms) == {0, 1, 2, 3}
         assert terms[3] == s(3)
 
@@ -94,16 +95,16 @@ class TestMulBySeries:
 
 class TestLinearForms:
     def test_m_on_one_row(self):
-        assert linear_form_m(s(4)) == 1
-        assert linear_form_m(s(2, 1)) == 0
+        assert counit_eps1(s(4)) == 1
+        assert counit_eps1(s(2, 1)) == 0
 
     def test_l_values(self):
-        assert linear_form_l(s(1, 1)) == 1
-        assert linear_form_l(s(1)) == -1
+        assert pair_with_l(s(1, 1)) == 1
+        assert pair_with_l(s(1)) == -1
 
     def test_l_against_m_series_vanishes(self):
         # <L(1)|M(1)> = 0: the degreewise contributions are 1, -1, 0, 0, ...
-        contributions = [linear_form_l(series_degree_term("M", d)) for d in range(8)]
+        contributions = [pair_with_l(series_degree_term("M", d)) for d in range(8)]
         assert contributions[:3] == [1, -1, 0]
         assert sum(contributions) == 0
 
@@ -111,9 +112,9 @@ class TestLinearForms:
         for lam in partitions_up_to(4):
             for mu in partitions_up_to(4):
                 prod = outer_mul(SymFunc.basis(lam), SymFunc.basis(mu))
-                assert linear_form_m(prod) == linear_form_m(
+                assert counit_eps1(prod) == counit_eps1(
                     SymFunc.basis(lam)
-                ) * linear_form_m(SymFunc.basis(mu))
+                ) * counit_eps1(SymFunc.basis(mu))
 
 
 class TestGroupLike:

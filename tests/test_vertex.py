@@ -3,15 +3,9 @@
 import pytest
 
 from symchar.partitions import partitions_up_to
-from symchar.schur import SymFunc, s, unit
-from symchar.series import mul_by_series, series_sum
-from symchar.vertex import (
-    bernstein,
-    check_commutation,
-    reduced_embedding,
-    schur_via_bernstein,
-    series_pairing_coefficients,
-)
+from symchar.schur import SymFunc, s, scalar, unit
+from symchar.series import mul_by_series, series_degree_term, skew_by_series
+from symchar.vertex import bernstein, check_commutation, schur_via_bernstein
 
 
 class TestBernstein:
@@ -41,16 +35,22 @@ class TestSchurChain:
 
 
 class TestReducedEmbedding:
+    """M(1) L-perp(1) s_mu truncated at a cap: the reduced-character series view."""
+
+    @staticmethod
+    def embed(mu, cap):
+        return mul_by_series(skew_by_series(SymFunc.basis(mu), "L"), "M", cap)
+
     def test_vacuum_is_m_series(self):
-        assert reduced_embedding((), 3) == series_sum("M", 3)
+        assert self.embed((), 3) == mul_by_series(unit(), "M", 3)
 
     def test_one_box(self):
         expected = mul_by_series(s(1) - unit(), "M", 3)
-        assert reduced_embedding((1,), 3) == expected
+        assert self.embed((1,), 3) == expected
 
     def test_cap_too_small(self):
         with pytest.raises(ValueError):
-            reduced_embedding((2, 1), 2)
+            self.embed((2, 1), 2)
 
 
 class TestCommutation:
@@ -59,6 +59,17 @@ class TestCommutation:
 
     def test_degenerate(self):
         assert check_commutation(0)
+
+
+def series_pairing_coefficients(cap: int) -> dict[tuple[int, int], int]:
+    """<L(z)|M(w)> degreewise: coefficient of z^i w^j, expected (1 - zw)."""
+    out: dict[tuple[int, int], int] = {}
+    for i in range(cap + 1):
+        for j in range(cap + 1):
+            c = scalar(series_degree_term("L", i), series_degree_term("M", j))
+            if c:
+                out[(i, j)] = c
+    return out
 
 
 class TestSeriesPairing:

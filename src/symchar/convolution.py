@@ -1,10 +1,11 @@
 """Convolution monoids of 1-cochains and pairings over symmetric functions.
 
 Cochains map basis elements into the algebra (linear extension implied).
-`convolve2` is the one pairing convolution: each hash product and the coboundary
-are folds of it, each stage memoized in its `Pairing._memo`; the inverses recurse
-through the memo of the cochain or pairing they return.  Checkers are bounded
-exhaustive searches over the Schur basis that return a counterexample witness.
+`convolve2` is the one pairing convolution, its heads a(x1, y1) summed per
+second-leg pair: each hash product and the coboundary are folds of it, each stage
+memoized in its `Pairing._memo`; the inverses recurse through the memo of the
+cochain or pairing they return.  Checkers are bounded exhaustive searches over
+the Schur basis that return a counterexample witness.
 """
 
 from __future__ import annotations
@@ -135,29 +136,41 @@ def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:
 
 
 def convolve2(a: Pairing, b: Pairing) -> Pairing:
-    """(a * b)(x, y) = a(x1, y1) b(x2, y2): one LR product per unordered pair of
-    terms, no b where a vanishes, only |x1| = |y1| when a declares its grading.
-    a * b declares its grading when a and b do (then |x1| = |y1|, |x2| = |y2|)."""
+    """(a * b)(mu, nu) = sum_{x2,y2} [sum_{x1,y1} c^mu_{x1 x2} c^nu_{y1 y2} a(x1, y1)] b(x2, y2):
+    one a per first-leg pair (x1, y1), only |x1| = |y1| when a declares its
+    grading; one b per (x2, y2) whose summed head is nonzero; head term p times
+    tail term q into row p, then one LR product per nonzero entry (row () is s_q
+    as is).  a * b declares its grading when a and b do (then |x2| = |y2| too)."""
     leg = weight if a.grade_preserving else lambda x1: None  # which y1 meet x1
 
     def fn(mu: Partition, nu: Partition) -> SymFunc:
-        ys: dict = {}
-        for y in coproduct_basis(nu).items():
-            ys.setdefault(leg(y[0][0]), []).append(y)
-        pairs: dict[tuple[Partition, Partition], int] = {}
+        xs: dict = {}
         for (x1, x2), cx in coproduct_basis(mu).items():
-            for (y1, y2), cy in ys.get(leg(x1), ()):
+            xs.setdefault(x1, []).append((x2, cx))
+        ys: dict = {}
+        for (y1, y2), cy in coproduct_basis(nu).items():
+            ys.setdefault(leg(y1), {}).setdefault(y1, []).append((y2, cy))
+        heads: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+        for x1, x_tails in xs.items():
+            for y1, y_tails in ys.get(leg(x1), {}).items():
                 head = a.on_basis(x1, y1).terms
-                tail = b.on_basis(x2, y2).terms if head else {}
-                for p, cp in head.items():
-                    cp *= cx * cy
-                    for q, cq in tail.items():
-                        pq = (p, q) if p <= q else (q, p)
-                        pairs[pq] = pairs.get(pq, 0) + cp * cq
+                for x2, cx in x_tails if head else ():
+                    for y2, cy in y_tails:
+                        h, c = heads.setdefault((x2, y2), {}), cx * cy
+                        for p, cp in head.items():
+                            h[p] = h.get(p, 0) + c * cp
         out: dict[Partition, int] = {}
-        for (p, q), c in pairs.items():
-            for lam, cl in (product_basis(p, q) if c else {}).items():
-                out[lam] = out.get(lam, 0) + c * cl
+        rows = {(): out}  # rows[p][q]: coefficient of s_p s_q; s_() s_q = s_q
+        for (x2, y2), h in heads.items():
+            tail = b.on_basis(x2, y2).terms if any(h.values()) else {}
+            for p, hp in h.items():
+                row = rows.setdefault(p, {})
+                for q, cq in tail.items():
+                    row[q] = row.get(q, 0) + hp * cq
+        for p, row in rows.items():
+            for q, c in row.items() if p else ():
+                for lam, cl in (product_basis(p, q) if c else {}).items():
+                    out[lam] = out.get(lam, 0) + c * cl
         return SymFunc(out)
 
     return Pairing(fn, f"({a.name})*({b.name})", a.grade_preserving and b.grade_preserving)

@@ -47,11 +47,12 @@ def skew_by_series(f: SymFunc, tag: str) -> SymFunc:
 
 
 def mul_by_series(f: SymFunc, tag: str, cap: int) -> SymFunc:
-    """f * series truncated to total degree <= cap."""
+    """f * series truncated to total degree <= cap: the series terms of degree
+    above cap - (lowest degree of f) cannot reach it, and f = 0 gives 0."""
     if cap < f.max_degree():
         raise ValueError("cap must be at least the degree of f")
     out = SymFunc.zero()
-    for d in range(cap + 1):
+    for d in range(cap - min(f.degrees(), default=cap) + 1):
         term = series_degree_term(tag, d)
         if term:
             out.add(outer_mul(f, term))

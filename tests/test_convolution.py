@@ -29,8 +29,8 @@ from symchar.convolution import (
     Pairing,
     _is_degree_preserving,
 )
-from symchar.kronecker import inner_coproduct_basis
-from symchar.partitions import partitions_up_to, weight
+from symchar.kronecker import inner_coproduct_basis, kronecker_basis
+from symchar.partitions import conjugate, partitions_up_to, weight
 from symchar.schur import (
     SymFunc,
     antipode,
@@ -74,9 +74,21 @@ def reference_convolve2(a: Pairing, b: Pairing) -> Pairing:
     return Pairing(fn, f"ref({a.name})*({b.name})")
 
 
+def omega_difference_pairing(grade_preserving: bool = True) -> Pairing:
+    """a(x, y) = s_x * s_y - s_x' * s_y, signed: for self-conjugate mu and x2,
+    sum_x1 c^mu_{x1 x2} a(x1, y1) = (1 - omega)(s_{mu/x2}) * s_y1 cancels."""
+
+    def fn(mu, nu):
+        return SymFunc(kronecker_basis(mu, nu)) - SymFunc(kronecker_basis(conjugate(mu), nu))
+
+    return Pairing(fn, "(1-omega).inner", grade_preserving)
+
+
 class TestConvolutionKernel:
     """convolve2 groups the coproduct terms by first-leg weight only when the
-    first factor declares its grading; it must agree with the double loop."""
+    first factor declares its grading; it must agree with the double loop,
+    also on signed first factors whose summed heads cancel and at weight 6,
+    where c^(3,2,1)_{(2,1),(2,1)} = 2."""
 
     CASES = {
         "inner*inner": (inner_pairing, inner_pairing),
@@ -89,7 +101,11 @@ class TestConvolutionKernel:
             lambda: derived_pairing(inner_pairing(), antipode_cochain()),
             outer_pairing,
         ),
+        "inv(inner)*outer": (lambda: milnor_moore_inverse2(inner_pairing()), outer_pairing),
+        "(1-omega).inner*outer": (omega_difference_pairing, outer_pairing),
+        "(1-omega).inner*inner": (omega_difference_pairing, inner_pairing),
     }
+    WEIGHT_SIX = [((3, 2, 1), (3, 2, 1)), ((3, 2, 1), (2, 2, 1, 1)), ((4, 2), (3, 2, 1))]
 
     @pytest.mark.parametrize("name", CASES)
     def test_matches_double_loop(self, name):
@@ -103,6 +119,49 @@ class TestConvolutionKernel:
         for x in sums:
             for y in sums:
                 assert fast(x, y) == reference(x, y)
+        for x, y in self.WEIGHT_SIX:
+            assert fast.on_basis(x, y) == reference.on_basis(x, y), (x, y)
+
+
+class Counted(Pairing):
+    """A pairing that records every basis pair it is asked for."""
+
+    def __init__(self, base: Pairing):
+        super().__init__(base.on_basis, base.name, base.grade_preserving)
+        self.calls: list = []
+
+    def on_basis(self, mu, nu):
+        self.calls.append((mu, nu))
+        return super().on_basis(mu, nu)
+
+
+class TestConvolutionCallCounts:
+    """convolve2 reads a once per leg-matched first-leg pair (x1, y1) and b once
+    per second-leg pair (x2, y2) whose summed head is nonzero."""
+
+    @pytest.mark.parametrize("declared", [True, False])
+    @pytest.mark.parametrize("mu, nu", [((3, 2, 1), (3, 2, 1)), ((2, 1), (3, 1))])
+    def test_one_read_per_leg_pair(self, mu, nu, declared):
+        base = omega_difference_pairing(declared)
+        a, b = Counted(base), Counted(outer_pairing())
+        value = convolve2(a, b).on_basis(mu, nu)
+
+        def matched(x1, y1):
+            return weight(x1) == weight(y1) or not declared
+
+        firsts = {x1 for x1, _ in coproduct_basis(mu)}, {y1 for y1, _ in coproduct_basis(nu)}
+        assert sorted(a.calls) == sorted(
+            (x1, y1) for x1 in firsts[0] for y1 in firsts[1] if matched(x1, y1)
+        )
+        heads: dict = {}
+        for (x1, x2), cx in coproduct_basis(mu).items():
+            for (y1, y2), cy in coproduct_basis(nu).items():
+                if matched(x1, y1) and base.on_basis(x1, y1):
+                    heads.setdefault((x2, y2), SymFunc.zero()).add(base.on_basis(x1, y1), cx * cy)
+        nonzero = sorted(pair for pair, head in heads.items() if head)
+        assert sorted(b.calls) == nonzero
+        assert len(nonzero) < len(heads)  # some summed heads cancel, and their b is never read
+        assert value == reference_convolve2(base, outer_pairing()).on_basis(mu, nu)
 
 
 class TestMilnorMooreInverse:

@@ -88,6 +88,21 @@ class TestMulBySeries:
             round_trip = mul_by_series(mul_by_series(f, "M", cap), "L", cap)
             assert round_trip.truncate(cap - f.max_degree()) == f
 
+    def test_matches_full_sum_then_truncate(self):
+        # Mixed degrees 6, 3 and 2: the lowest, not the highest, bounds the
+        # series terms that can land at degree <= cap.
+        f = s(3, 2, 1) - s(2, 1).scale(2) + s(2)
+        for tag in SERIES_TAGS:
+            for cap in (6, 8):
+                full = SymFunc.zero()
+                for d in range(cap + 1):
+                    full.add(outer_mul(f, series_degree_term(tag, d)))
+                assert mul_by_series(f, tag, cap) == full.truncate(cap), (tag, cap)
+
+    def test_zero_times_series_is_zero(self):
+        for tag in SERIES_TAGS:
+            assert mul_by_series(SymFunc.zero(), tag, 4) == SymFunc.zero()
+
     def test_cap_too_small(self):
         with pytest.raises(ValueError):
             mul_by_series(s(3), "M", 2)

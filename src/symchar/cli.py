@@ -26,13 +26,6 @@ class ResourceError(Exception):
     pass
 
 
-def _max_weight(args) -> int:
-    if args.max_weight is not None:
-        return _nonnegative(args.max_weight, "--max-weight")
-    env = os.environ.get("SYMCHAR_MAX_WEIGHT")
-    return _nonnegative(int(env), "SYMCHAR_MAX_WEIGHT") if env else DEFAULT_MAX_WEIGHT
-
-
 def _nonnegative(value: int, what: str) -> int:
     if value < 0:
         raise ValueError(f"{what} must be >= 0, got {value}")
@@ -40,10 +33,9 @@ def _nonnegative(value: int, what: str) -> int:
 
 
 def _bounded(value: int, what: str, args) -> int:
-    """value, if it is nonnegative and within the resource guard."""
-    bound = _max_weight(args)
-    if _nonnegative(value, what) > bound:
-        raise ResourceError(f"{what} {value} exceeds the configured maximum {bound}")
+    """value, if it is nonnegative and within the resource guard args.max_weight."""
+    if _nonnegative(value, what) > args.max_weight:
+        raise ResourceError(f"{what} {value} exceeds the configured maximum {args.max_weight}")
     return value
 
 
@@ -157,15 +149,11 @@ def _check_target(args):
 def _cmd_check(args) -> int:
     from .convolution import is_algebra_hom, is_cocycle2, is_frobenius, is_laplace
 
+    check = {"laplace": is_laplace, "cocycle2": is_cocycle2, "frobenius": is_frobenius,
+             "alghom": is_algebra_hom}[args.property]
     d = _bounded(args.max_degree, "max degree", args)
     witness: list = []
-    target = _check_target(args)
-    if args.property == "frobenius":
-        ok = is_frobenius(target, d, witness=witness)
-    else:
-        check = {"alghom": is_algebra_hom, "laplace": is_laplace, "cocycle2": is_cocycle2}
-        ok = check[args.property](target, d, witness)
-    if ok:
+    if check(_check_target(args), d, witness):
         print(f"PASS: {args.name} satisfies {args.property} up to degree {d}")
         return 0
     print(f"FAIL: {args.name} violates {args.property}; witness: {witness[0]!r}")
@@ -221,24 +209,28 @@ def _cmd_hash(args) -> int:
     return 0
 
 
-def _cmd_vertex(args) -> int:
-    from . import vertex
+def _cmd_vertex_schur(args) -> int:
+    from .vertex import schur_via_bernstein
 
-    if args.action == "schur":
-        lam = parse_partition(args.partition)
-        _bounded(sum(lam), "partition weight", args)
-        diff = vertex.schur_via_bernstein(lam) - SymFunc.basis(lam)
-        if diff.is_zero():
-            print(f"OK: vertex-operator chain reproduces s[{format_partition(lam)}]")
-            return 0
-        from .formats import format_symfunc
+    lam = parse_partition(args.partition)
+    _bounded(sum(lam), "partition weight", args)
+    diff = schur_via_bernstein(lam) - SymFunc.basis(lam)
+    if diff.is_zero():
+        print(f"OK: vertex-operator chain reproduces s[{format_partition(lam)}]")
+        return 0
+    from .formats import format_symfunc
 
-        print(f"MISMATCH: difference {format_symfunc(diff)}")
-        return 1
+    print(f"MISMATCH: difference {format_symfunc(diff)}")
+    return 1
+
+
+def _cmd_vertex_commutation(args) -> int:
+    from .vertex import check_commutation
+
     cap = _bounded(args.cap, "cap", args)
     if cap < 1:  # the window of compared exponents, max < cap, would be empty
         raise ValueError(f"cap must be >= 1, got {cap}")
-    ok = vertex.check_commutation(cap)
+    ok = check_commutation(cap)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -266,20 +258,29 @@ def _parse_fgl(token: str, args):
     return law(cap=_bounded(args.cap, "cap", args))
 
 
-def _cmd_fgl(args) -> int:
-    from . import fgl
+def _cmd_fgl_loop(args) -> int:
+    from .fgl import loop_n
 
-    if args.action in ("loop", "log"):
-        F = _parse_fgl(args.law, args)
-        if args.action == "loop":
-            _bounded(abs(args.n), "|n|", args)
-        print(_poly_text(fgl.loop_n(F, args.n) if args.action == "loop" else fgl.fgl_log(F)))
-        return 0
+    F = _parse_fgl(args.law, args)
+    _bounded(abs(args.n), "|n|", args)
+    print(_poly_text(loop_n(F, args.n)))
+    return 0
+
+
+def _cmd_fgl_log(args) -> int:
+    from .fgl import fgl_log
+
+    print(_poly_text(fgl_log(_parse_fgl(args.law, args))))
+    return 0
+
+
+def _cmd_fgl_coproduct(args) -> int:
+    from .fgl import coproduct_from_fgl
     from .formats import pair_order
 
     lam = parse_partition(args.partition)
     _bounded(sum(lam), "partition weight", args)
-    result = fgl.coproduct_from_fgl(args.law, SymFunc.basis(lam)).terms
+    result = coproduct_from_fgl(args.law, SymFunc.basis(lam)).terms
     print(signed_sum(
         (result[a, b], f"s[{format_partition(a)}](x)s[{format_partition(b)}]")
         for a, b in sorted(result, key=pair_order)
@@ -311,80 +312,56 @@ def _cmd_table(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+_JSON = {"--json": {"action": "store_true"}}
+
+# (command path, help, handler, arguments in order), in the order help lists
+# them. A row without a handler is a group: its actions are the rows below it.
+_COMMANDS = (
+    ("decompose", "decompose a product of characters", _cmd_decompose,
+     {"--product": {"required": True, "choices": [*_PRODUCTS, "rational"]},
+      "lhs": {}, "rhs": {}, **_JSON}),
+    ("branch", "apply a branching rule", _cmd_branch,
+     {"rule": {"choices": _BRANCH_RULES}, "element": {}, **_JSON}),
+    ("series", "print series terms per degree", _cmd_series,
+     {"tag": {"choices": list("MLABCD")}, "--cap": {"type": int, "required": True}, **_JSON}),
+    ("check", "run a bounded property check", _cmd_check,
+     {"property": {"choices": ["laplace", "cocycle2", "frobenius", "alghom"]}, "name": {},
+      "--max-degree": {"type": int, "default": 4}}),
+    ("hash", "evaluate a hash product on two basis elements", _cmd_hash,
+     {"--spec": {"required": True, "help": "named spec or inline JSON"},
+      "lhs": {}, "rhs": {}, **_JSON}),
+    ("vertex", "vertex-operator utilities", None, {}),
+    ("vertex schur", None, _cmd_vertex_schur, {"partition": {}}),
+    ("vertex check-commutation", None, _cmd_vertex_commutation,
+     {"--cap": {"type": int, "default": 4}}),
+    ("fgl", "formal group law utilities", None, {}),
+    ("fgl loop", None, _cmd_fgl_loop,
+     {"law": {}, "n": {"type": int}, "--cap": {"type": int, "default": 6}}),
+    ("fgl log", None, _cmd_fgl_log, {"law": {}, "--cap": {"type": int, "default": 6}}),
+    ("fgl coproduct", None, _cmd_fgl_coproduct,
+     {"law": {"choices": ["additive", "multiplicative"]}, "partition": {}}),
+    ("table", "print a symmetric-group character table", _cmd_table, {"n": {"type": int}, **_JSON}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="symchar",
         description="Symmetric-function character decompositions and Hopf deformations",
     )
     top.add_argument("--max-weight", type=int, default=None, help="resource guard override")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="decompose a product of characters")
-    p.add_argument(
-        "--product",
-        required=True,
-        choices=[*_PRODUCTS, "rational"],
-    )
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("branch", help="apply a branching rule")
-    p.add_argument("rule", choices=_BRANCH_RULES)
-    p.add_argument("element")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_branch)
-
-    p = sub.add_parser("series", help="print series terms per degree")
-    p.add_argument("tag", choices=list("MLABCD"))
-    p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_series)
-
-    p = sub.add_parser("check", help="run a bounded property check")
-    p.add_argument("property", choices=["laplace", "cocycle2", "frobenius", "alghom"])
-    p.add_argument("name")
-    p.add_argument("--max-degree", type=int, default=4)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("hash", help="evaluate a hash product on two basis elements")
-    p.add_argument("--spec", required=True, help="named spec or inline JSON")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_hash)
-
-    p = sub.add_parser("vertex", help="vertex-operator utilities")
-    vsub = p.add_subparsers(dest="action", required=True)
-    v1 = vsub.add_parser("schur")
-    v1.add_argument("partition")
-    v1.set_defaults(fn=_cmd_vertex)
-    v2 = vsub.add_parser("check-commutation")
-    v2.add_argument("--cap", type=int, default=4)
-    v2.set_defaults(fn=_cmd_vertex)
-
-    p = sub.add_parser("fgl", help="formal group law utilities")
-    fsub = p.add_subparsers(dest="action", required=True)
-    f1 = fsub.add_parser("loop")
-    f1.add_argument("law")
-    f1.add_argument("n", type=int)
-    f1.add_argument("--cap", type=int, default=6)
-    f1.set_defaults(fn=_cmd_fgl)
-    f2 = fsub.add_parser("log")
-    f2.add_argument("law")
-    f2.add_argument("--cap", type=int, default=6)
-    f2.set_defaults(fn=_cmd_fgl)
-    f3 = fsub.add_parser("coproduct")
-    f3.add_argument("law", choices=["additive", "multiplicative"])
-    f3.add_argument("partition")
-    f3.set_defaults(fn=_cmd_fgl)
-
-    p = sub.add_parser("table", help="print a symmetric-group character table")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_table)
-
+    parsers, subparsers = {"": top}, {}
+    for path, help_, fn, arguments in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = parsers[group].add_subparsers(
+                dest="action" if group else "command", required=True
+            )
+        # a help entry, even None, would list the name in its group's help
+        p = parsers[path] = subparsers[group].add_parser(name, **({"help": help_} if help_ else {}))
+        for flag, kwargs in arguments.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return top
 
 
@@ -394,15 +371,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        _max_weight(args)  # a negative bound is a usage error for every subcommand
+    try:  # the bound: --max-weight, else SYMCHAR_MAX_WEIGHT, else the default
+        if args.max_weight is None:
+            env = os.environ.get("SYMCHAR_MAX_WEIGHT") or str(DEFAULT_MAX_WEIGHT)
+            args.max_weight = _nonnegative(int(env), "SYMCHAR_MAX_WEIGHT")
+        _nonnegative(args.max_weight, "--max-weight")  # a usage error for every subcommand
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here rather than at shutdown
         return code
     except BrokenPipeError:  # reader gone: 128 + SIGPIPE, silent, final flush quieted too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ResourceError as exc:
+    except (ResourceError, RecursionError) as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

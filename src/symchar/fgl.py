@@ -72,6 +72,8 @@ class FGL1(namedtuple("FGL1", "coeffs cap")):
 
     @staticmethod
     def make(coeffs: dict[tuple[int, int], object], cap: int) -> "FGL1":
+        if cap < 1:  # truncating below degree 1 would drop X itself
+            raise ValueError(f"cap must be >= 1, got {cap}")
         items = tuple(
             sorted((i, j, Fraction(c)) for (i, j), c in coeffs.items() if Fraction(c))
         )

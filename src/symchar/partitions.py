@@ -7,6 +7,7 @@ empty tuple is the zero partition.  All functions are pure.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache
 
 Partition = tuple[int, ...]
@@ -21,10 +22,12 @@ def is_partition(parts) -> bool:
 
 def make_partition(parts) -> Partition:
     """Canonicalize a weakly decreasing sequence, stripping trailing zeros."""
-    parts = tuple(int(p) for p in parts if p != 0)
+    parts = [int(p) for p in parts]
+    while parts and parts[-1] == 0:
+        parts.pop()
     if not is_partition(parts):
-        raise ValueError(f"not a partition: {parts!r}")
-    return parts
+        raise ValueError(f"not a partition: {tuple(parts)!r}")
+    return tuple(parts)
 
 
 def weight(lam: Partition) -> int:
@@ -191,7 +194,10 @@ def parse_partition(text: str) -> Partition:
                 continue
             if "^" in tok:
                 base, _, exp = tok.partition("^")
-                parts.extend([int(base)] * int(exp))
+                count = int(exp)
+                if not 0 <= count <= sys.maxsize:  # else [base] * count drops parts or overflows
+                    raise ValueError(f"exponent out of range in {tok!r}")
+                parts.extend([int(base)] * count)
             else:
                 parts.append(int(tok))
         return make_partition(sorted(parts, reverse=True))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from symchar.cli import main
+from symchar.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -340,3 +340,69 @@ class TestCheckNames:
         for accepted in ("e2", "inner", "outer", "schur-hall", "antipode", "id", "m"):
             assert accepted in err
         assert "derived:<cochain>:<pairing>" in err
+
+
+DEEP = "[" * 20000 + "]" * 20000
+# No argument of any subcommand accepts these: each is refused with exit 2 or 3.
+REFUSED = (
+    "1,0,1", "[1^-1]", "[1^100000000000000000000]", "no-such-name", DEEP, '{"stages": ' + DEEP + "}"
+)
+HOSTILE = ("", "-1", *REFUSED)
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, parser) for every subcommand that runs a handler."""
+    if parser._subparsers is None:
+        yield path, parser
+        return
+    for action in parser._subparsers._group_actions:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, path + (name,))
+
+
+def hostile_argvs(path, parser):
+    """(argv, value): each argument that takes a value set in turn to each
+    hostile value, every other one to its first choice or to "1"."""
+    actions = [a for a in parser._actions if a.nargs != 0]  # not --help, not --json
+    plain = [next(iter(a.choices)) if a.choices else "1" for a in actions]
+    for i in range(len(actions)):
+        for value in HOSTILE:
+            argv = list(path)
+            for action, v in zip(actions, plain[:i] + [value] + plain[i + 1:]):
+                argv += [action.option_strings[0], v] if action.option_strings else [v]
+            yield argv, value
+
+
+class TestContract:
+    @pytest.mark.parametrize(
+        "path, parser",
+        [pytest.param(path, parser, id=" ".join(path)) for path, parser in leaf_parsers(build_parser())],
+    )
+    def test_every_leaf_answers_hostile_arguments(self, capsys, path, parser):
+        """Exit 0, exit 1 from a check, or exit 2 or 3 with one stderr line
+        (argparse's own usage errors end in one `error:` line)."""
+        for argv, value in hostile_argvs(path, parser):
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3), argv
+            assert code != 1 or path[0] in ("check", "vertex"), argv
+            assert code in (2, 3) or value not in REFUSED, argv
+            if code in (2, 3):
+                lines = err.splitlines()
+                usage = err.startswith("usage: ") and lines[-1].startswith(parser.prog + ": error: ")
+                assert out == "" and (usage or len(lines) == 1), argv
+
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (("decompose", "--product", "rational", "[1^-1];1", "1;1"), 2, "parse error: exponent"),
+            (("fgl", "loop", "gm", "3", "--cap", "0"), 2, "parse error: cap must be >= 1"),
+            (("fgl", "loop", "gm", "-3", "--cap", "0"), 2, "parse error: cap must be >= 1"),
+            (("fgl", "log", "gm", "--cap", "0"), 2, "parse error: cap must be >= 1"),
+            (("hash", "--spec", DEEP, "1", "1"), 3, "resource bound exceeded: maximum recursion"),
+        ],
+        ids=["rational negative exponent", "loop 3 cap 0", "loop -3 cap 0", "log cap 0", "deep spec"],
+    )
+    def test_misread_inputs_are_refused(self, capsys, argv, code, prefix):
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert len(err.splitlines()) == 1 and err.startswith(prefix)

@@ -85,6 +85,11 @@ class TestAxioms:
         with pytest.raises(ValueError):
             FGL1.make({(0, 1): 1}, cap=4)
 
+    def test_rejects_a_cap_below_degree_one(self):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="cap must be >= 1"):
+                FGL1.make({(1, 1): 1}, cap)
+
 
 class TestAntipode:
     def test_additive(self):

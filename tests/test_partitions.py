@@ -214,3 +214,15 @@ class TestParseFormat:
 
     def test_make_partition_strips_zeros(self):
         assert make_partition((3, 2, 0)) == (3, 2)
+
+    @pytest.mark.parametrize("text", ["1,0,1", "0,1"])
+    def test_rejects_a_zero_before_a_part(self, text):
+        with pytest.raises(ValueError):
+            parse_partition(text)
+        assert parse_partition("3,2,0,0") == parse_partition("[2,0,3]") == (3, 2)
+
+    @pytest.mark.parametrize("text", ["[1^-1]", "[1^-2,3]", "[1^100000000000000000000]"])
+    def test_rejects_an_exponent_that_drops_parts_or_cannot_index(self, text):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            parse_partition(text)
+        assert parse_partition("[2^0,1]") == (1,)

@@ -49,18 +49,19 @@ class HashSpec(namedtuple("HashSpec", "stages final_cocycle name")):
         return super().__new__(cls, stages, final_cocycle or identity_cochain(), name)
 
 
+_inner, _id, _eps1 = map(cache, (inner_pairing, identity_cochain, eps1_cochain))  # one memo each
 NAMED_STAGES = {  # (pairing, cochain) constructors per stage; the final cochain is id
     "trivial": (),
-    "thibon": ((inner_pairing, identity_cochain),),
-    "newell-littlewood": ((inner_pairing, eps1_cochain),),
-    "murnaghan-littlewood": ((inner_pairing, eps1_cochain), (inner_pairing, identity_cochain)),
+    "thibon": ((_inner, _id),),
+    "newell-littlewood": ((_inner, _eps1),),
+    "murnaghan-littlewood": ((_inner, _eps1), (_inner, _id)),
 }
 
 
 def named_spec(name: str) -> HashSpec:
     if name not in NAMED_STAGES:
         raise ValueError(f"unknown hash spec {name!r}")
-    return HashSpec(tuple((a(), phi()) for a, phi in NAMED_STAGES[name]), identity_cochain(), name)
+    return HashSpec(tuple((a(), phi()) for a, phi in NAMED_STAGES[name]), _id(), name)
 
 
 def validate_spec(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> None:

@@ -1,7 +1,7 @@
 """Integer partition arithmetic.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
-empty tuple is the zero partition.  All functions are pure.
+empty tuple is the zero partition.  Caches store each through `canonical`.
 """
 
 from __future__ import annotations
@@ -11,6 +11,13 @@ import sys
 from functools import cache
 
 Partition = tuple[int, ...]
+
+CANONICAL: dict[Partition, Partition] = {(): ()}
+
+
+def canonical(lam: Partition) -> Partition:
+    """The one tuple equal to lam that caches store; only results go in."""
+    return CANONICAL.setdefault(lam, lam)
 
 
 def is_partition(parts) -> bool:
@@ -42,7 +49,7 @@ def conjugate(lam: Partition) -> Partition:
     for height in range(len(lam), 0, -1):
         out += [height] * (lam[height - 1] - below)
         below = lam[height - 1]
-    return tuple(out)
+    return canonical(tuple(out))
 
 
 def z_and_n(lam: Partition) -> tuple[int, int]:
@@ -163,7 +170,7 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     out: list[Partition] = []
     for first in range(min(n, max_part), 0, -1):
         for rest in partitions_of(n - first, first):
-            out.append((first,) + rest)
+            out.append(canonical((first,) + rest))
     return tuple(out)
 
 

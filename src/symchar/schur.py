@@ -14,7 +14,9 @@ from math import prod
 from operator import sub
 
 from .partitions import (
+    CANONICAL,
     Partition,
+    canonical,
     conjugate,
     contains,
     format_partition,
@@ -207,7 +209,10 @@ def _strip_step(states: dict, k: int, room: int, final: bool) -> dict:
             else:
                 key = tuple(new) if new[n] else tuple(new[:n])
                 key = key if final else (key, shape)
-                out[key] = out.get(key, 0) + c
+                v = out.get(key)
+                if v is None and final:  # a new result shape: the shared tuple, inlined (hot)
+                    key = CANONICAL.setdefault(key, key)
+                out[key] = (v or 0) + c
             new[r] -= a
 
     for (shape, below), c in states.items():
@@ -229,7 +234,7 @@ def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
     if flip:
         mu, nu = conjugate(mu), conjugate(nu)
     shape, content = (mu, nu) if len(nu) <= len(mu) else (nu, mu)
-    states = {(shape, ()): 1} if content else {shape: 1}
+    states = {(shape, ()): 1} if content else {canonical(shape): 1}
     for i, k in enumerate(content):
         states = _strip_step(states, k, 0 if i else k, i == len(content) - 1)
     return {conjugate(lam): c for lam, c in states.items()} if flip else states
@@ -272,7 +277,7 @@ def _row_step(states: dict, lo: int, hi: int, off: int, final: bool) -> dict:
     def fill(j: int, top: int) -> None:
         if j < lo:
             key = tuple(counts) if counts[-1] else tuple(counts[:-1])
-            key = key if final else (tuple(row), key)
+            key = canonical(key) if final else (tuple(row), key)
             out[key] = out.get(key, 0) + c
             return
         for v in range(above[j - off] + 1 if j >= off else 1, top + 1):
@@ -288,8 +293,7 @@ def _row_step(states: dict, lo: int, hi: int, off: int, final: bool) -> dict:
     return out
 
 
-@cache
-def skew_basis(lam: Partition, mu: Partition) -> dict[Partition, int]:
+def _skew(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Schur expansion of s_{lam/mu}: lam/mu is filled once, content free, by
     one fused `_row_step` per row from the first row holding a cell, straight
     into the next state dict; the last row keys the fillings by their contents
@@ -304,6 +308,9 @@ def skew_basis(lam: Partition, mu: Partition) -> dict[Partition, int]:
         lo = mu[i] if i < len(mu) else 0
         states, off = _row_step(states, lo, lam[i], off, i == len(lam) - 1), lo
     return states
+
+
+skew_basis = cache(_skew)  # coproduct_basis calls _skew, so its skews are stored once
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -334,8 +341,8 @@ def counit(f: SymFunc) -> int:
 def coproduct_basis(lam: Partition) -> dict[tuple[Partition, Partition], int]:
     """Delta(s_lam) = sum_eta s_{lam/eta} (x) s_eta."""
     out: dict[tuple[Partition, Partition], int] = {}
-    for eta in _inside(lam):
-        for nu, c in skew_basis(lam, eta).items():
+    for eta in map(canonical, _inside(lam)):
+        for nu, c in _skew(lam, eta).items():
             out[(nu, eta)] = c
     return out
 

@@ -267,6 +267,17 @@ class TestNamedSpecs:
         with pytest.raises(ValueError):
             named_spec("nope")
 
+    def test_named_specs_share_stage_objects(self):
+        """One inner pairing, one id and one eps1 cochain serve every named spec,
+        so their memos are not built once per spec."""
+        (thibon_inner, thibon_id), = named_spec("thibon").stages
+        (nl_inner, eps1), = named_spec("newell-littlewood").stages
+        (ml_inner, ml_eps1), (ml_inner2, ml_id) = named_spec("murnaghan-littlewood").stages
+        assert thibon_inner is ml_inner2 is ml_inner is nl_inner
+        assert thibon_id is ml_id is named_spec("trivial").final_cocycle
+        assert eps1 is ml_eps1
+        assert len({id(named_spec(name).final_cocycle) for name in NAMES}) == 1
+
 
 class TestValidation:
     def test_rejects_non_laplace_stage(self):

@@ -2,13 +2,27 @@
 scalar product, skews, and the monomial-expansion oracle."""
 
 import functools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import eval_polynomial, hook_dimension, poly_mul
-from symchar.partitions import conjugate, contains, partitions_of, partitions_up_to, weight
+from symchar.kronecker import inner_coproduct_basis, kronecker_basis
+from symchar.partitions import (
+    CANONICAL,
+    conjugate,
+    contains,
+    partitions_of,
+    partitions_up_to,
+    weight,
+)
 from symchar.schur import (
     SymFunc,
     TensorSymFunc,
@@ -412,3 +426,53 @@ class TestMonomialExpansion:
         assert h(2) == s(2)
         assert e(2) == s(1, 1)
         assert h(0) == unit()
+
+
+class TestStoredOnce:
+    """Every partition the LR, Kronecker and partition caches hold is the one
+    tuple `CANONICAL` keeps for it, and only final results go into the table."""
+
+    def test_cached_partitions_are_the_tables_own(self):
+        # Labels built at run time, so no cache has seen these objects.
+        a, b, c = tuple([4, 2, 1]), tuple([2, 2, 2, 1, 1]), tuple([3, 1, 1, 1])
+        held = [*product_basis(a, b), *product_basis(b, c), *product_basis(a, ())]
+        held += [*skew_basis(tuple([5, 4, 2, 1]), tuple([2, 1])), *skew_basis(a, a)]
+        held += [leg for legs in coproduct_basis(tuple([4, 3, 1])) for leg in legs]
+        held += [*kronecker_basis(tuple([3, 2, 1]), tuple([4, 1, 1]))]
+        held += [leg for legs in inner_coproduct_basis(tuple([3, 3])) for leg in legs]
+        held += [conjugate(lam) for lam in (a, b, c, tuple([6, 1]))]
+        held += [lam for n in range(9) for k in range(n + 1) for lam in partitions_of(n, k)]
+        assert () in held
+        assert [lam for lam in held if CANONICAL.get(lam) is not lam] == []
+
+    @pytest.mark.parametrize(
+        "call, conjugated",
+        [
+            ("product_basis((4, 2, 1, 1), (3, 3, 2))", ()),
+            ("product_basis((2, 2, 2, 1, 1), (2, 2, 1, 1, 1, 1))", ((2, 2, 2, 1, 1), (2, 2, 1, 1, 1, 1))),
+            ("skew_basis((6, 5, 3, 2), (3, 1))", ()),
+        ],
+        ids=("product", "product-on-conjugates", "skew"),
+    )
+    def test_table_holds_only_cached_partitions(self, call, conjugated):
+        """In a fresh interpreter, one product of weight-8 labels (or one skew)
+        leaves exactly its result shapes and () in the table.  A product computed
+        on conjugates also leaves what `conjugate`'s cache holds: the labels'
+        conjugates and the shapes conjugated into the result.  No strip or row
+        state, and no shape below the final weight, gets in."""
+        script = (
+            "import json\n"
+            "from symchar.partitions import CANONICAL\n"
+            "from symchar.schur import product_basis, skew_basis\n"
+            f"out = {call}\n"
+            "print(json.dumps([list(out), list(CANONICAL)]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out, table = (set(map(tuple, part)) for part in json.loads(proc.stdout))
+        expected = out | {()}
+        if conjugated:
+            expected |= {conjugate(lam) for lam in (*out, *conjugated)}
+        assert len(out) > 10
+        assert table == expected

@@ -28,6 +28,8 @@ from .schur import (
 class Cochain1:
     """A linear map on Sym given on the Schur basis, with a memo cache."""
 
+    identity = False  # declared: f(x) = x; only identity_cochain() sets it
+
     def __init__(self, fn, name: str = "cochain"):
         self._fn = fn
         self.name = name
@@ -42,9 +44,6 @@ class Cochain1:
 
     def __call__(self, f: SymFunc) -> SymFunc:
         return linear(f, self.on_basis, SymFunc)
-
-    def is_normalized(self) -> bool:
-        return self.on_basis(()) == SymFunc.one()
 
     def __repr__(self) -> str:
         return f"Cochain1({self.name})"
@@ -69,9 +68,6 @@ class Pairing:
     def __call__(self, f: SymFunc, g: SymFunc) -> SymFunc:
         return _bilinear(f, g, self.on_basis)
 
-    def is_unital(self) -> bool:
-        return self.on_basis((), ()) == SymFunc.one()
-
     def __repr__(self) -> str:
         return f"Pairing({self.name})"
 
@@ -79,7 +75,10 @@ class Pairing:
 # -- standard cochains and pairings -----------------------------------------
 
 def identity_cochain() -> Cochain1:
-    return Cochain1(lambda lam: SymFunc.basis(lam), "id")
+    """id, declared `identity`: s_lam -> s_lam unmemoized; a call copies its argument."""
+    ident = Cochain1(SymFunc.basis, "id")
+    ident.identity, ident.on_basis = True, SymFunc.basis
+    return ident
 
 
 def antipode_cochain() -> Cochain1:
@@ -110,7 +109,7 @@ def outer_pairing() -> Pairing:
 def inner_pairing() -> Pairing:
     from .kronecker import kronecker_basis
 
-    return Pairing(lambda mu, nu: SymFunc(kronecker_basis(mu, nu)), "inner", grade_preserving=True)
+    return Pairing(lambda mu, nu: SymFunc.view(kronecker_basis(mu, nu)), "inner", grade_preserving=True)
 
 
 def schur_hall_pairing() -> Pairing:
@@ -178,7 +177,7 @@ def convolve2(a: Pairing, b: Pairing) -> Pairing:
 
 def milnor_moore_inverse1(f: Cochain1) -> Cochain1:
     """Convolutive inverse of a normalized 1-cochain via cut-coproduct recursion."""
-    if not f.is_normalized():
+    if f.on_basis(()) != SymFunc.one():
         raise ValueError(f"cochain {f.name!r} violates the normalized flag (f(1) != 1)")
 
     def fn(lam: Partition) -> SymFunc:
@@ -201,7 +200,7 @@ def milnor_moore_inverse2(a: Pairing) -> Pairing:
     pairs whose total degrees are both positive, so the recursion descends
     in total degree.
     """
-    if not a.is_unital():
+    if a.on_basis((), ()) != SymFunc.one():
         raise ValueError(f"pairing {a.name!r} violates the unital flag (a(1,1) != 1)")
 
     def fn(mu: Partition, nu: Partition) -> SymFunc:
@@ -422,7 +421,9 @@ def derived_pairing(a: Pairing, phi: Cochain1, max_degree: int = 4) -> Pairing:
 
 
 def _composed(phi: Cochain1, a: Pairing) -> Pairing:
-    """phi o a, for a phi already checked to be an algebra homomorphism."""
+    """phi o a, for a phi already checked to be an algebra homomorphism (a if phi is id)."""
+    if phi.identity:
+        return a
     name = f"{phi.name}.{a.name}"
     return Pairing(lambda mu, nu: phi(a.on_basis(mu, nu)), name, grade_preserving=a.grade_preserving)
 

@@ -87,9 +87,9 @@ def build_hash(spec: HashSpec):
 
 
 def _product(spec: HashSpec, composite: Pairing):
-    """x # y, the bilinear extension of the unmemoized composite * psi o m.  The
-    final psi o m stage answers (mu, nu) with mu > nu from its (nu, mu) entry,
-    since s_mu s_nu = s_nu s_mu."""
+    """x # y, the bilinear extension of the unmemoized composite * psi o m.  A psi
+    declared `identity` reads product_basis's cache, with no memo or copy; any
+    other memoized psi o m answers (mu, nu) with mu > nu from its (nu, mu) entry."""
     final = spec.final_cocycle
 
     def last_fn(mu: Partition, nu: Partition) -> SymFunc:
@@ -98,6 +98,8 @@ def _product(spec: HashSpec, composite: Pairing):
         return final(SymFunc(product_basis(mu, nu)))
 
     last = Pairing(last_fn, f"{final.name}.m")
+    if final.identity:
+        last.on_basis = lambda mu, nu: SymFunc.view(product_basis(mu, nu))
     top = convolve2(composite, last)
 
     def product(f: SymFunc, g: SymFunc) -> SymFunc:

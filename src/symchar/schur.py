@@ -36,6 +36,13 @@ class _Combination:
     def __init__(self, terms: dict | None = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
 
+    @classmethod
+    def view(cls, terms: dict):
+        """terms (no zero values) as a read-only combination, sharing the dict."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
     def add(self, other, c: int = 1):
         """self += c * other in place, dropping the terms that cancel; returns
         self.  Only for an accumulator the caller created, never a cached value."""

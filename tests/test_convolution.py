@@ -5,6 +5,7 @@ import pytest
 
 from oracles import cochains_equal, pairings_equal
 from symchar.convolution import (
+    COCHAINS,
     adjoint_comultiplication,
     antipode_cochain,
     coboundary1,
@@ -322,6 +323,32 @@ class TestAdjointComultiplication:
             assert adjoint_comultiplication(inner_pairing(), lam).terms == dict(
                 inner_coproduct_basis(lam)
             )
+
+
+class TestDeclaredIdentity:
+    """Only identity_cochain() declares `identity`; it holds no memo, and
+    deriving a pairing by it returns the pairing itself."""
+
+    def test_only_the_identity_cochain_declares_it(self):
+        assert identity_cochain().identity
+        for name, make in COCHAINS.items():
+            assert make().identity == (name == "id"), name
+        assert not convolve1(identity_cochain(), identity_cochain()).identity
+        assert not Cochain1(SymFunc.basis, "id").identity
+
+    def test_identity_holds_no_memo_and_copies(self):
+        ident = identity_cochain()
+        f = s(2, 1) - s(3).scale(2)
+        image = ident(f)
+        assert image == f and image is not f and image.terms is not f.terms
+        for lam in partitions_up_to(4):
+            assert ident.on_basis(lam) == SymFunc.basis(lam)
+        assert not ident._memo
+
+    def test_derived_by_identity_is_the_pairing(self):
+        for make in (inner_pairing, outer_pairing, schur_hall_pairing):
+            p = make()
+            assert derived_pairing(p, identity_cochain()) is p
 
 
 class TestDerivedAndInverse:

@@ -279,6 +279,32 @@ class TestNamedSpecs:
         assert len({id(named_spec(name).final_cocycle) for name in NAMES}) == 1
 
 
+class TestDeclaredIdentity:
+    """Only identity_cochain() declares `identity`: id o a is a itself, and the
+    psi = id tail reads product_basis's cache.  A plain Cochain1 that computes
+    the identity takes the memoized paths, and the two agree."""
+
+    def test_thibon_composite_is_the_shared_inner(self):
+        spec = named_spec("thibon")
+        (inner, _), = spec.stages
+        assert composite_pairing(spec) is inner
+
+    @pytest.mark.parametrize(
+        "spec", [named_spec("thibon"), named_spec("murnaghan-littlewood"), three_stage_antipode_spec()],
+        ids=("thibon", "murnaghan-littlewood", "three-stage"),
+    )
+    def test_undeclared_identity_gives_the_same_product(self, spec):
+        def undeclared(cochain):
+            return Cochain1(SymFunc.basis, "id") if cochain.identity else cochain
+
+        plain = HashSpec(
+            tuple((a, undeclared(phi)) for a, phi in spec.stages), undeclared(spec.final_cocycle), "plain"
+        )
+        assert any(phi.identity for _, phi in spec.stages)
+        assert not any(phi.identity for _, phi in plain.stages) and not plain.final_cocycle.identity
+        agrees_with_reference(spec, build_hash(plain), max_weight=5)
+
+
 class TestValidation:
     def test_rejects_non_laplace_stage(self):
         bad = HashSpec(((outer_pairing(), Cochain1(lambda lam: SymFunc.basis(lam), "id")),))

@@ -1,20 +1,18 @@
 """The Hopf algebra of symmetric functions in the Schur basis.
 
 Elements are sparse integer combinations of Schur functions.  LR coefficients
-are generated directly, one fused step per label or row that adds every
-state's successors straight into the next state dict: products add one
-factor's rows as horizontal strips under the lattice bound, skews fill lam/mu
-once with free content, and the coproduct skews by each eta inside lam.
+are generated directly by one kernel, a fused step per row that adds every
+state's successors straight into the next state dict: products fill the rows
+of one factor seeded with the other's content, skews fill lam/mu once with
+free content, and the coproduct skews by each eta inside lam.
 Semistandard-tableau monomial expansion is the independent oracle."""
 
 from __future__ import annotations
 
 from functools import cache
 from math import prod
-from operator import sub
 
 from .partitions import (
-    CANONICAL,
     Partition,
     canonical,
     conjugate,
@@ -196,54 +194,55 @@ def signed_sum(pairs) -> str:
 # Littlewood-Richardson rule
 # ---------------------------------------------------------------------------
 
-def _strip_step(states: dict, k: int, room: int, final: bool) -> dict:
-    """One content label on every state (shape, below): each horizontal strip
-    of k > 0 cells whose row counts a obey the lattice bound a_0 + .. + a_r <=
-    room + last_0 + .. + last_{r-1}, last = shape - below, goes straight into
-    the next dict, keyed (new shape, shape), or by the new shape when final."""
-    out: dict = {}
+def _row_step(states: dict, lo: int, hi: int, off: int, final: bool) -> dict:
+    """One row of a skew shape on every state (above, content), `above` holding
+    the row before's entries from column off on: each lattice filling of the
+    cells lo..hi-1, right to left, weakly decreasing and larger than the entry
+    above, goes straight into the next dict, keyed (entries, content) or, when
+    final, by the content alone.  Skews start from the empty content, products
+    from the content of the factor that is not filled."""
+    out, row = {}, [0] * (hi - lo)
 
-    def place(r: int, left: int, room: int) -> None:
-        # Row r grows by <= cap[r], to the old row r - 1; the rows below r take <= ext[r] cells.
-        while not (hi := left if left < room else room) or not cap[r]:
-            if left > ext[r]:
-                return
-            room, r = room + last[r], r + 1
-        for a in range(hi if hi < cap[r] else cap[r], max(left - ext[r], 0) - 1, -1):
-            new[r] += a
-            if a < left:
-                place(r + 1, left - a, room - a + last[r])
-            else:
-                key = tuple(new) if new[n] else tuple(new[:n])
-                key = key if final else (key, shape)
-                v = out.get(key)
-                if v is None and final:  # a new result shape: the shared tuple, inlined (hot)
-                    key = CANONICAL.setdefault(key, key)
-                out[key] = (v or 0) + c
-            new[r] -= a
+    def fill(j: int, top: int) -> None:
+        if j < lo:
+            key = tuple(counts) if counts[-1] else tuple(counts[:-1])
+            key = canonical(key) if final else (tuple(row), key)
+            out[key] = out.get(key, 0) + c
+            return
+        for v in range(above[j - off] + 1 if j >= off else 1, top + 1):
+            if v == 1 or counts[v - 1] < counts[v - 2]:
+                counts[v - 1] += 1
+                row[j - lo] = v
+                fill(j - 1, v)
+                counts[v - 1] -= 1
 
-    for (shape, below), c in states.items():
-        n, ext, new = len(shape), shape + (0,), [*shape, 0]
-        cap, last = [k, *map(sub, shape, ext[1:])], [*map(sub, ext, below), *ext[len(below):]]
-        place(0, k, room)
+    for (above, content), c in states.items():
+        counts = [*content, 0]
+        fill(hi - 1, len(content) + 1)
     return out
 
 
 @cache
 def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """Expansion of s_mu s_nu in the Schur basis.  The factor with fewer rows
-    (of the conjugates, if they need fewer: c^lam_{mu,nu} = c^lam'_{mu',nu'})
-    is added one label at a time by the fused `_strip_step`, straight into the
-    next state dict, where equal states merge; the last label keys by shape."""
+    """Expansion of s_mu s_nu in the Schur basis.  It is the skew Schur
+    function of the two shapes placed corner to corner (Macdonald I.5), and
+    every LR filling of that shape puts i in each cell of the upper factor's
+    row i.  So the factor with fewer rows (of the conjugates, if they need
+    fewer: c^lam_{mu,nu} = c^lam'_{mu',nu'}) goes below and is the only one
+    filled, one `_row_step` per row, seeded with the upper factor's content;
+    its first row lies under no cell, and the last row keys the fillings by
+    their contents lam."""
     if (mu, nu) > (nu, mu):
         return product_basis(nu, mu)
     flip = bool(mu) and min(mu[0], nu[0]) < min(len(mu), len(nu))
     if flip:
         mu, nu = conjugate(mu), conjugate(nu)
-    shape, content = (mu, nu) if len(nu) <= len(mu) else (nu, mu)
-    states = {(shape, ()): 1} if content else {canonical(shape): 1}
-    for i, k in enumerate(content):
-        states = _strip_step(states, k, 0 if i else k, i == len(content) - 1)
+    rows, other = (nu, mu) if len(nu) <= len(mu) else (mu, nu)
+    if not rows:
+        return {canonical(other): 1}
+    states, off = {((), other): 1}, rows[0]
+    for i, k in enumerate(rows):
+        states, off = _row_step(states, 0, k, off, i == len(rows) - 1), 0
     return {conjugate(lam): c for lam, c in states.items()} if flip else states
 
 
@@ -271,33 +270,6 @@ def _bilinear(f: SymFunc, g: SymFunc, on_basis) -> SymFunc:
 
 def outer_mul(f: SymFunc, g: SymFunc) -> SymFunc:
     return _bilinear(f, g, product_basis)
-
-
-def _row_step(states: dict, lo: int, hi: int, off: int, final: bool) -> dict:
-    """One row of lam/mu on every state (above, content), `above` holding the
-    row before's entries from column off on: each lattice filling of the cells
-    lo..hi-1, right to left, weakly decreasing and larger than the entry above,
-    goes straight into the next dict, keyed (entries, content) or, when final,
-    by the content alone."""
-    out, row = {}, [0] * (hi - lo)
-
-    def fill(j: int, top: int) -> None:
-        if j < lo:
-            key = tuple(counts) if counts[-1] else tuple(counts[:-1])
-            key = canonical(key) if final else (tuple(row), key)
-            out[key] = out.get(key, 0) + c
-            return
-        for v in range(above[j - off] + 1 if j >= off else 1, top + 1):
-            if v == 1 or counts[v - 1] < counts[v - 2]:
-                counts[v - 1] += 1
-                row[j - lo] = v
-                fill(j - 1, v)
-                counts[v - 1] -= 1
-
-    for (above, content), c in states.items():
-        counts = [*content, 0]
-        fill(hi - 1, len(content) + 1)
-    return out
 
 
 def _skew(lam: Partition, mu: Partition) -> dict[Partition, int]:

@@ -209,7 +209,8 @@ class TestOuterProduct:
 
 
 class TestLittlewoodRichardsonGenerators:
-    """The strip and filling generators against the backtracking reference."""
+    """The row-filling generator, seeded as a product and as a skew, against
+    the backtracking reference."""
 
     def test_product_basis(self):
         expected = {}
@@ -238,6 +239,34 @@ class TestLittlewoodRichardsonGenerators:
                 for nu in partitions_up_to(6):
                     assert lr_coefficient(lam, mu, nu) == row.get((mu, nu), 0)
 
+    @pytest.mark.parametrize(
+        "mu, nu, flip, filled",
+        [
+            ((4,), (2, 2, 1), False, "nu"),  # one row
+            ((3,), (3, 3), False, "mu"),  # one row times a rectangle
+            ((2, 2), (3, 1, 1), False, "mu"),  # a rectangle
+            ((2, 1, 1), (2, 2, 1), True, "nu"),
+            ((1, 1, 1), (1, 1, 1, 1, 1, 1), True, "nu"),  # one row, conjugated
+            ((1, 1, 1), (2, 2, 2), True, "mu"),  # tall rectangles
+        ],
+        ids=("row", "row-rectangle", "rectangle", "flip", "flip-row", "flip-rectangles"),
+    )
+    def test_product_branches(self, mu, nu, flip, filled):
+        """Hand-picked pairs covering both conjugation choices, each with either
+        factor filled, against the backtracking reference in both orders.  The
+        branch is read off `product_basis`'s rule: order the pair, conjugate when
+        min(mu_1, nu_1) < min(l(mu), l(nu)), fill the factor with fewer rows."""
+        a, b = min((mu, nu), (nu, mu))
+        assert (min(a[0], b[0]) < min(len(a), len(b))) == flip
+        if flip:
+            a, b = conjugate(a), conjugate(b)
+        assert ("nu" if len(b) <= len(a) else "mu") == filled
+        n = weight(mu) + weight(nu)
+        expected = {
+            lam: c for lam in partitions_of(n) if (c := reference_lr_coefficient(lam, mu, nu))
+        }
+        assert product_basis(mu, nu) == product_basis(nu, mu) == expected
+
 
 def identity_sample(count: int = 120, seed: int = 12) -> list:
     """A fixed seeded sample of ordered factor pairs (mu, nu), total weight 12..16."""
@@ -254,6 +283,10 @@ class TestLittlewoodRichardsonIdentities:
     """Identities beyond the reference's weight: no LR code on the right-hand side."""
 
     def test_product_skew_duality(self):
+        """Products against skews.  Both sides run the one row-filling kernel
+        (seeded with a factor's content, or with none), so this checks the two
+        seedings against each other, not the kernel itself: the reference table,
+        the sum of dimensions and the GL dimensions below do that."""
         for mu, nu in identity_sample():
             prod_terms = product_basis(mu, nu)
             n = weight(mu) + weight(nu)

@@ -300,12 +300,12 @@ def _cmd_table(args) -> int:
         rows = [{"lam": list(lam), "values": [table[(lam, rho)] for rho in labels]} for lam in labels]
         print(json.dumps({"n": n, "classes": [list(rho) for rho in labels], "rows": rows}))
         return 0
-    width = max(len(str(v)) for v in table.values()) + 1
-    head = " " * 12 + "".join(f"{format_partition(rho):>{width + 4}}" for rho in labels)
-    lines = [head]
-    for lam in labels:
-        row = "".join(f"{table[(lam, rho)]:>{width + 4}}" for rho in labels)
-        lines.append(f"{format_partition(lam):<12}{row}")
+    names = [format_partition(lam) for lam in labels]
+    first = max(12, max(map(len, names)) + 1)  # 12 up to n = 6, as text readers expect
+    width = max(max(len(str(v)) for v in table.values()) + 5, max(map(len, names)) + 2)
+    lines = [" " * first + "".join(f"{name:>{width}}" for name in names)]
+    for lam, name in zip(labels, names):
+        lines.append(f"{name:<{first}}" + "".join(f"{table[(lam, rho)]:>{width}}" for rho in labels))
     print("\n".join(lines))
     return 0
 

@@ -2,10 +2,11 @@
 
 Cochains map basis elements into the algebra (linear extension implied).
 `convolve2` is the one pairing convolution, its heads a(x1, y1) summed per
-second-leg pair: each hash product and the coboundary are folds of it, each stage
-memoized in its `Pairing._memo`; the inverses recurse through the memo of the
-cochain or pairing they return.  Checkers are bounded exhaustive searches over
-the Schur basis that return a counterexample witness.
+second-leg pair: each hash product and the coboundary are folds of it that end in
+psi o m = `_composed(psi, outer_pairing())`.  Stages memoize in `Pairing._memo`,
+save `inner` and `outer`, which view their kernels' caches; the inverses recurse
+through the memo of the cochain or pairing they return.  Checkers are bounded
+exhaustive searches over the Schur basis that return a counterexample witness.
 """
 
 from __future__ import annotations
@@ -102,14 +103,23 @@ def unit_pairing() -> Pairing:
     return Pairing(lambda mu, nu: SymFunc({(): int(mu == nu == ())}), "e2", grade_preserving=True)
 
 
+def _kernel_pairing(kernel, name: str, grade_preserving: bool = False) -> Pairing:
+    """a(mu, nu) on partition tuples: a read-only view of kernel's cached dict, no memo."""
+    view = SymFunc.view
+    pairing = Pairing(lambda mu, nu: view(kernel(mu, nu)), name, grade_preserving)
+    pairing.on_basis = pairing._fn
+    return pairing
+
+
 def outer_pairing() -> Pairing:
-    return Pairing(lambda mu, nu: outer_mul(SymFunc.basis(mu), SymFunc.basis(nu)), "outer")
+    """m: a(mu, nu) = s_mu s_nu, read from product_basis's cache."""
+    return _kernel_pairing(product_basis, "outer")
 
 
 def inner_pairing() -> Pairing:
     from .kronecker import kronecker_basis
 
-    return Pairing(lambda mu, nu: SymFunc.view(kronecker_basis(mu, nu)), "inner", grade_preserving=True)
+    return _kernel_pairing(kronecker_basis, "inner", grade_preserving=True)
 
 
 def schur_hall_pairing() -> Pairing:
@@ -222,7 +232,7 @@ def coboundary1(f: Cochain1) -> Pairing:
     fbar = milnor_moore_inverse1(f)
     zero = SymFunc.zero()
     left = Pairing(lambda mu, nu: zero if mu else f.on_basis(nu), f"eps(x){f.name}")
-    middle = Pairing(lambda mu, nu: fbar(SymFunc(product_basis(mu, nu))), f"{fbar.name}.m")
+    middle = _composed(fbar, outer_pairing())
     right = Pairing(lambda mu, nu: zero if nu else f.on_basis(mu), f"{f.name}(x)eps")
     d = convolve2(left, convolve2(middle, right))
     d.name = f"d({f.name})"
@@ -421,7 +431,7 @@ def derived_pairing(a: Pairing, phi: Cochain1, max_degree: int = 4) -> Pairing:
 
 
 def _composed(phi: Cochain1, a: Pairing) -> Pairing:
-    """phi o a, for a phi already checked to be an algebra homomorphism (a if phi is id)."""
+    """phi o a, unchecked (a itself if phi is id); `derived_pairing` checks phi."""
     if phi.identity:
         return a
     name = f"{phi.name}.{a.name}"

@@ -22,16 +22,16 @@ from .convolution import (
     _bialgebra_sides,
     _composed,
     convolve2,
-    eps1_cochain,
     identity_cochain,
     inner_pairing,
     is_algebra_hom,
     is_frobenius,
     is_laplace,
+    outer_pairing,
+    schur_hall_pairing,
     unit_pairing,
 )
-from .partitions import Partition
-from .schur import SymFunc, TensorSymFunc, _bilinear, coproduct_basis, product_basis
+from .schur import SymFunc, TensorSymFunc, _bilinear, coproduct_basis
 
 CHECK_DEGREE = 4  # working bound for validating spec components
 
@@ -49,12 +49,12 @@ class HashSpec(namedtuple("HashSpec", "stages final_cocycle name")):
         return super().__new__(cls, stages, final_cocycle or identity_cochain(), name)
 
 
-_inner, _id, _eps1 = map(cache, (inner_pairing, identity_cochain, eps1_cochain))  # one memo each
+_inner, _schur_hall, _id = map(cache, (inner_pairing, schur_hall_pairing, identity_cochain))  # one each
 NAMED_STAGES = {  # (pairing, cochain) constructors per stage; the final cochain is id
     "trivial": (),
     "thibon": ((_inner, _id),),
-    "newell-littlewood": ((_inner, _eps1),),
-    "murnaghan-littlewood": ((_inner, _eps1), (_inner, _id)),
+    "newell-littlewood": ((_schur_hall, _id),),  # (eta o eps^1) o inner = <x|y> s_()
+    "murnaghan-littlewood": ((_schur_hall, _id), (_inner, _id)),
 }
 
 
@@ -87,20 +87,9 @@ def build_hash(spec: HashSpec):
 
 
 def _product(spec: HashSpec, composite: Pairing):
-    """x # y, the bilinear extension of the unmemoized composite * psi o m.  A psi
-    declared `identity` reads product_basis's cache, with no memo or copy; any
-    other memoized psi o m answers (mu, nu) with mu > nu from its (nu, mu) entry."""
-    final = spec.final_cocycle
-
-    def last_fn(mu: Partition, nu: Partition) -> SymFunc:
-        if mu > nu:
-            return last.on_basis(nu, mu)
-        return final(SymFunc(product_basis(mu, nu)))
-
-    last = Pairing(last_fn, f"{final.name}.m")
-    if final.identity:
-        last.on_basis = lambda mu, nu: SymFunc.view(product_basis(mu, nu))
-    top = convolve2(composite, last)
+    """x # y, the bilinear extension of the unmemoized composite * psi o m, whose
+    psi o m is `outer` itself (product_basis's cache) when psi declares `identity`."""
+    top = convolve2(composite, _composed(spec.final_cocycle, outer_pairing()))
 
     def product(f: SymFunc, g: SymFunc) -> SymFunc:
         return _bilinear(f, g, top._fn)

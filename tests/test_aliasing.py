@@ -5,18 +5,17 @@ what a fresh recomputation gives."""
 from oracles import INVERSE_PAIR, check_inverse_pair
 from symchar.characters import BRANCH_SERIES, branch
 from symchar.convolution import (
-    Cochain1,
     Pairing,
     antipode_cochain,
     coboundary1,
     convolve1,
     convolve2,
-    eps1_cochain,
     identity_cochain,
     inner_pairing,
     milnor_moore_inverse1,
     milnor_moore_inverse2,
     outer_pairing,
+    schur_hall_pairing,
 )
 from symchar.hash_products import build_hash, named_spec
 from symchar.kronecker import kronecker_basis
@@ -32,12 +31,13 @@ PAIRS = [(x, y) for x in BASIS for y in BASIS if weight(x) + weight(y) <= CAP]
 
 def assert_memo_fresh(owner, fresh) -> None:
     """Every memo entry of a Cochain1 or Pairing equals the same entry of an
-    equivalent object built from scratch.  The declared identity cochain holds
-    no memo, so its values on the basis are checked instead."""
-    if isinstance(owner, Cochain1) and owner.identity:
+    equivalent object built from scratch.  An owner with its own `on_basis`
+    (the identity cochain, `inner`, `outer`) holds no memo, so its values on
+    the basis are checked instead."""
+    if "on_basis" in vars(owner):
         assert not owner._memo
-        for lam in BASIS:
-            assert owner.on_basis(lam) == fresh.on_basis(lam) == SymFunc.basis(lam), (owner, lam)
+        for args in PAIRS if isinstance(owner, Pairing) else zip(BASIS):
+            assert owner.on_basis(*args) == fresh.on_basis(*args), (owner, args)
         return
     assert owner._memo
     for key, value in owner._memo.items():
@@ -81,7 +81,7 @@ def test_accumulators_leave_caches_intact():
     for tag in SERIES_TAGS:
         for d in range(CAP + 2):
             assert series_degree_term(tag, d) == series_degree_term.__wrapped__(tag, d)
-    fresh_stages = [(inner_pairing(), eps1_cochain()), (inner_pairing(), identity_cochain())]
+    fresh_stages = [(schur_hall_pairing(), identity_cochain()), (inner_pairing(), identity_cochain())]
     for owner, fresh in [
         (ident, identity_cochain()),
         (anti, antipode_cochain()),

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from symchar.cli import build_parser, main
+from symchar.partitions import partitions_of
 
 
 def run(capsys, *argv):
@@ -169,6 +170,24 @@ class TestTable:
         code, out, _ = run(capsys, "table", "3")
         assert code == 0
         assert "2,1" in out
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_text_columns_hold_their_labels(self, capsys, n):
+        """Every class label is one header field and every row is its label and
+        p(n) integers, however wide the labels.  Up to n = 6 the label column
+        is 12 wide and the class columns are equally wide."""
+        code, out, _ = run(capsys, "table", str(n))
+        head, *rows = out.splitlines()
+        names = [",".join(map(str, rho)) for rho in partitions_of(n)]
+        assert code == 0 and head.split() == names
+        for row, name in zip(rows, names, strict=True):
+            label, *values = row.split()
+            assert label == name and len(values) == len(names)
+            if n <= 6:  # the layout the benchmark's table parser reads
+                cells = row[12:]
+                width = len(cells) // len(names)
+                assert row[:12].strip() == name and len(cells) == width * len(names)
+                assert [int(cells[i:i + width]) for i in range(0, len(cells), width)] == list(map(int, values))
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "table", "3", "--json")

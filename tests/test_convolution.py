@@ -31,7 +31,7 @@ from symchar.convolution import (
     _is_degree_preserving,
 )
 from symchar.kronecker import inner_coproduct_basis, kronecker_basis
-from symchar.partitions import conjugate, partitions_up_to, weight
+from symchar.partitions import conjugate, partitions_of, partitions_up_to, weight
 from symchar.schur import (
     SymFunc,
     antipode,
@@ -358,9 +358,15 @@ class TestDerivedAndInverse:
         )
 
     def test_derived_eps1_inner_is_schur_hall(self):
-        assert pairings_equal(
-            derived_pairing(inner_pairing(), eps1_cochain()), schur_hall_pairing(), 4
-        )
+        """(eta o eps^1) o inner = <x|y> s_(), the stage Newell-Littlewood and
+        Murnaghan-Littlewood use as `schur-hall`: s_() on the diagonal and zero
+        off it, on every same-weight pair up to weight 10."""
+        derived, schur_hall = derived_pairing(inner_pairing(), eps1_cochain()), schur_hall_pairing()
+        for n in range(11):
+            for x in partitions_of(n):
+                for y in partitions_of(n):
+                    expected = SymFunc.one() if x == y else SymFunc.zero()
+                    assert derived.on_basis(x, y) == schur_hall.on_basis(x, y) == expected, (x, y)
 
     def test_derived_rejects_non_hom(self):
         bad = Cochain1(lambda lam: SymFunc.basis(lam).scale(2), "doubling")

@@ -133,25 +133,6 @@ class TestStagedEvaluator:
         assert named_product("thibon") is named_product("thibon")
         assert named_product("thibon")(s(1), s(1)) == s(2) + s(1, 1) + s(1)
 
-    def test_final_stage_is_shared_by_swapped_pairs(self):
-        """psi(s_mu s_nu) = psi(s_nu s_mu): s_nu # s_mu after s_mu # s_nu makes
-        no new call of the final cochain."""
-        calls = []
-
-        class CountedIdentity(Cochain1):
-            def __call__(self, f):
-                calls.append(f)
-                return super().__call__(f)
-
-        final = CountedIdentity(lambda lam: SymFunc.basis(lam), "id")
-        product = build_hash(HashSpec(named_spec("thibon").stages, final, "counted"))
-        x, y = s(3, 2, 1), s(2, 2, 1, 1)
-        calls.clear()
-        forward = product(x, y)
-        first = len(calls)
-        assert first and product(y, x) == forward
-        assert len(calls) == first
-
 
 def p2_plethysm_pairing() -> Pairing:
     """a(x, y) = <x | y[p_2]> s_(): Laplace, since y -> y[p_2] is a bialgebra
@@ -268,14 +249,15 @@ class TestNamedSpecs:
             named_spec("nope")
 
     def test_named_specs_share_stage_objects(self):
-        """One inner pairing, one id and one eps1 cochain serve every named spec,
-        so their memos are not built once per spec."""
+        """One inner pairing, one schur-hall pairing and one id cochain serve
+        every named spec: Newell-Littlewood's composite is the shared schur-hall
+        pairing, which is also Murnaghan-Littlewood's first stage."""
         (thibon_inner, thibon_id), = named_spec("thibon").stages
-        (nl_inner, eps1), = named_spec("newell-littlewood").stages
-        (ml_inner, ml_eps1), (ml_inner2, ml_id) = named_spec("murnaghan-littlewood").stages
-        assert thibon_inner is ml_inner2 is ml_inner is nl_inner
-        assert thibon_id is ml_id is named_spec("trivial").final_cocycle
-        assert eps1 is ml_eps1
+        (ml_schur_hall, ml_id0), (ml_inner, ml_id1) = named_spec("murnaghan-littlewood").stages
+        nl = composite_pairing(named_spec("newell-littlewood"))
+        assert nl is ml_schur_hall and nl.name == "schur-hall"
+        assert thibon_inner is ml_inner
+        assert thibon_id is ml_id0 is ml_id1 is named_spec("trivial").final_cocycle
         assert len({id(named_spec(name).final_cocycle) for name in NAMES}) == 1
 
 
@@ -356,11 +338,6 @@ class TestValidatedOnce:
 class TestCompositePairing:
     def test_empty_spec_gives_unit_pairing(self):
         assert pairings_equal(composite_pairing(named_spec("trivial")), unit_pairing(), 4)
-
-    def test_newell_littlewood_pairing_is_schur_hall(self):
-        assert pairings_equal(
-            composite_pairing(named_spec("newell-littlewood")), schur_hall_pairing(), 4
-        )
 
 
 class TestHopfClassification:

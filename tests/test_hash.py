@@ -339,6 +339,11 @@ class TestCompositePairing:
     def test_empty_spec_gives_unit_pairing(self):
         assert pairings_equal(composite_pairing(named_spec("trivial")), unit_pairing(), 4)
 
+    def test_newell_littlewood_pairing_is_schur_hall(self):
+        assert pairings_equal(
+            composite_pairing(named_spec("newell-littlewood")), schur_hall_pairing(), 4
+        )
+
 
 class TestHopfClassification:
     def test_both_checks_share_one_composite(self, monkeypatch):

@@ -3,10 +3,10 @@
 Cochains map basis elements into the algebra (linear extension implied).
 `convolve2` is the one pairing convolution, its heads a(x1, y1) summed per
 second-leg pair: each hash product and the coboundary are folds of it that end in
-psi o m = `_composed(psi, outer_pairing())`.  Stages memoize in `Pairing._memo`,
-save `inner` and `outer`, which view their kernels' caches; the inverses recurse
-through the memo of the cochain or pairing they return.  Checkers are bounded
-exhaustive searches over the Schur basis that return a counterexample witness.
+psi o m = `_composed(psi, outer_pairing())`.  Stages memoize in `Pairing._memo`
+(`inner`, `outer` and `schur-hall` hand out read-only views instead); inverses
+recurse through the memo of the cochain or pairing they return.  Checkers are
+bounded exhaustive searches of the Schur basis with a counterexample witness.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def unit_pairing() -> Pairing:
 
 
 def _kernel_pairing(kernel, name: str, grade_preserving: bool = False) -> Pairing:
-    """a(mu, nu) on partition tuples: a read-only view of kernel's cached dict, no memo."""
+    """a(mu, nu) on partition tuples: a read-only view of the dict kernel returns, no memo."""
     view = SymFunc.view
     pairing = Pairing(lambda mu, nu: view(kernel(mu, nu)), name, grade_preserving)
     pairing.on_basis = pairing._fn
@@ -124,7 +124,7 @@ def inner_pairing() -> Pairing:
 
 def schur_hall_pairing() -> Pairing:
     """a(x, y) = <x|y> s_(): the derived pairing (eta o eps^1) o inner."""
-    return Pairing(lambda mu, nu: SymFunc({(): int(mu == nu)}), "schur-hall", grade_preserving=True)
+    return _kernel_pairing(lambda mu, nu: {(): 1} if mu == nu else {}, "schur-hall", grade_preserving=True)
 
 
 # Constructors by the names `symchar check` and inline hash specs accept.

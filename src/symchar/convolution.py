@@ -1,15 +1,19 @@
 """Convolution monoids of 1-cochains and pairings over symmetric functions.
 
 Cochains map basis elements into the algebra (linear extension implied).
-`convolve2` is the one pairing convolution, its heads a(x1, y1) summed per
-second-leg pair: each hash product and the coboundary are folds of it that end in
-psi o m = `_composed(psi, outer_pairing())`.  Stages memoize in `Pairing._memo`
-(`inner`, `outer` and `schur-hall` hand out read-only views instead); inverses
-recurse through the memo of the cochain or pairing they return.  Checkers are
-bounded exhaustive searches of the Schur basis with a counterexample witness.
+`_convolve` is the one pairing convolution, (a * b)(f, g) on term dicts with its
+heads a(x1, y1) summed per second-leg pair: a hash product is one pass of it over
+(x, y) that ends in psi o m = `_composed(psi, outer_pairing())`, and `convolve2`,
+its memo on basis pairs, folds the stages and the coboundary.  Stages memoize in
+`Pairing._memo` (`inner`, `outer`, `schur-hall` and `e2` hand out read-only
+views instead); inverses recurse through the memo of the cochain or pairing
+they return.  Checkers are bounded exhaustive searches of the Schur basis with
+a counterexample witness.
 """
 
 from __future__ import annotations
+
+from functools import cache, partial
 
 from .partitions import Partition, partitions_of, partitions_up_to, weight
 from .schur import (
@@ -21,7 +25,6 @@ from .schur import (
     linear,
     outer_mul,
     product_basis,
-    scalar,
     tensor,
 )
 
@@ -100,7 +103,7 @@ def eps1_cochain() -> Cochain1:
 
 def unit_pairing() -> Pairing:
     """e2(x, y) = eps(x) eps(y) s_(), the unit of the pairing convolution monoid."""
-    return Pairing(lambda mu, nu: SymFunc({(): int(mu == nu == ())}), "e2", grade_preserving=True)
+    return _kernel_pairing(lambda mu, nu: {(): 1} if mu == nu == () else {}, "e2", grade_preserving=True)
 
 
 def _kernel_pairing(kernel, name: str, grade_preserving: bool = False) -> Pairing:
@@ -144,45 +147,49 @@ def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:
     return Cochain1(fn, f"({f.name})*({g.name})")
 
 
-def convolve2(a: Pairing, b: Pairing) -> Pairing:
-    """(a * b)(mu, nu) = sum_{x2,y2} [sum_{x1,y1} c^mu_{x1 x2} c^nu_{y1 y2} a(x1, y1)] b(x2, y2):
-    one a per first-leg pair (x1, y1), only |x1| = |y1| when a declares its
-    grading; one b per (x2, y2) whose summed head is nonzero; head term p times
-    tail term q into row p, then one LR product per nonzero entry (row () is s_q
-    as is).  a * b declares its grading when a and b do (then |x2| = |y2| too)."""
+def _convolve(a: Pairing, b: Pairing, f: dict, g: dict) -> SymFunc:
+    """(a * b)(f, g) = sum_{x2,y2} [sum_{x1,y1} f_{x1 x2} g_{y1 y2} a(x1, y1)] b(x2, y2) on
+    term dicts, f_{x1 x2} the coefficient of s_x1 (x) s_x2 in Delta f: legs merged over
+    the terms, one a per leg-matched (x1, y1), only |x1| = |y1| when a declares its
+    grading; one b per (x2, y2) whose summed head is nonzero; head term p times tail
+    term q into row p, then one LR product per nonzero entry (row () is s_q as is)."""
     leg = weight if a.grade_preserving else lambda x1: None  # which y1 meet x1
-
-    def fn(mu: Partition, nu: Partition) -> SymFunc:
-        xs: dict = {}
-        for (x1, x2), cx in coproduct_basis(mu).items():
-            xs.setdefault(x1, []).append((x2, cx))
-        ys: dict = {}
-        for (y1, y2), cy in coproduct_basis(nu).items():
-            ys.setdefault(leg(y1), {}).setdefault(y1, []).append((y2, cy))
-        heads: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-        for x1, x_tails in xs.items():
-            for y1, y_tails in ys.get(leg(x1), {}).items():
+    xs, ys = {}, {}  # {leg(x1): {x1: {x2: coefficient}}}
+    for legs, terms in ((xs, f), (ys, g)):
+        for lam, cf in terms.items():
+            for (x1, x2), c in coproduct_basis(lam).items():
+                tails = legs.setdefault(leg(x1), {}).setdefault(x1, {})
+                tails[x2] = tails.get(x2, 0) + cf * c
+    heads: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+    for key, x_legs in xs.items():
+        for x1, x_tails in x_legs.items():
+            for y1, y_tails in ys.get(key, {}).items():
                 head = a.on_basis(x1, y1).terms
-                for x2, cx in x_tails if head else ():
-                    for y2, cy in y_tails:
+                for x2, cx in x_tails.items() if head else ():
+                    for y2, cy in y_tails.items():
                         h, c = heads.setdefault((x2, y2), {}), cx * cy
                         for p, cp in head.items():
                             h[p] = h.get(p, 0) + c * cp
-        out: dict[Partition, int] = {}
-        rows = {(): out}  # rows[p][q]: coefficient of s_p s_q; s_() s_q = s_q
-        for (x2, y2), h in heads.items():
-            tail = b.on_basis(x2, y2).terms if any(h.values()) else {}
-            for p, hp in h.items():
-                row = rows.setdefault(p, {})
-                for q, cq in tail.items():
-                    row[q] = row.get(q, 0) + hp * cq
-        for p, row in rows.items():
-            for q, c in row.items() if p else ():
-                for lam, cl in (product_basis(p, q) if c else {}).items():
-                    out[lam] = out.get(lam, 0) + c * cl
-        return SymFunc(out)
+    out: dict[Partition, int] = {}
+    rows = {(): out}  # rows[p][q]: coefficient of s_p s_q; s_() s_q = s_q
+    for (x2, y2), h in heads.items():
+        tail = b.on_basis(x2, y2).terms if any(h.values()) else {}
+        for p, hp in h.items():
+            row = rows.setdefault(p, {})
+            for q, cq in tail.items():
+                row[q] = row.get(q, 0) + hp * cq
+    for p, row in rows.items():
+        for q, c in row.items() if p else ():
+            for lam, cl in (product_basis(p, q) if c else {}).items():
+                out[lam] = out.get(lam, 0) + c * cl
+    return SymFunc(out)
 
-    return Pairing(fn, f"({a.name})*({b.name})", a.grade_preserving and b.grade_preserving)
+
+def convolve2(a: Pairing, b: Pairing) -> Pairing:
+    """(a * b)(mu, nu) = `_convolve(a, b, {mu: 1}, {nu: 1})`, memoized.  a * b
+    declares its grading when a and b do (then |x2| = |y2| too)."""
+    name, graded = f"({a.name})*({b.name})", a.grade_preserving and b.grade_preserving
+    return Pairing(lambda mu, nu: _convolve(a, b, {mu: 1}, {nu: 1}), name, graded)
 
 
 def milnor_moore_inverse1(f: Cochain1) -> Cochain1:
@@ -335,11 +342,11 @@ def adjoint_comultiplication(a: Pairing, lam: Partition) -> TensorSymFunc:
     Finite only for grade-preserving pairings, where both legs live in the
     degree of lam.
     """
-    n = weight(lam)
+    grade = partitions_of(weight(lam))
     out: dict[tuple[Partition, Partition], int] = {}
-    for mu in partitions_of(n):
-        for nu in partitions_of(n):
-            c = scalar(SymFunc.basis(lam), a.on_basis(mu, nu))
+    for mu in grade:
+        for nu in grade:
+            c = a.on_basis(mu, nu).terms.get(lam)
             if c:
                 out[(mu, nu)] = c
     return TensorSymFunc(out)
@@ -357,20 +364,13 @@ def is_frobenius(a: Pairing, max_degree: int, witness: list | None = None) -> bo
             witness.append(("not grade-preserving",))
         return False
 
-    def delta_a(lam):
-        return adjoint_comultiplication(a, lam)
-
-    basis = partitions_up_to(max_degree)
+    delta_a = cache(partial(adjoint_comultiplication, a))  # once per lam per check
     # Unit and counit per grade: on every degree n where a does not vanish
     # identically, s_(n) must be a two-sided unit and eps1 the counit of the
     # dual comultiplication.  (Grades on which a is zero carry no algebra
     # structure to test; this keeps the convolution unit e2 Frobenius.)
-    by_degree: dict[int, list[Partition]] = {}
-    for lam in basis:
-        by_degree.setdefault(weight(lam), []).append(lam)
-    for n, grade in by_degree.items():
-        if n == 0:
-            continue
+    for n in range(1, max_degree + 1):
+        grade = partitions_of(n)
         if all(not a.on_basis(x, y).terms for x in grade for y in grade):
             continue
         for x in grade:
@@ -439,7 +439,7 @@ def _composed(phi: Cochain1, a: Pairing) -> Pairing:
 
 
 def frobenius_inverse(a: Pairing, max_degree: int = 4) -> Pairing:
-    """abar = S o a for a Frobenius Laplace pairing."""
+    """abar = S o a for a Frobenius Laplace pairing, declared grade preserving when a is."""
     if not is_frobenius(a, max_degree):
         raise ValueError(f"pairing {a.name!r} is not Frobenius up to degree {max_degree}")
-    return Pairing(lambda mu, nu: antipode(a.on_basis(mu, nu)), f"S.{a.name}")
+    return _composed(antipode_cochain(), a)

@@ -4,7 +4,8 @@ A hash spec lists stages (pairing a_j, algebra-hom cochain phi_j), j < k,
 and a final cochain psi on the ambient multiplication m.  `composite_pairing`
 folds `convolution.convolve2` from the left into the composite derived pairing
 A = (phi_1 o a_1) * ... * (phi_k o a_k), whose memo computes each A(x1, y1) once
-for all (mu, nu), and x # y = (A * psi o m)(x, y) is one more `convolve2`.
+for all (mu, nu), and x # y = (A * psi o m)(x, y) is one `convolution._convolve`
+pass over the terms of x and y.
 Each entry point (`build_hash`, `composite_pairing`, `hash_is_hopf`) validates
 the spec once, and the fold does not check its cochains again.
 `named_product` builds (and validates) each named spec once per process.
@@ -21,6 +22,7 @@ from .convolution import (
     _basis_pairs,
     _bialgebra_sides,
     _composed,
+    _convolve,
     convolve2,
     identity_cochain,
     inner_pairing,
@@ -31,7 +33,7 @@ from .convolution import (
     schur_hall_pairing,
     unit_pairing,
 )
-from .schur import SymFunc, TensorSymFunc, _bilinear, coproduct_basis
+from .schur import TensorSymFunc, coproduct_basis
 
 CHECK_DEGREE = 4  # working bound for validating spec components
 
@@ -87,14 +89,11 @@ def build_hash(spec: HashSpec):
 
 
 def _product(spec: HashSpec, composite: Pairing):
-    """x # y, the bilinear extension of the unmemoized composite * psi o m, whose
-    psi o m is `outer` itself (product_basis's cache) when psi declares `identity`."""
-    top = convolve2(composite, _composed(spec.final_cocycle, outer_pairing()))
-
-    def product(f: SymFunc, g: SymFunc) -> SymFunc:
-        return _bilinear(f, g, top._fn)
-
-    return product
+    """x # y = `_convolve(composite, psi o m, x, y)`, one pass over both factors'
+    terms; psi o m is `outer` itself (product_basis's cache) when psi declares
+    `identity`."""
+    tail = _composed(spec.final_cocycle, outer_pairing())
+    return lambda f, g: _convolve(composite, tail, f.terms, g.terms)
 
 
 @cache

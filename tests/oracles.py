@@ -2,13 +2,16 @@
 formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
 form of the rational GL product, the embedded-S_n path for reduced
 characters, the Cummins four-factor expansion of a Kronecker product, the
-product and evaluation of monomial-expanded polynomials, and the hook length
-formula.  The library computes each product one way; these check it.  Also
+product and evaluation of monomial-expanded polynomials, the hook length
+formula, and the named hash products in the power-sum basis from border-strip
+characters alone.  The library computes each product one way; these check it.  Also
 the bounded equality checks of cochains and pairings, and the mutual-inverse
 check of the series pairs, which only the tests use."""
 
-from functools import cache
-from math import factorial, prod
+from fractions import Fraction
+from functools import cache, reduce
+from itertools import product
+from math import comb, factorial, prod
 from operator import mul
 
 from symchar.characters import RationalChar
@@ -20,6 +23,7 @@ from symchar.partitions import (
     partitions_up_to,
     standardize,
     weight,
+    z_and_n,
 )
 from symchar.schur import (
     Monomial,
@@ -201,6 +205,125 @@ def hook_dimension(lam) -> int:
     """f^lam = |lam|! / (product of hook lengths), from neither a character
     table nor an LR generator."""
     return factorial(weight(lam)) // prod(h for _, _, h in hooks_and_contents(lam))
+
+
+@cache
+def _reference_beta(betas: frozenset, rho: tuple) -> int:
+    """Murnaghan-Nakayama on a beta-number set: removing a border strip of size
+    r moves one beta number down by r, with sign from the betas jumped over."""
+    if not rho:
+        return 1
+    r, rest = rho[0], rho[1:]
+    total = 0
+    for b in betas:
+        if b - r < 0 or (b - r) in betas:
+            continue
+        height = sum(1 for x in betas if b - r < x < b)
+        total += (-1) ** height * _reference_beta((betas - {b}) | {b - r}, rest)
+    return total
+
+
+def reference_character(lam, rho) -> int:
+    """chi^lam(rho) by border strips, from no character table or LR code."""
+    size = max(len(lam), 1)
+    padded = list(lam) + [0] * (size - len(lam))
+    return _reference_beta(frozenset(padded[i] + size - 1 - i for i in range(size)), tuple(rho))
+
+
+# The named hash products in the power-sum basis, over Q.  There p_n is
+# primitive and every named stage is diagonal or multiplicative: inner(p_a, p_b)
+# = [a = b] z_a p_a, schur-hall = [a = b] z_a, e2 = [a = b = ()], and
+# m(p_a, p_b) = p_{a u b}.  A pairing here maps a pair of partitions to a
+# {partition: coefficient} dict of power sums.
+
+def _p_mul(alpha, beta):
+    return tuple(sorted(alpha + beta, reverse=True))
+
+
+@cache
+def _power_coproduct(rho) -> tuple:
+    """Delta p_rho = sum over sub-multisets alpha of rho of
+    prod_i C(m_i(rho), m_i(alpha)) p_alpha (x) p_{rho - alpha}."""
+    sizes = sorted(set(rho), reverse=True)
+    counts = [rho.count(i) for i in sizes]
+    out = []
+    for ks in product(*(range(m + 1) for m in counts)):
+        alpha = tuple(i for i, k in zip(sizes, ks) for _ in range(k))
+        rest = tuple(i for i, k, m in zip(sizes, ks, counts) for _ in range(m - k))
+        out.append((alpha, rest, prod(comb(m, k) for k, m in zip(ks, counts))))
+    return tuple(out)
+
+
+def _power_convolve(a, b):
+    """(a * b)(p_alpha, p_beta) = sum a(alpha1, beta1) b(alpha2, beta2), the
+    values multiplied as power sums."""
+
+    @cache
+    def conv(alpha, beta):
+        out: dict = {}
+        for a1, a2, ca in _power_coproduct(alpha):
+            for b1, b2, cb in _power_coproduct(beta):
+                for r1, c1 in a(a1, b1).items():
+                    for r2, c2 in b(a2, b2).items():
+                        key = _p_mul(r1, r2)
+                        out[key] = out.get(key, 0) + ca * cb * c1 * c2
+        return out
+
+    return conv
+
+
+def _z(rho) -> int:
+    return z_and_n(rho)[0]
+
+
+POWER_SUM_PAIRINGS = {
+    "inner": lambda alpha, beta: {alpha: _z(alpha)} if alpha == beta else {},
+    "schur-hall": lambda alpha, beta: {(): _z(alpha)} if alpha == beta else {},
+    "e2": lambda alpha, beta: {(): 1} if alpha == beta == () else {},
+    "outer": lambda alpha, beta: {_p_mul(alpha, beta): 1},
+}
+POWER_SUM_STAGES = {  # each named spec's stage pairings; the final cochain is id
+    "trivial": ("e2",),
+    "thibon": ("inner",),
+    "newell-littlewood": ("schur-hall",),
+    "murnaghan-littlewood": ("schur-hall", "inner"),
+}
+
+
+@cache
+def _power_sum_product(name: str):
+    """(A * m) with A the fold of the spec's stage pairings."""
+    composite = reduce(_power_convolve, [POWER_SUM_PAIRINGS[a] for a in POWER_SUM_STAGES[name]])
+    return _power_convolve(composite, POWER_SUM_PAIRINGS["outer"])
+
+
+def to_power_sums(f: SymFunc) -> dict:
+    """s_lam = sum_rho chi^lam(rho) / z_rho p_rho."""
+    out: dict = {}
+    for lam, c in f.terms.items():
+        for rho in partitions_of(weight(lam)):
+            out[rho] = out.get(rho, 0) + Fraction(c * reference_character(lam, rho), _z(rho))
+    return out
+
+
+def from_power_sums(f: dict) -> SymFunc:
+    """p_rho = sum_lam chi^lam(rho) s_lam, every Schur coefficient asserted integral."""
+    out: dict = {}
+    for rho, c in f.items():
+        for lam in partitions_of(weight(rho)):
+            out[lam] = out.get(lam, 0) + c * reference_character(lam, rho)
+    assert all(Fraction(v).denominator == 1 for v in out.values()), out
+    return SymFunc({lam: int(v) for lam, v in out.items()})
+
+
+def power_sum_hash(name: str, x: SymFunc, y: SymFunc) -> SymFunc:
+    """x # y for the named spec, computed in the power-sum basis."""
+    hash_, out = _power_sum_product(name), {}
+    for alpha, ca in to_power_sums(x).items():
+        for beta, cb in to_power_sums(y).items():
+            for rho, c in hash_(alpha, beta).items():
+                out[rho] = out.get(rho, 0) + ca * cb * c
+    return from_power_sums(out)
 
 
 def cochains_equal(f: Cochain1, g: Cochain1, max_degree: int) -> bool:

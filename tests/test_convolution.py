@@ -164,6 +164,37 @@ class TestConvolutionCallCounts:
         assert len(nonzero) < len(heads)  # some summed heads cancel, and their b is never read
         assert value == reference_convolve2(base, outer_pairing()).on_basis(mu, nu)
 
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_hash_product_is_one_pass_over_sums(self, monkeypatch, declared):
+        """x # y on a two-term x reads the composite once per leg-matched (x1, y1)
+        of the whole query, and psi o m once per (x2, y2) whose head, summed
+        over every term pair, is nonzero."""
+        from symchar import hash_products
+
+        base = omega_difference_pairing(declared)
+        a, tail = Counted(base), Counted(outer_pairing())
+        monkeypatch.setattr(hash_products, "outer_pairing", lambda: tail)
+        x, y = s(3, 2, 1) + s(2, 1).scale(2), s(2, 1)
+        value = hash_products._product(hash_products.HashSpec(()), a)(x, y)
+
+        def legs(f):
+            return [(term, c * cf) for lam, cf in f.terms.items() for term, c in coproduct_basis(lam).items()]
+
+        def matched(x1, y1):
+            return weight(x1) == weight(y1) or not declared
+
+        firsts = {x1 for (x1, _), _ in legs(x)}, {y1 for (y1, _), _ in legs(y)}
+        assert sorted(a.calls) == sorted(
+            (x1, y1) for x1 in firsts[0] for y1 in firsts[1] if matched(x1, y1)
+        )
+        heads: dict = {}
+        for (x1, x2), cx in legs(x):
+            for (y1, y2), cy in legs(y):
+                if matched(x1, y1):
+                    heads.setdefault((x2, y2), SymFunc.zero()).add(base.on_basis(x1, y1), cx * cy)
+        assert sorted(tail.calls) == sorted(pair for pair, head in heads.items() if head)
+        assert value == reference_convolve2(base, outer_pairing())(x, y)
+
 
 class TestMilnorMooreInverse:
     def test_inverse_of_identity_is_antipode(self):
@@ -324,6 +355,19 @@ class TestAdjointComultiplication:
                 inner_coproduct_basis(lam)
             )
 
+    def test_built_once_per_partition_in_one_check(self, monkeypatch):
+        from symchar import convolution
+
+        calls: list = []
+
+        def counted(a, lam):
+            calls.append(lam)
+            return adjoint_comultiplication(a, lam)
+
+        monkeypatch.setattr(convolution, "adjoint_comultiplication", counted)
+        assert is_frobenius(inner_pairing(), 4)
+        assert sorted(calls) == sorted(partitions_up_to(4))
+
 
 class TestDeclaredIdentity:
     """Only identity_cochain() declares `identity`; it holds no memo, and
@@ -377,6 +421,12 @@ class TestDerivedAndInverse:
         inv = frobenius_inverse(inner_pairing(), 4)
         assert pairings_equal(convolve2(inv, inner_pairing()), unit_pairing(), 5)
         assert pairings_equal(inv, milnor_moore_inverse2(inner_pairing()), 4)
+
+    def test_frobenius_inverse_inherits_the_declared_grading(self):
+        assert frobenius_inverse(inner_pairing(), 3).grade_preserving
+        assert frobenius_inverse(unit_pairing(), 3).grade_preserving
+        undeclared = Pairing(inner_pairing().on_basis, "inner")
+        assert not frobenius_inverse(undeclared, 3).grade_preserving
 
     def test_frobenius_inverse_of_e2(self):
         assert pairings_equal(frobenius_inverse(unit_pairing(), 3), unit_pairing(), 3)

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import pairings_equal
+import oracles
+from oracles import pairings_equal, power_sum_hash
 from symchar.convolution import schur_hall_pairing, unit_pairing
 from symchar.hash_products import (
     HashSpec,
+    _product,
     build_hash,
     composite_pairing,
     hash_is_hopf,
@@ -339,10 +341,63 @@ class TestCompositePairing:
     def test_empty_spec_gives_unit_pairing(self):
         assert pairings_equal(composite_pairing(named_spec("trivial")), unit_pairing(), 4)
 
+    def test_unit_pairing_keeps_no_memo(self):
+        """e2 answers each pair with a view of a fresh s_() or 0, so the trivial
+        composite stores nothing however many products it serves."""
+        spec = named_spec("trivial")
+        composite = composite_pairing(spec)
+        product = _product(spec, composite)
+        for mu in partitions_up_to(3):
+            for nu in partitions_up_to(3):
+                x, y = SymFunc.basis(mu), SymFunc.basis(nu)
+                assert product(x, y) == outer_mul(x, y)
+                expected = unit() if mu == nu == () else SymFunc.zero()
+                assert composite.on_basis(mu, nu) == expected
+        assert product(s(2, 1) + s(1), s(2) - s(1, 1)) == outer_mul(s(2, 1) + s(1), s(2) - s(1, 1))
+        assert not composite._memo
+
     def test_newell_littlewood_pairing_is_schur_hall(self):
         assert pairings_equal(
             composite_pairing(named_spec("newell-littlewood")), schur_hall_pairing(), 4
         )
+
+
+class TestPowerSumOracle:
+    """Every named hash product against the power-sum oracle, which reaches the
+    Schur basis through border-strip characters only: every basis pair of
+    weight <= 4 per factor, and two-term sums, whose coproduct legs merge."""
+
+    SUMS = [s(2, 1) + s(1), s(3) - s(1, 1).scale(2), s(2, 2) + s(3, 1), s(1) + unit()]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_named_product(self, name):
+        product = named_product(name)
+        factors = [SymFunc.basis(lam) for lam in partitions_up_to(4)] + self.SUMS
+        for x in factors:
+            for y in factors:
+                assert product(x, y) == power_sum_hash(name, x, y), (name, x, y)
+
+    def test_oracle_reads_no_lr_skew_coproduct_or_kronecker_code(self):
+        """Everything power_sum_hash reaches through the oracle module's names,
+        closures and tables is stdlib, `symchar.partitions` or the SymFunc type."""
+        seen, todo = set(), [oracles.power_sum_hash]
+        while todo:
+            obj = todo.pop()
+            obj = getattr(obj, "__wrapped__", obj)
+            module = getattr(obj, "__module__", None) or ""
+            if isinstance(obj, dict):
+                todo += obj.values()
+            elif module.startswith("symchar"):
+                assert module == "symchar.partitions" or obj is SymFunc, obj
+            elif module == oracles.__name__ and hasattr(obj, "__code__"):
+                todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+                codes = [obj.__code__]
+                while codes:
+                    code = codes.pop()
+                    codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+                    todo += [vars(oracles).get(n) for n in set(code.co_names) - seen]
+                    seen |= set(code.co_names)
+        assert {"reference_character", "_power_coproduct", "z_and_n", "POWER_SUM_PAIRINGS"} <= seen
 
 
 class TestHopfClassification:

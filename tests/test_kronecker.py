@@ -8,7 +8,7 @@ from functools import cache
 
 import pytest
 
-from oracles import hook_dimension
+from oracles import hook_dimension, reference_character
 from symchar import kronecker
 from symchar.kronecker import (
     character,
@@ -21,28 +21,6 @@ from symchar.kronecker import (
 )
 from symchar.partitions import conjugate, partitions_of, partitions_up_to, weight, z_and_n
 from symchar.schur import SymFunc, outer_mul, s, scalar, tensor, unit
-
-
-@cache
-def _reference_beta(betas: frozenset, rho: tuple) -> int:
-    """Murnaghan-Nakayama on a beta-number set: removing a border strip of size
-    r moves one beta number down by r, with sign from the betas jumped over."""
-    if not rho:
-        return 1
-    r, rest = rho[0], rho[1:]
-    total = 0
-    for b in betas:
-        if b - r < 0 or (b - r) in betas:
-            continue
-        height = sum(1 for x in betas if b - r < x < b)
-        total += (-1) ** height * _reference_beta((betas - {b}) | {b - r}, rest)
-    return total
-
-
-def reference_character(lam, rho) -> int:
-    size = max(len(lam), 1)
-    padded = list(lam) + [0] * (size - len(lam))
-    return _reference_beta(frozenset(padded[i] + size - 1 - i for i in range(size)), tuple(rho))
 
 
 @cache

@@ -7,8 +7,8 @@ heads a(x1, y1) summed per second-leg pair: a hash product is one pass of it ove
 its memo on basis pairs, folds the stages and the coboundary.  Stages memoize in
 `Pairing._memo` (`inner`, `outer`, `schur-hall` and `e2` hand out read-only
 views instead); inverses recurse through the memo of the cochain or pairing
-they return.  Checkers are bounded exhaustive searches of the Schur basis with
-a counterexample witness.
+they return.  Each checker is `_law` over a generator of the law's counterexamples on
+the Schur basis, whose sides read the cached LR kernels; the first is the witness.
 """
 
 from __future__ import annotations
@@ -149,10 +149,10 @@ def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:
 
 def _convolve(a: Pairing, b: Pairing, f: dict, g: dict) -> SymFunc:
     """(a * b)(f, g) = sum_{x2,y2} [sum_{x1,y1} f_{x1 x2} g_{y1 y2} a(x1, y1)] b(x2, y2) on
-    term dicts, f_{x1 x2} the coefficient of s_x1 (x) s_x2 in Delta f: legs merged over
-    the terms, one a per leg-matched (x1, y1), only |x1| = |y1| when a declares its
-    grading; one b per (x2, y2) whose summed head is nonzero; head term p times tail
-    term q into row p, then one LR product per nonzero entry (row () is s_q as is)."""
+    term dicts, f_{x1 x2} the coefficient of s_x1 (x) s_x2 in Delta f: legs merged over the
+    terms, one a per leg-matched (x1, y1) whose tails do not all cancel, only |x1| = |y1|
+    when a declares its grading; one b per (x2, y2) whose summed head is nonzero; head term
+    p times tail term q into row p, then one LR product per nonzero entry (row () is s_q)."""
     leg = weight if a.grade_preserving else lambda x1: None  # which y1 meet x1
     xs, ys = {}, {}  # {leg(x1): {x1: {x2: coefficient}}}
     for legs, terms in ((xs, f), (ys, g)):
@@ -162,8 +162,9 @@ def _convolve(a: Pairing, b: Pairing, f: dict, g: dict) -> SymFunc:
                 tails[x2] = tails.get(x2, 0) + cf * c
     heads: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
     for key, x_legs in xs.items():
+        y_legs = [(y1, tails) for y1, tails in ys.get(key, {}).items() if any(tails.values())]
         for x1, x_tails in x_legs.items():
-            for y1, y_tails in ys.get(key, {}).items():
+            for y1, y_tails in y_legs if any(x_tails.values()) else ():
                 head = a.on_basis(x1, y1).terms
                 for x2, cx in x_tails.items() if head else ():
                     for y2, cy in y_tails.items():
@@ -248,92 +249,88 @@ def coboundary1(f: Cochain1) -> Pairing:
 
 # -- property checkers -------------------------------------------------------
 
+def _law(counterexamples):
+    """is_<law>(obj, max_degree, witness=None) from a generator of the law's
+    counterexamples up to max_degree: True when it yields none, else False with
+    the first one appended to witness."""
+
+    def check(obj, max_degree: int, witness: list | None = None) -> bool:
+        found = next(counterexamples(obj, max_degree), None)
+        if found is not None and witness is not None:
+            witness.append(found)
+        return found is None
+
+    check.__name__ = check.__qualname__ = counterexamples.__name__
+    check.__doc__ = counterexamples.__doc__
+    return check
+
+
 def _basis_pairs(max_degree: int):
     """Basis pairs (x, y) with |x| + |y| <= max_degree."""
-    basis = partitions_up_to(max_degree)
-    for x in basis:
-        for y in basis:
-            if weight(x) + weight(y) <= max_degree:
-                yield x, y
+    for x in partitions_up_to(max_degree):
+        for y in partitions_up_to(max_degree - weight(x)):
+            yield x, y
 
 
 def _basis_triples(max_degree: int):
-    basis = partitions_up_to(max_degree)
     for x, y in _basis_pairs(max_degree):
-        for z in basis:
-            if weight(x) + weight(y) + weight(z) <= max_degree:
-                yield x, y, z
+        for z in partitions_up_to(max_degree - weight(x) - weight(y)):
+            yield x, y, z
 
 
-def is_cocycle2(c: Pairing, max_degree: int, witness: list | None = None) -> bool:
+@_law
+def is_cocycle2(c: Pairing, max_degree: int):
     """Inverse-free 2-cocycle identity (c o m1) * (c (x) eps) = (eps (x) c) * (c o m2)
-    on basis triples of total weight <= max_degree."""
+    on basis triples of total weight <= max_degree, each side one `_convolve` pass (which
+    trusts c's declared grading); counterexamples (x, y, z, lhs, rhs)."""
     for x, y, z in _basis_triples(max_degree):
-        sx, sy, sz = SymFunc.basis(x), SymFunc.basis(y), SymFunc.basis(z)
-        lhs = SymFunc.zero()
-        for (x1, x2), cx in coproduct_basis(x).items():
-            for (y1, y2), cy in coproduct_basis(y).items():
-                head = c(outer_mul(SymFunc.basis(x1), SymFunc.basis(y1)), sz)
-                lhs.add(outer_mul(head, c.on_basis(x2, y2)), cx * cy)
-        rhs = SymFunc.zero()
-        for (y1, y2), cy in coproduct_basis(y).items():
-            for (z1, z2), cz in coproduct_basis(z).items():
-                tail = c(sx, outer_mul(SymFunc.basis(y2), SymFunc.basis(z2)))
-                rhs.add(outer_mul(c.on_basis(y1, z1), tail), cy * cz)
+        sx, sz = SymFunc.basis(x), SymFunc.basis(z)
+        head = Pairing(lambda p, q: c(SymFunc.view(product_basis(p, q)), sz))  # c(x1 y1, z)
+        tail = Pairing(lambda p, q: c(sx, SymFunc.view(product_basis(p, q))))  # c(x, y2 z2)
+        lhs, rhs = _convolve(head, c, {x: 1}, {y: 1}), _convolve(c, tail, {y: 1}, {z: 1})
         if lhs != rhs:
-            if witness is not None:
-                witness.append((x, y, z, lhs, rhs))
-            return False
-    return True
+            yield x, y, z, lhs, rhs
 
 
-def is_algebra_hom(f: Cochain1, max_degree: int, witness: list | None = None) -> bool:
-    """1-cocycle test: f(x y) = f(x) f(y) on basis pairs up to the bound."""
+@_law
+def is_algebra_hom(f: Cochain1, max_degree: int):
+    """1-cocycle test: f(x y) = f(x) f(y) on basis pairs up to the bound;
+    counterexamples (x, y, lhs, rhs)."""
     for x, y in _basis_pairs(max_degree):
-        lhs = f(outer_mul(SymFunc.basis(x), SymFunc.basis(y)))
+        lhs = f(SymFunc.view(product_basis(x, y)))
         rhs = outer_mul(f.on_basis(x), f.on_basis(y))
         if lhs != rhs:
-            if witness is not None:
-                witness.append((x, y, lhs, rhs))
-            return False
-    return True
+            yield x, y, lhs, rhs
 
 
-def is_laplace(a: Pairing, max_degree: int, witness: list | None = None) -> bool:
-    """Left/right straightening: a(x, yz) = a(x1,y) a(x2,z), a(xy, z) = a(x,z1) a(y,z2)."""
+@_law
+def is_laplace(a: Pairing, max_degree: int):
+    """Left/right straightening: a(x, yz) = a(x1,y) a(x2,z), a(xy, z) = a(x,z1) a(y,z2);
+    counterexamples ("right" or "left", x, y, z, lhs, rhs)."""
     for x, y, z in _basis_triples(max_degree):
-        sy, sz = SymFunc.basis(y), SymFunc.basis(z)
-        right = a(SymFunc.basis(x), outer_mul(sy, sz))
+        right = a(SymFunc.basis(x), SymFunc.view(product_basis(y, z)))
         expand = SymFunc.zero()
         for (x1, x2), cx in coproduct_basis(x).items():
             expand.add(outer_mul(a.on_basis(x1, y), a.on_basis(x2, z)), cx)
         if right != expand:
-            if witness is not None:
-                witness.append(("right", x, y, z, right, expand))
-            return False
-        left = a(outer_mul(SymFunc.basis(x), sy), sz)
+            yield "right", x, y, z, right, expand
+        left = a(SymFunc.view(product_basis(x, y)), SymFunc.basis(z))
         expand = SymFunc.zero()
         for (z1, z2), cz in coproduct_basis(z).items():
             expand.add(outer_mul(a.on_basis(x, z1), a.on_basis(y, z2)), cz)
         if left != expand:
-            if witness is not None:
-                witness.append(("left", x, y, z, left, expand))
-            return False
-    return True
+            yield "left", x, y, z, left, expand
 
 
-def _is_degree_preserving(a: Pairing, max_degree: int) -> bool:
+@_law
+def _is_degree_preserving(a: Pairing, max_degree: int):
     """a(x, y) = 0 unless |x| = |y| (the `grade_preserving` property) and a(x, y)
     lies in degree |x|, which a declared pairing need not satisfy (schur_hall_pairing
-    has values in degree 0); checked on basis pairs up to max_degree."""
+    has values in degree 0); counterexamples (x, y) on basis pairs up to max_degree."""
     for x, y in _basis_pairs(max_degree):
-        val = a.on_basis(x, y)
-        if weight(x) != weight(y):
-            if val:
-                return False
-        elif val.degrees() - {weight(x)}:
-            return False
-    return True
+        allowed = {weight(x)} if weight(x) == weight(y) else set()
+        if a.on_basis(x, y).degrees() - allowed:
+            yield x, y
 
 
 def adjoint_comultiplication(a: Pairing, lam: Partition) -> TensorSymFunc:
@@ -352,43 +349,29 @@ def adjoint_comultiplication(a: Pairing, lam: Partition) -> TensorSymFunc:
     return TensorSymFunc(out)
 
 
-def is_frobenius(a: Pairing, max_degree: int, witness: list | None = None) -> bool:
-    """Frobenius Laplace test: degree preservation, per-grade unitality with
-    the canonical unit s_(n) and counit law with eps1 (checked on every grade
-    where the pairing is not identically zero), the Frobenius law
-    x1 (x) a(x2, y) = delta_a(a(x,y)) = a(x, y1) (x) y2 with delta_a the
-    dual comultiplication, and the mixed bialgebra law
-    delta_a o m = (m (x) m) o (1 (x) sw (x) 1) o (delta_a (x) delta_a)."""
+@_law
+def is_frobenius(a: Pairing, max_degree: int):
+    """Frobenius Laplace test, counterexamples in this order: ("not grade-preserving",);
+    ("unit", n, x, a(s_(n), s_x)) per grade where a is not identically zero (a zero grade
+    has no algebra to test, so e2 is Frobenius); on basis pairs, the Frobenius law
+    x1 (x) a(x2, y) = delta_a(a(x,y)) = a(x, y1) (x) y2, delta_a the dual comultiplication
+    ("frobenius-law", x, y, lhs, middle, rhs), and the mixed bialgebra law delta_a o m =
+    (m (x) m) o (1 (x) sw (x) 1) o (delta_a (x) delta_a) ("mixed-bialgebra", x, y, lhs, rhs).
+    The unit law on a whole grade n makes eps1 the counit there, so that law is not
+    checked: s_(n) (x) s_nu has the coefficient of s_x in a(s_(n), s_nu) = s_nu in
+    delta_a(s_x), so the restored sum_nu <x|a(s_(n), s_nu)> s_nu is s_x."""
     if not _is_degree_preserving(a, max_degree):
-        if witness is not None:
-            witness.append(("not grade-preserving",))
-        return False
-
-    delta_a = cache(partial(adjoint_comultiplication, a))  # once per lam per check
-    # Unit and counit per grade: on every degree n where a does not vanish
-    # identically, s_(n) must be a two-sided unit and eps1 the counit of the
-    # dual comultiplication.  (Grades on which a is zero carry no algebra
-    # structure to test; this keeps the convolution unit e2 Frobenius.)
+        yield ("not grade-preserving",)
+        return
     for n in range(1, max_degree + 1):
         grade = partitions_of(n)
-        if all(not a.on_basis(x, y).terms for x in grade for y in grade):
-            continue
-        for x in grade:
-            if a.on_basis((n,), x) != SymFunc.basis(x):
-                if witness is not None:
-                    witness.append(("unit", n, x, a.on_basis((n,), x)))
-                return False
-            restored = SymFunc.zero()
-            for (x1, x2), c in delta_a(x).terms.items():
-                if x1 == (n,):
-                    restored.add(SymFunc.basis(x2), c)
-            if restored != SymFunc.basis(x):
-                if witness is not None:
-                    witness.append(("counit", n, x, restored))
-                return False
+        if any(a.on_basis(u, v) for u in grade for v in grade):
+            for x in grade:
+                if a.on_basis((n,), x) != SymFunc.basis(x):
+                    yield "unit", n, x, a.on_basis((n,), x)
+    delta_a = cache(partial(adjoint_comultiplication, a))  # once per lam per check
     for x, y in _basis_pairs(max_degree):
-        # Frobenius law on equal degrees (a vanishes otherwise).
-        if weight(x) == weight(y):
+        if weight(x) == weight(y):  # the Frobenius law; a vanishes off equal degrees
             middle = linear(a.on_basis(x, y), delta_a, TensorSymFunc)
             lhs = TensorSymFunc()
             for (y1, y2), cy in delta_a(y).terms.items():
@@ -397,30 +380,11 @@ def is_frobenius(a: Pairing, max_degree: int, witness: list | None = None) -> bo
             for (x1, x2), cx in delta_a(x).terms.items():
                 rhs.add(tensor(SymFunc.basis(x1), a.on_basis(x2, y)), cx)
             if not (lhs == middle == rhs):
-                if witness is not None:
-                    witness.append(("frobenius-law", x, y, lhs, middle, rhs))
-                return False
-        # Mixed bialgebra law on all pairs.
-        lhs, rhs = _bialgebra_sides(x, y, outer_mul, delta_a)
+                yield "frobenius-law", x, y, lhs, middle, rhs
+        lhs = linear(SymFunc.view(product_basis(x, y)), delta_a, TensorSymFunc)
+        rhs = delta_a(x) * delta_a(y)
         if lhs != rhs:
-            if witness is not None:
-                witness.append(("mixed-bialgebra", x, y, lhs, rhs))
-            return False
-    return True
-
-
-def _bialgebra_sides(x: Partition, y: Partition, mul, delta) -> tuple[TensorSymFunc, TensorSymFunc]:
-    """delta(x y) and delta(x) delta(y) at basis elements x, y, for a product mul
-    on SymFunc and a comultiplication delta from a partition to a TensorSymFunc."""
-    lhs = linear(mul(SymFunc.basis(x), SymFunc.basis(y)), delta, TensorSymFunc)
-    rhs = TensorSymFunc()
-    for (x1, x2), cx in delta(x).terms.items():
-        for (y1, y2), cy in delta(y).terms.items():
-            rhs.add(tensor(
-                mul(SymFunc.basis(x1), SymFunc.basis(y1)),
-                mul(SymFunc.basis(x2), SymFunc.basis(y2)),
-            ), cx * cy)
-    return lhs, rhs
+            yield "mixed-bialgebra", x, y, lhs, rhs
 
 
 def derived_pairing(a: Pairing, phi: Cochain1, max_degree: int = 4) -> Pairing:

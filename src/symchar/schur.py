@@ -151,16 +151,22 @@ class TensorSymFunc(_Combination):
         return TensorSymFunc({(tuple(mu), tuple(nu)): 1})
 
     def __mul__(self, other):
-        """Componentwise (outer) product on Sym (x) Sym."""
+        """Componentwise (outer) product on Sym (x) Sym, left products summed per right pair."""
         if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, TensorSymFunc):
-            out = TensorSymFunc()
+            lefts: dict = {}  # (b, v): sum of c1 c2 s_a s_u over the term pairs
             for (a, b), c1 in self.terms.items():
                 for (u, v), c2 in other.terms.items():
-                    left, right = SymFunc(product_basis(a, u)), SymFunc(product_basis(b, v))
-                    out.add(tensor(left, right), c1 * c2)
-            return out
+                    left = lefts.setdefault((b, v), {})
+                    for p, cp in product_basis(a, u).items():
+                        left[p] = left.get(p, 0) + c1 * c2 * cp
+            out: dict = {}
+            for (b, v), left in lefts.items():
+                for q, cq in product_basis(b, v).items():
+                    for p, cp in left.items():
+                        out[p, q] = out.get((p, q), 0) + cp * cq
+            return TensorSymFunc(out)
         return NotImplemented
 
     def __repr__(self) -> str:

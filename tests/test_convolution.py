@@ -1,6 +1,9 @@
 """Convolution monoids of cochains and pairings, Milnor-Moore inverses,
 coboundaries, and the Laplace/cocycle/Frobenius property checkers."""
 
+from functools import cache
+from itertools import combinations, permutations
+
 import pytest
 
 from oracles import cochains_equal, pairings_equal
@@ -34,11 +37,14 @@ from symchar.kronecker import inner_coproduct_basis, kronecker_basis
 from symchar.partitions import conjugate, partitions_of, partitions_up_to, weight
 from symchar.schur import (
     SymFunc,
+    TensorSymFunc,
     antipode,
     coproduct_basis,
+    h,
     iterated_coproduct_basis,
     outer_mul,
     s,
+    tensor,
     unit,
 )
 from test_hash import p2_plethysm_pairing
@@ -195,6 +201,20 @@ class TestConvolutionCallCounts:
         assert sorted(tail.calls) == sorted(pair for pair, head in heads.items() if head)
         assert value == reference_convolve2(base, outer_pairing())(x, y)
 
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_cancelled_first_leg_is_not_read(self, declared):
+        """s(2) and s(1,1) share the leg s1 (x) s1, so it cancels in x = s(2) - s(1,1):
+        x # y reads no a(s1, y1)."""
+        from symchar import hash_products
+
+        base = omega_difference_pairing(declared)
+        a = Counted(base)
+        x, y = s(2) - s(1, 1), s(2, 1)
+        value = hash_products._product(hash_products.HashSpec(()), a)(x, y)
+        assert ((1,), (1,)) not in a.calls
+        assert all(x1 != (1,) for x1, _ in a.calls)
+        assert value == reference_convolve2(base, outer_pairing())(x, y)
+
 
 class TestMilnorMooreInverse:
     def test_inverse_of_identity_is_antipode(self):
@@ -346,6 +366,97 @@ class TestCheckers:
         a = derived_pairing(inner_pairing(), antipode_cochain(), 4)
         assert is_laplace(a, 4)
         assert not is_frobenius(a, 4)
+
+
+def eps_right_pairing() -> Pairing:
+    """a(x, y) = eps(y) x: a(s1, s_() s_()) = s1, but both legs of s1 straighten to s1."""
+    return Pairing(lambda mu, nu: SymFunc.zero() if nu else SymFunc.basis(mu), "eps-right")
+
+
+def bumped_inner(key, extra: SymFunc) -> Pairing:
+    """inner with extra added to its value at the basis pair key."""
+    inner = inner_pairing()
+
+    def fn(mu, nu):
+        return inner.on_basis(mu, nu) + (extra if (mu, nu) == key else SymFunc.zero())
+
+    return Pairing(fn, "bumped-inner", grade_preserving=True)
+
+
+def h_diagonal_pairing() -> Pairing:
+    """The pairing dual to delta(h_alpha) = h_alpha (x) h_alpha, which is
+    a(m_beta, m_gamma) = [beta = gamma] m_beta in the monomial basis.  s_(n) is its
+    unit on grade n and delta_a is multiplicative, but the Hall form is not
+    invariant under it: it fails only the Frobenius law, first at (s2, s11)."""
+
+    @cache
+    def delta(lam):  # Jacobi-Trudi: s_lam = det(h_{lam_i - i + j})
+        out = TensorSymFunc()
+        for perm in permutations(range(len(lam))):
+            parts = [lam[i] - i + j for i, j in enumerate(perm)]
+            if min(parts, default=0) >= 0:
+                h_alpha = SymFunc.one()
+                for k in parts:
+                    h_alpha = outer_mul(h_alpha, h(k))
+                out.add(tensor(h_alpha, h_alpha), (-1) ** sum(i > j for i, j in combinations(perm, 2)))
+        return out
+
+    def fn(mu, nu):
+        if weight(mu) != weight(nu):
+            return SymFunc.zero()
+        return SymFunc({lam: delta(lam).terms.get((mu, nu), 0) for lam in partitions_of(weight(mu))})
+
+    return Pairing(fn, "h-diagonal", grade_preserving=True)
+
+
+class TestWitnesses:
+    """The first counterexample of every checker branch that a pairing or cochain
+    reaches, as its repr."""
+
+    CASES = {
+        "right": (is_laplace, eps_right_pairing, 2, "('right', (1,), (), (), s[1], 2*s[1])"),
+        "left": (is_laplace, outer_pairing, 3, "('left', (), (), (1,), s[1], 2*s[1])"),
+        "cocycle": (is_cocycle2, outer_pairing, 3, "((), (), (1,), s[1], 2*s[1])"),
+        "alghom": (
+            is_algebra_hom,
+            lambda: Cochain1(lambda lam: SymFunc.basis(lam) + outer_mul(SymFunc.basis(lam), s(1))),
+            4,
+            "((), (), s[0] + s[1], s[0] + 2*s[1] + s[2] + s[1,1])",
+        ),
+        "not grade-preserving": (is_frobenius, schur_hall_pairing, 3, "('not grade-preserving',)"),
+        "unit": (is_frobenius, schur_hall_pairing, 1, "('unit', 1, (1,), s[0])"),
+        "mixed-bialgebra": (
+            is_frobenius,
+            lambda: bumped_inner(((), ()), unit()),
+            2,
+            "('mixed-bialgebra', (), (), 2*s[0](x)s[0], 4*s[0](x)s[0])",
+        ),
+        "frobenius-law": (
+            is_frobenius,
+            h_diagonal_pairing,
+            4,
+            "('frobenius-law', (2,), (1, 1), s[1,1](x)s[1,1] + s[1,1](x)s[2] + s[2](x)s[1,1],"
+            " s[1,1](x)s[1,1] + s[1,1](x)s[2] + s[2](x)s[1,1], s[2](x)s[1,1])",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_first_counterexample(self, case):
+        check, make, degree, expected = self.CASES[case]
+        witness: list = []
+        assert not check(make(), degree, witness)
+        assert [repr(found) for found in witness] == [expected]
+
+    def test_h_diagonal_keeps_every_law_but_frobenius(self):
+        assert is_frobenius(h_diagonal_pairing(), 3)
+        assert is_laplace(h_diagonal_pairing(), 3)
+
+    def test_unit_law_comes_before_the_counit(self):
+        """With a(s2, s11) = s11 + s2, eps1 is no counit of delta_a on grade 2, but the
+        unit law fails there first; once it holds on a grade, so does the counit law."""
+        witness: list = []
+        assert not is_frobenius(bumped_inner(((2,), (1, 1)), s(2)), 3, witness)
+        assert repr(witness) == "[('unit', 2, (1, 1), s[2] + s[1,1])]"
 
 
 class TestAdjointComultiplication:

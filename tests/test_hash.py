@@ -423,6 +423,19 @@ class TestHopfClassification:
     def test_trivial_is_hopf(self):
         assert hash_is_hopf(named_spec("trivial"), 4)
 
+    @pytest.mark.parametrize("pairing", ("inner", "schur-hall", "e2"))
+    def test_one_stage_verdicts(self, pairing):
+        """Every one-stage spec over the pairing, each cochain as the stage's and id
+        or antipode as the final one, at degree 3: the law holds for e2 and for
+        inner unless the stage is m, and never for schur-hall."""
+        from symchar.convolution import COCHAINS, PAIRINGS
+
+        for stage in COCHAINS:
+            for final in ("id", "antipode"):
+                spec = HashSpec(((PAIRINGS[pairing](), COCHAINS[stage]()),), COCHAINS[final]())
+                expected = pairing == "e2" or (pairing == "inner" and stage != "m")
+                assert hash_is_hopf(spec, 3) is expected, (stage, final)
+
     def test_thibon_is_hopf(self):
         assert hash_is_hopf(named_spec("thibon"), 4)
 

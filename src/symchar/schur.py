@@ -225,6 +225,7 @@ def _row_step(states: dict, lo: int, hi: int, off: int, final: bool) -> dict:
     for (above, content), c in states.items():
         counts = [*content, 0]
         fill(hi - 1, len(content) + 1)
+    del fill  # a recursive closure must not outlive its call: only gc frees its cycle
     return out
 
 
@@ -428,6 +429,7 @@ def eval_monomials(lam: Partition, n_vars: int) -> dict[Monomial, int]:
             del grid[(i, j)]
 
     fill(0, [0] * n_vars)
+    del fill  # as in _row_step
     return poly
 
 

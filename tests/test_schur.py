@@ -2,6 +2,7 @@
 scalar product, skews, and the monomial-expansion oracle."""
 
 import functools
+import gc
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import eval_polynomial, hook_dimension, poly_mul
+from symchar.hash_products import build_hash, named_spec
 from symchar.kronecker import inner_coproduct_basis, kronecker_basis
 from symchar.partitions import (
     CANONICAL,
@@ -26,6 +28,7 @@ from symchar.partitions import (
 from symchar.schur import (
     SymFunc,
     TensorSymFunc,
+    _skew,
     antipode,
     coproduct,
     coproduct_basis,
@@ -509,3 +512,62 @@ class TestStoredOnce:
             expected |= {conjugate(lam) for lam in (*out, *conjugated)}
         assert len(out) > 10
         assert table == expected
+
+
+class TestNoReferenceCycles:
+    """The LR kernel and the monomial oracle leave no cyclic garbage, so
+    reference counting frees all they allocate and the cyclic collector has
+    nothing to sweep up after them."""
+
+    def test_kernels_leave_no_cycles(self):
+        # Arguments no cache has seen, so every call does its work.
+        thibon, ml = build_hash(named_spec("thibon")), build_hash(named_spec("murnaghan-littlewood"))
+        calls = {
+            "product on the conjugates": lambda: product_basis.__wrapped__((1, 1, 1, 1), (2, 2, 1, 1, 1)),
+            "product": lambda: product_basis.__wrapped__((3, 2, 2), (4, 3)),
+            "skew": lambda: _skew((6, 4, 3, 1), (3, 2)),
+            "coproduct": lambda: coproduct_basis.__wrapped__((4, 3, 2, 1)),
+            "monomials": lambda: eval_monomials.__wrapped__((3, 2, 1), 4),
+            "thibon": lambda: thibon(s(4, 3, 1), s(3, 3, 2)),
+            "murnaghan-littlewood": lambda: ml(s(5, 2, 1), s(4, 2, 2)),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            freed = {}
+            for name, call in calls.items():
+                assert call(), name
+                freed[name] = gc.collect(0)  # all they allocated is young
+        finally:
+            gc.enable()
+        assert freed == dict.fromkeys(calls, 0)
+
+    def test_outer_stream_frees_nothing(self):
+        """One 784-query `outer` benchmark stream in a fresh interpreter: the
+        collector's passes find nothing to free.  A kernel closure that
+        outlives its call makes this about 240 passes freeing about 300,000
+        objects."""
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import gc, json\n"
+            "from streams import make_stream\n"
+            "from worker import make_ops\n"
+            "queries, ops = make_stream('outer', 1, 784), make_ops()\n"
+            "passes = freed = 0\n"
+            "def count(phase, info):\n"
+            "    global passes, freed\n"
+            "    if phase == 'stop':\n"
+            "        passes, freed = passes + 1, freed + info['collected']\n"
+            "gc.collect()\n"
+            "gc.callbacks.append(count)\n"
+            "for q in queries:\n"
+            "    ops[q['op']](*q['args'])\n"
+            "gc.callbacks.remove(count)\n"
+            "print(json.dumps([passes, freed]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        passes, freed = json.loads(proc.stdout)
+        assert freed == 0
+        assert passes < 120

@@ -84,9 +84,7 @@ def rational_mul(x: RationalChar, y: RationalChar) -> RationalChar:
                     ls = skew_basis(lam, tau)
                     if not ms or not ls:
                         continue
-                    left = outer_mul(SymFunc(ks), SymFunc(ms))
-                    right = outer_mul(SymFunc(ls), SymFunc(ns))
-                    out.add(tensor(left, right), cx * cy)
+                    out.add(tensor(outer_mul(ks, ms), outer_mul(ls, ns)), cx * cy)
     return RationalChar(out, irreducible=True)
 
 
@@ -106,7 +104,7 @@ def rational_convert(x: RationalChar, direction: str) -> RationalChar:
             ms = skew_basis(mu, zeta if to_irreducible else conjugate(zeta))
             if ls and ms:
                 sign = 1 if to_irreducible else (-1) ** weight(zeta)
-                out.add(tensor(SymFunc(ls), SymFunc(ms)), c * sign)
+                out.add(tensor(ls, ms), c * sign)
     return RationalChar(out, irreducible=to_irreducible)
 
 

@@ -1,14 +1,17 @@
 """Convolution monoids of 1-cochains and pairings over symmetric functions.
 
-Cochains map basis elements into the algebra (linear extension implied).
-`_convolve` is the one pairing convolution, (a * b)(f, g) on term dicts with its
-heads a(x1, y1) summed per second-leg pair: a hash product is one pass of it over
-(x, y) that ends in psi o m = `_composed(psi, outer_pairing())`, and `convolve2`,
-its memo on basis pairs, folds the stages and the coboundary.  Stages memoize in
-`Pairing._memo` (`inner`, `outer`, `schur-hall` and `e2` hand out read-only
-views instead); inverses recurse through the memo of the cochain or pairing
-they return.  Each checker is `_law` over a generator of the law's counterexamples on
-the Schur basis, whose sides read the cached LR kernels; the first is the witness.
+A stage, `Cochain1` or `Pairing`, answers every basis read through one class-level
+`on_basis` with a read-only {partition: coefficient} dict; its call is the linear
+extension.  It memoizes what it computes (`convolve2` folds, inverses, phi o a with
+phi != id) and declares `lookup` where the value is looked up instead (`inner`,
+`outer`, `schur-hall`, `e2` and id hold no memo).  `_convolve` is the one pairing
+convolution, (a * b)(f, g) on term dicts with its heads a(x1, y1) summed per
+second-leg pair: a hash product is one pass of it over (x, y) that ends in
+psi o m = `_composed(psi, outer_pairing())`, and `convolve2`, its memo on basis
+pairs, folds the stages and the coboundary; inverses recurse through the memo of
+the cochain or pairing they return.  Each checker is `_law` over a generator of the
+law's counterexamples on the Schur basis, whose sides read the cached LR kernels;
+the first is the witness.
 """
 
 from __future__ import annotations
@@ -29,105 +32,91 @@ from .schur import (
 )
 
 
-class Cochain1:
-    """A linear map on Sym given on the Schur basis, with a memo cache."""
+class _Stage:
+    """A cochain or pairing on the Schur basis.  `on_basis(*key)` is its value on the
+    basis key(s), a read-only {partition: coefficient} dict without zero terms, the
+    shape `product_basis` and `kronecker_basis` return.  It is memoized in `_memo`
+    (keyed by lam for a cochain, (mu, nu) for a pairing) unless the constructor
+    declares `lookup`: the value is looked up, not computed."""
 
-    identity = False  # declared: f(x) = x; only identity_cochain() sets it
-
-    def __init__(self, fn, name: str = "cochain"):
-        self._fn = fn
-        self.name = name
-        self._memo: dict[Partition, SymFunc] = {}
-
-    def on_basis(self, lam: Partition) -> SymFunc:
-        lam = tuple(lam)
-        hit = self._memo.get(lam)
-        if hit is None:
-            hit = self._memo[lam] = self._fn(lam)
-        return hit
-
-    def __call__(self, f: SymFunc) -> SymFunc:
-        return linear(f, self.on_basis, SymFunc)
-
-    def __repr__(self) -> str:
-        return f"Cochain1({self.name})"
-
-
-class Pairing:
-    """A 2-cochain: bilinear map Sym x Sym -> Sym given on basis pairs."""
-
-    def __init__(self, fn, name: str = "pairing", grade_preserving: bool = False):
+    def __init__(self, fn, name: str = "stage", grade_preserving: bool = False, lookup: bool = False):
         self._fn = fn
         self.name = name
         self.grade_preserving = grade_preserving  # declared: a(x, y) = 0 unless |x| = |y|
-        self._memo: dict[tuple[Partition, Partition], SymFunc] = {}
+        self.lookup = lookup
+        self._memo: dict = {}
 
-    def on_basis(self, mu: Partition, nu: Partition) -> SymFunc:
-        key = (tuple(mu), tuple(nu))
-        hit = self._memo.get(key)
+    def on_basis(self, *key) -> dict[Partition, int]:
+        if self.lookup:
+            return self._fn(*key)
+        memo_key = key if len(key) > 1 else key[0]
+        hit = self._memo.get(memo_key)
         if hit is None:
-            hit = self._memo[key] = self._fn(*key)
+            hit = self._memo[memo_key] = self._fn(*key)
         return hit
 
-    def __call__(self, f: SymFunc, g: SymFunc) -> SymFunc:
-        return _bilinear(f, g, self.on_basis)
-
     def __repr__(self) -> str:
-        return f"Pairing({self.name})"
+        return f"{type(self).__name__}({self.name})"
+
+
+class Cochain1(_Stage):
+    """A linear map on Sym, s_lam -> on_basis(lam)."""
+
+    identity = False  # declared: f(x) = x; only identity_cochain() sets it
+
+    def __call__(self, f) -> SymFunc:
+        return linear(f, self.on_basis, SymFunc)
+
+
+class Pairing(_Stage):
+    """A 2-cochain: the bilinear map Sym x Sym -> Sym with (s_mu, s_nu) -> on_basis(mu, nu)."""
+
+    def __call__(self, f, g) -> SymFunc:
+        return _bilinear(f, g, self.on_basis)
 
 
 # -- standard cochains and pairings -----------------------------------------
 
 def identity_cochain() -> Cochain1:
-    """id, declared `identity`: s_lam -> s_lam unmemoized; a call copies its argument."""
-    ident = Cochain1(SymFunc.basis, "id")
-    ident.identity, ident.on_basis = True, SymFunc.basis
+    """id, declared `identity`: s_lam -> s_lam, looked up; a call copies its argument."""
+    ident = Cochain1(lambda lam: {lam: 1}, "id", lookup=True)
+    ident.identity = True
     return ident
 
 
 def antipode_cochain() -> Cochain1:
-    return Cochain1(lambda lam: antipode(SymFunc.basis(lam)), "antipode")
+    return Cochain1(lambda lam: antipode({lam: 1}).terms, "antipode")
 
 
 def unit_counit_cochain() -> Cochain1:
     """e = eta o eps, the convolution unit."""
-    return Cochain1(lambda lam: SymFunc.one() if not lam else SymFunc.zero(), "e")
+    return Cochain1(lambda lam: {} if lam else {(): 1}, "e")
 
 
 def eps1_cochain() -> Cochain1:
     """eta o eps^1: x -> <M(1)|x> s_(). An algebra homomorphism (evaluation at one variable = 1)."""
-    return Cochain1(
-        lambda lam: SymFunc.one() if len(lam) <= 1 else SymFunc.zero(), "eta.eps1"
-    )
+    return Cochain1(lambda lam: {(): 1} if len(lam) <= 1 else {}, "eta.eps1")
 
 
 def unit_pairing() -> Pairing:
     """e2(x, y) = eps(x) eps(y) s_(), the unit of the pairing convolution monoid."""
-    return _kernel_pairing(lambda mu, nu: {(): 1} if mu == nu == () else {}, "e2", grade_preserving=True)
-
-
-def _kernel_pairing(kernel, name: str, grade_preserving: bool = False) -> Pairing:
-    """a(mu, nu) on partition tuples: a read-only view of the dict kernel returns, no memo."""
-    view = SymFunc.view
-    pairing = Pairing(lambda mu, nu: view(kernel(mu, nu)), name, grade_preserving)
-    pairing.on_basis = pairing._fn
-    return pairing
+    return Pairing(lambda mu, nu: {(): 1} if mu == nu == () else {}, "e2", grade_preserving=True, lookup=True)
 
 
 def outer_pairing() -> Pairing:
     """m: a(mu, nu) = s_mu s_nu, read from product_basis's cache."""
-    return _kernel_pairing(product_basis, "outer")
+    return Pairing(product_basis, "outer", lookup=True)
 
 
 def inner_pairing() -> Pairing:
     from .kronecker import kronecker_basis
 
-    return _kernel_pairing(kronecker_basis, "inner", grade_preserving=True)
+    return Pairing(kronecker_basis, "inner", grade_preserving=True, lookup=True)
 
 
 def schur_hall_pairing() -> Pairing:
     """a(x, y) = <x|y> s_(): the derived pairing (eta o eps^1) o inner."""
-    return _kernel_pairing(lambda mu, nu: {(): 1} if mu == nu else {}, "schur-hall", grade_preserving=True)
+    return Pairing(lambda mu, nu: {(): 1} if mu == nu else {}, "schur-hall", grade_preserving=True, lookup=True)
 
 
 # Constructors by the names `symchar check` and inline hash specs accept.
@@ -138,11 +127,11 @@ COCHAINS = {"id": identity_cochain, "antipode": antipode_cochain, "e": unit_coun
 # -- convolution -------------------------------------------------------------
 
 def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:
-    def fn(lam: Partition) -> SymFunc:
+    def fn(lam: Partition) -> dict[Partition, int]:
         out = SymFunc.zero()
         for (a, b), c in coproduct_basis(lam).items():
             out.add(outer_mul(f.on_basis(a), g.on_basis(b)), c)
-        return out
+        return out.terms
 
     return Cochain1(fn, f"({f.name})*({g.name})")
 
@@ -165,7 +154,7 @@ def _convolve(a: Pairing, b: Pairing, f: dict, g: dict) -> SymFunc:
         y_legs = [(y1, tails) for y1, tails in ys.get(key, {}).items() if any(tails.values())]
         for x1, x_tails in x_legs.items():
             for y1, y_tails in y_legs if any(x_tails.values()) else ():
-                head = a.on_basis(x1, y1).terms
+                head = a.on_basis(x1, y1)
                 for x2, cx in x_tails.items() if head else ():
                     for y2, cy in y_tails.items():
                         h, c = heads.setdefault((x2, y2), {}), cx * cy
@@ -174,7 +163,7 @@ def _convolve(a: Pairing, b: Pairing, f: dict, g: dict) -> SymFunc:
     out: dict[Partition, int] = {}
     rows = {(): out}  # rows[p][q]: coefficient of s_p s_q; s_() s_q = s_q
     for (x2, y2), h in heads.items():
-        tail = b.on_basis(x2, y2).terms if any(h.values()) else {}
+        tail = b.on_basis(x2, y2) if any(h.values()) else {}
         for p, hp in h.items():
             row = rows.setdefault(p, {})
             for q, cq in tail.items():
@@ -190,23 +179,23 @@ def convolve2(a: Pairing, b: Pairing) -> Pairing:
     """(a * b)(mu, nu) = `_convolve(a, b, {mu: 1}, {nu: 1})`, memoized.  a * b
     declares its grading when a and b do (then |x2| = |y2| too)."""
     name, graded = f"({a.name})*({b.name})", a.grade_preserving and b.grade_preserving
-    return Pairing(lambda mu, nu: _convolve(a, b, {mu: 1}, {nu: 1}), name, graded)
+    return Pairing(lambda mu, nu: _convolve(a, b, {mu: 1}, {nu: 1}).terms, name, graded)
 
 
 def milnor_moore_inverse1(f: Cochain1) -> Cochain1:
     """Convolutive inverse of a normalized 1-cochain via cut-coproduct recursion."""
-    if f.on_basis(()) != SymFunc.one():
+    if f.on_basis(()) != {(): 1}:
         raise ValueError(f"cochain {f.name!r} violates the normalized flag (f(1) != 1)")
 
-    def fn(lam: Partition) -> SymFunc:
-        out = -f.on_basis(lam)
+    def fn(lam: Partition) -> dict[Partition, int]:
+        out = -SymFunc(f.on_basis(lam))
         for (a, b), c in coproduct_basis(lam).items():
             if a and b:
                 out.add(outer_mul(inv.on_basis(a), f.on_basis(b)), -c)
-        return out
+        return out.terms
 
     inv = Cochain1(fn, f"inv({f.name})")
-    inv._memo[()] = SymFunc.one()
+    inv._memo[()] = {(): 1}
     return inv
 
 
@@ -218,19 +207,19 @@ def milnor_moore_inverse2(a: Pairing) -> Pairing:
     pairs whose total degrees are both positive, so the recursion descends
     in total degree.
     """
-    if a.on_basis((), ()) != SymFunc.one():
+    if a.on_basis((), ()) != {(): 1}:
         raise ValueError(f"pairing {a.name!r} violates the unital flag (a(1,1) != 1)")
 
-    def fn(mu: Partition, nu: Partition) -> SymFunc:
-        out = -a.on_basis(mu, nu)
+    def fn(mu: Partition, nu: Partition) -> dict[Partition, int]:
+        out = -SymFunc(a.on_basis(mu, nu))
         for (x1, x2), cx in coproduct_basis(mu).items():
             for (y1, y2), cy in coproduct_basis(nu).items():
                 if (x1 or y1) and (x2 or y2):
                     out.add(outer_mul(inv.on_basis(x1, y1), a.on_basis(x2, y2)), -cx * cy)
-        return out
+        return out.terms
 
     inv = Pairing(fn, f"inv({a.name})")
-    inv._memo[(), ()] = SymFunc.one()
+    inv._memo[(), ()] = {(): 1}
     return inv
 
 
@@ -238,10 +227,9 @@ def coboundary1(f: Cochain1) -> Pairing:
     """Sweedler coboundary of an invertible 1-cochain, the convolve2 fold
     (eps (x) f) * (fbar o m) * (f (x) eps)."""
     fbar = milnor_moore_inverse1(f)
-    zero = SymFunc.zero()
-    left = Pairing(lambda mu, nu: zero if mu else f.on_basis(nu), f"eps(x){f.name}")
+    left = Pairing(lambda mu, nu: {} if mu else f.on_basis(nu), f"eps(x){f.name}")
     middle = _composed(fbar, outer_pairing())
-    right = Pairing(lambda mu, nu: zero if nu else f.on_basis(mu), f"{f.name}(x)eps")
+    right = Pairing(lambda mu, nu: {} if nu else f.on_basis(mu), f"{f.name}(x)eps")
     d = convolve2(left, convolve2(middle, right))
     d.name = f"d({f.name})"
     return d
@@ -284,9 +272,8 @@ def is_cocycle2(c: Pairing, max_degree: int):
     on basis triples of total weight <= max_degree, each side one `_convolve` pass (which
     trusts c's declared grading); counterexamples (x, y, z, lhs, rhs)."""
     for x, y, z in _basis_triples(max_degree):
-        sx, sz = SymFunc.basis(x), SymFunc.basis(z)
-        head = Pairing(lambda p, q: c(SymFunc.view(product_basis(p, q)), sz))  # c(x1 y1, z)
-        tail = Pairing(lambda p, q: c(sx, SymFunc.view(product_basis(p, q))))  # c(x, y2 z2)
+        head = Pairing(lambda p, q: c(product_basis(p, q), {z: 1}).terms)  # c(x1 y1, z)
+        tail = Pairing(lambda p, q: c({x: 1}, product_basis(p, q)).terms)  # c(x, y2 z2)
         lhs, rhs = _convolve(head, c, {x: 1}, {y: 1}), _convolve(c, tail, {y: 1}, {z: 1})
         if lhs != rhs:
             yield x, y, z, lhs, rhs
@@ -297,7 +284,7 @@ def is_algebra_hom(f: Cochain1, max_degree: int):
     """1-cocycle test: f(x y) = f(x) f(y) on basis pairs up to the bound;
     counterexamples (x, y, lhs, rhs)."""
     for x, y in _basis_pairs(max_degree):
-        lhs = f(SymFunc.view(product_basis(x, y)))
+        lhs = f(product_basis(x, y))
         rhs = outer_mul(f.on_basis(x), f.on_basis(y))
         if lhs != rhs:
             yield x, y, lhs, rhs
@@ -308,13 +295,13 @@ def is_laplace(a: Pairing, max_degree: int):
     """Left/right straightening: a(x, yz) = a(x1,y) a(x2,z), a(xy, z) = a(x,z1) a(y,z2);
     counterexamples ("right" or "left", x, y, z, lhs, rhs)."""
     for x, y, z in _basis_triples(max_degree):
-        right = a(SymFunc.basis(x), SymFunc.view(product_basis(y, z)))
+        right = a({x: 1}, product_basis(y, z))
         expand = SymFunc.zero()
         for (x1, x2), cx in coproduct_basis(x).items():
             expand.add(outer_mul(a.on_basis(x1, y), a.on_basis(x2, z)), cx)
         if right != expand:
             yield "right", x, y, z, right, expand
-        left = a(SymFunc.view(product_basis(x, y)), SymFunc.basis(z))
+        left = a(product_basis(x, y), {z: 1})
         expand = SymFunc.zero()
         for (z1, z2), cz in coproduct_basis(z).items():
             expand.add(outer_mul(a.on_basis(x, z1), a.on_basis(y, z2)), cz)
@@ -329,7 +316,7 @@ def _is_degree_preserving(a: Pairing, max_degree: int):
     has values in degree 0); counterexamples (x, y) on basis pairs up to max_degree."""
     for x, y in _basis_pairs(max_degree):
         allowed = {weight(x)} if weight(x) == weight(y) else set()
-        if a.on_basis(x, y).degrees() - allowed:
+        if {weight(lam) for lam in a.on_basis(x, y)} - allowed:
             yield x, y
 
 
@@ -343,7 +330,7 @@ def adjoint_comultiplication(a: Pairing, lam: Partition) -> TensorSymFunc:
     out: dict[tuple[Partition, Partition], int] = {}
     for mu in grade:
         for nu in grade:
-            c = a.on_basis(mu, nu).terms.get(lam)
+            c = a.on_basis(mu, nu).get(lam)
             if c:
                 out[(mu, nu)] = c
     return TensorSymFunc(out)
@@ -367,21 +354,21 @@ def is_frobenius(a: Pairing, max_degree: int):
         grade = partitions_of(n)
         if any(a.on_basis(u, v) for u in grade for v in grade):
             for x in grade:
-                if a.on_basis((n,), x) != SymFunc.basis(x):
-                    yield "unit", n, x, a.on_basis((n,), x)
+                if a.on_basis((n,), x) != {x: 1}:
+                    yield "unit", n, x, SymFunc(a.on_basis((n,), x))
     delta_a = cache(partial(adjoint_comultiplication, a))  # once per lam per check
     for x, y in _basis_pairs(max_degree):
         if weight(x) == weight(y):  # the Frobenius law; a vanishes off equal degrees
             middle = linear(a.on_basis(x, y), delta_a, TensorSymFunc)
             lhs = TensorSymFunc()
             for (y1, y2), cy in delta_a(y).terms.items():
-                lhs.add(tensor(a.on_basis(x, y1), SymFunc.basis(y2)), cy)
+                lhs.add(tensor(a.on_basis(x, y1), {y2: 1}), cy)
             rhs = TensorSymFunc()
             for (x1, x2), cx in delta_a(x).terms.items():
-                rhs.add(tensor(SymFunc.basis(x1), a.on_basis(x2, y)), cx)
+                rhs.add(tensor({x1: 1}, a.on_basis(x2, y)), cx)
             if not (lhs == middle == rhs):
                 yield "frobenius-law", x, y, lhs, middle, rhs
-        lhs = linear(SymFunc.view(product_basis(x, y)), delta_a, TensorSymFunc)
+        lhs = linear(product_basis(x, y), delta_a, TensorSymFunc)
         rhs = delta_a(x) * delta_a(y)
         if lhs != rhs:
             yield "mixed-bialgebra", x, y, lhs, rhs
@@ -399,7 +386,7 @@ def _composed(phi: Cochain1, a: Pairing) -> Pairing:
     if phi.identity:
         return a
     name = f"{phi.name}.{a.name}"
-    return Pairing(lambda mu, nu: phi(a.on_basis(mu, nu)), name, grade_preserving=a.grade_preserving)
+    return Pairing(lambda mu, nu: phi(a.on_basis(mu, nu)).terms, name, a.grade_preserving)
 
 
 def frobenius_inverse(a: Pairing, max_degree: int = 4) -> Pairing:

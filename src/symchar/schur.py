@@ -34,13 +34,6 @@ class _Combination:
     def __init__(self, terms: dict | None = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
 
-    @classmethod
-    def view(cls, terms: dict):
-        """terms (no zero values) as a read-only combination, sharing the dict."""
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
-
     def add(self, other, c: int = 1):
         """self += c * other in place, dropping the terms that cancel; returns
         self.  Only for an accumulator the caller created, never a cached value."""
@@ -176,10 +169,10 @@ class TensorSymFunc(_Combination):
         )
 
 
-def tensor(f: SymFunc, g: SymFunc) -> TensorSymFunc:
-    return TensorSymFunc(
-        {(a, b): cf * cg for a, cf in f.terms.items() for b, cg in g.terms.items()}
-    )
+def tensor(f, g) -> TensorSymFunc:
+    """f (x) g, each a SymFunc or a {partition: coefficient} dict."""
+    f, g = getattr(f, "terms", f), getattr(g, "terms", g)
+    return TensorSymFunc({(a, b): cf * cg for a, cf in f.items() for b, cg in g.items()})
 
 
 def signed_sum(pairs) -> str:
@@ -253,22 +246,23 @@ def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
     return {conjugate(lam): c for lam, c in states.items()} if flip else states
 
 
-def linear(f: _Combination, on_basis, cls):
-    """The linear extension of on_basis at f, as a cls.  on_basis maps a basis
-    key to a {key: coefficient} dict or to a combination."""
+def linear(f, on_basis, cls):
+    """The linear extension of on_basis at f, as a cls.  f and each image of a
+    basis key under on_basis are combinations or {key: coefficient} dicts."""
     out: dict = {}
-    for key, c in f.terms.items():
+    for key, c in getattr(f, "terms", f).items():
         image = on_basis(key)
         for k, v in getattr(image, "terms", image).items():
             out[k] = out.get(k, 0) + c * v
     return cls(out)
 
 
-def _bilinear(f: SymFunc, g: SymFunc, on_basis) -> SymFunc:
+def _bilinear(f, g, on_basis) -> SymFunc:
     """The bilinear extension of on_basis (as in `linear`) at (f, g)."""
     out: dict[Partition, int] = {}
-    for mu, cf in f.terms.items():
-        for nu, cg in g.terms.items():
+    g = getattr(g, "terms", g)
+    for mu, cf in getattr(f, "terms", f).items():
+        for nu, cg in g.items():
             image = on_basis(mu, nu)
             for lam, c in getattr(image, "terms", image).items():
                 out[lam] = out.get(lam, 0) + cf * cg * c

@@ -228,7 +228,7 @@ class TestCriterion05PropertyClassification:
         mbar = Pairing(
             lambda mu, nu: outer_mul(
                 antipode(SymFunc.basis(mu)), antipode(SymFunc.basis(nu))
-            ),
+            ).terms,
             "m.(SxS)",
         )
         assert pairings_equal(inv, mbar, 6)

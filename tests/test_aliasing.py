@@ -31,10 +31,10 @@ PAIRS = [(x, y) for x in BASIS for y in BASIS if weight(x) + weight(y) <= CAP]
 
 def assert_memo_fresh(owner, fresh) -> None:
     """Every memo entry of a Cochain1 or Pairing equals the same entry of an
-    equivalent object built from scratch.  An owner with its own `on_basis`
-    (the identity cochain, `inner`, `outer`) holds no memo, so its values on
-    the basis are checked instead."""
-    if "on_basis" in vars(owner):
+    equivalent object built from scratch.  An owner declared `lookup` (the
+    identity cochain, `inner`, `outer`) holds no memo, so its values on the
+    basis are checked instead."""
+    if owner.lookup:
         assert not owner._memo
         for args in PAIRS if isinstance(owner, Pairing) else zip(BASIS):
             assert owner.on_basis(*args) == fresh.on_basis(*args), (owner, args)

@@ -6,9 +6,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import cochains_equal, pairings_equal
+from oracles import cochains_equal, pairings_equal, power_sum_hash
 from symchar.convolution import (
     COCHAINS,
+    PAIRINGS,
     adjoint_comultiplication,
     antipode_cochain,
     coboundary1,
@@ -31,8 +32,10 @@ from symchar.convolution import (
     unit_pairing,
     Cochain1,
     Pairing,
+    _composed,
     _is_degree_preserving,
 )
+from symchar.hash_products import build_hash, composite_pairing, named_spec
 from symchar.kronecker import inner_coproduct_basis, kronecker_basis
 from symchar.partitions import conjugate, partitions_of, partitions_up_to, weight
 from symchar.schur import (
@@ -76,7 +79,7 @@ def reference_convolve2(a: Pairing, b: Pairing) -> Pairing:
         for (x1, x2), cx in coproduct_basis(mu).items():
             for (y1, y2), cy in coproduct_basis(nu).items():
                 out.add(outer_mul(a.on_basis(x1, y1), b.on_basis(x2, y2)), cx * cy)
-        return out
+        return out.terms
 
     return Pairing(fn, f"ref({a.name})*({b.name})")
 
@@ -86,7 +89,7 @@ def omega_difference_pairing(grade_preserving: bool = True) -> Pairing:
     sum_x1 c^mu_{x1 x2} a(x1, y1) = (1 - omega)(s_{mu/x2}) * s_y1 cancels."""
 
     def fn(mu, nu):
-        return SymFunc(kronecker_basis(mu, nu)) - SymFunc(kronecker_basis(conjugate(mu), nu))
+        return (SymFunc(kronecker_basis(mu, nu)) - SymFunc(kronecker_basis(conjugate(mu), nu))).terms
 
     return Pairing(fn, "(1-omega).inner", grade_preserving)
 
@@ -164,7 +167,7 @@ class TestConvolutionCallCounts:
         for (x1, x2), cx in coproduct_basis(mu).items():
             for (y1, y2), cy in coproduct_basis(nu).items():
                 if matched(x1, y1) and base.on_basis(x1, y1):
-                    heads.setdefault((x2, y2), SymFunc.zero()).add(base.on_basis(x1, y1), cx * cy)
+                    heads.setdefault((x2, y2), SymFunc.zero()).add(SymFunc(base.on_basis(x1, y1)), cx * cy)
         nonzero = sorted(pair for pair, head in heads.items() if head)
         assert sorted(b.calls) == nonzero
         assert len(nonzero) < len(heads)  # some summed heads cancel, and their b is never read
@@ -197,7 +200,7 @@ class TestConvolutionCallCounts:
         for (x1, x2), cx in legs(x):
             for (y1, y2), cy in legs(y):
                 if matched(x1, y1):
-                    heads.setdefault((x2, y2), SymFunc.zero()).add(base.on_basis(x1, y1), cx * cy)
+                    heads.setdefault((x2, y2), SymFunc.zero()).add(SymFunc(base.on_basis(x1, y1)), cx * cy)
         assert sorted(tail.calls) == sorted(pair for pair, head in heads.items() if head)
         assert value == reference_convolve2(base, outer_pairing())(x, y)
 
@@ -230,18 +233,18 @@ class TestMilnorMooreInverse:
         mbar = Pairing(
             lambda mu, nu: outer_mul(
                 antipode(SymFunc.basis(mu)), antipode(SymFunc.basis(nu))
-            ),
+            ).terms,
             "m.(SxS)",
         )
         assert pairings_equal(inv, mbar, 6)
 
     def test_rejects_non_normalized_cochain(self):
-        bad = Cochain1(lambda lam: SymFunc.zero(), "zero")
+        bad = Cochain1(lambda lam: {}, "zero")
         with pytest.raises(ValueError, match="normalized"):
             milnor_moore_inverse1(bad)
 
     def test_rejects_non_unital_pairing(self):
-        bad = Pairing(lambda mu, nu: SymFunc.zero(), "zero2")
+        bad = Pairing(lambda mu, nu: {}, "zero2")
         with pytest.raises(ValueError, match="unital"):
             milnor_moore_inverse2(bad)
 
@@ -249,7 +252,7 @@ class TestMilnorMooreInverse:
         # a(1,1) = 1 is the only invertibility requirement over a connected
         # coalgebra; the outer product itself is the canonical example.
         lopsided = Pairing(
-            lambda mu, nu: SymFunc.basis(mu) if not nu else SymFunc.zero(), "lopsided"
+            lambda mu, nu: {mu: 1} if not nu else {}, "lopsided"
         )
         inv = milnor_moore_inverse2(lopsided)
         assert pairings_equal(convolve2(inv, lopsided), unit_pairing(), 4)
@@ -270,7 +273,7 @@ def reference_coboundary1(f: Cochain1) -> Pairing:
                     continue
                 mid = fbar(outer_mul(SymFunc.basis(x2), SymFunc.basis(y2)))
                 out.add(outer_mul(outer_mul(f.on_basis(y1), mid), f.on_basis(x3)), cx * cy)
-        return out
+        return out.terms
 
     return Pairing(fn, f"ref-d({f.name})")
 
@@ -320,7 +323,7 @@ class TestCheckers:
         assert is_algebra_hom(antipode_cochain(), 5)
         assert is_algebra_hom(eps1_cochain(), 6)
         bad = Cochain1(
-            lambda lam: SymFunc.basis(lam) + outer_mul(SymFunc.basis(lam), s(1)),
+            lambda lam: (SymFunc.basis(lam) + outer_mul(SymFunc.basis(lam), s(1))).terms,
             "id+shift",
         )
         witness = []
@@ -370,7 +373,7 @@ class TestCheckers:
 
 def eps_right_pairing() -> Pairing:
     """a(x, y) = eps(y) x: a(s1, s_() s_()) = s1, but both legs of s1 straighten to s1."""
-    return Pairing(lambda mu, nu: SymFunc.zero() if nu else SymFunc.basis(mu), "eps-right")
+    return Pairing(lambda mu, nu: {} if nu else {mu: 1}, "eps-right")
 
 
 def bumped_inner(key, extra: SymFunc) -> Pairing:
@@ -378,7 +381,7 @@ def bumped_inner(key, extra: SymFunc) -> Pairing:
     inner = inner_pairing()
 
     def fn(mu, nu):
-        return inner.on_basis(mu, nu) + (extra if (mu, nu) == key else SymFunc.zero())
+        return (SymFunc(inner.on_basis(mu, nu)) + (extra if (mu, nu) == key else SymFunc.zero())).terms
 
     return Pairing(fn, "bumped-inner", grade_preserving=True)
 
@@ -403,8 +406,8 @@ def h_diagonal_pairing() -> Pairing:
 
     def fn(mu, nu):
         if weight(mu) != weight(nu):
-            return SymFunc.zero()
-        return SymFunc({lam: delta(lam).terms.get((mu, nu), 0) for lam in partitions_of(weight(mu))})
+            return {}
+        return SymFunc({lam: delta(lam).terms.get((mu, nu), 0) for lam in partitions_of(weight(mu))}).terms
 
     return Pairing(fn, "h-diagonal", grade_preserving=True)
 
@@ -419,7 +422,7 @@ class TestWitnesses:
         "cocycle": (is_cocycle2, outer_pairing, 3, "((), (), (1,), s[1], 2*s[1])"),
         "alghom": (
             is_algebra_hom,
-            lambda: Cochain1(lambda lam: SymFunc.basis(lam) + outer_mul(SymFunc.basis(lam), s(1))),
+            lambda: Cochain1(lambda lam: (SymFunc.basis(lam) + outer_mul(SymFunc.basis(lam), s(1))).terms),
             4,
             "((), (), s[0] + s[1], s[0] + 2*s[1] + s[2] + s[1,1])",
         ),
@@ -489,7 +492,7 @@ class TestDeclaredIdentity:
         for name, make in COCHAINS.items():
             assert make().identity == (name == "id"), name
         assert not convolve1(identity_cochain(), identity_cochain()).identity
-        assert not Cochain1(SymFunc.basis, "id").identity
+        assert not Cochain1(lambda lam: {lam: 1}, "id").identity
 
     def test_identity_holds_no_memo_and_copies(self):
         ident = identity_cochain()
@@ -497,13 +500,79 @@ class TestDeclaredIdentity:
         image = ident(f)
         assert image == f and image is not f and image.terms is not f.terms
         for lam in partitions_up_to(4):
-            assert ident.on_basis(lam) == SymFunc.basis(lam)
+            assert ident.on_basis(lam) == {lam: 1}
         assert not ident._memo
 
     def test_derived_by_identity_is_the_pairing(self):
         for make in (inner_pairing, outer_pairing, schur_hall_pairing):
             p = make()
             assert derived_pairing(p, identity_cochain()) is p
+
+
+class TestOneReadPath:
+    """A stage is one thing: every Cochain1 and Pairing answers a basis read through
+    the one class-level `on_basis`, with a dict; only a computed value is memoized."""
+
+    LOOKED_UP = ("inner", "outer", "schur-hall", "e2", "id")
+    NAMED = ("trivial", "newell-littlewood", "thibon", "murnaghan-littlewood")
+
+    def library_stages(self):
+        for make in (*PAIRINGS.values(), *COCHAINS.values()):
+            yield make()
+        for name in self.NAMED:
+            spec = named_spec(name)
+            yield from (stage for pair in spec.stages for stage in pair)
+            yield spec.final_cocycle
+            yield composite_pairing(spec)
+        yield convolve1(identity_cochain(), antipode_cochain())
+        yield convolve2(inner_pairing(), outer_pairing())
+        yield _composed(antipode_cochain(), inner_pairing())
+        yield milnor_moore_inverse1(antipode_cochain())
+        yield milnor_moore_inverse2(outer_pairing())
+        yield coboundary1(antipode_cochain())
+        yield frobenius_inverse(inner_pairing(), 3)
+
+    def test_no_stage_overrides_the_shared_read(self):
+        assert Cochain1.on_basis is Pairing.on_basis
+        for stage in self.library_stages():
+            assert "on_basis" not in vars(stage), stage
+            key = ((2, 1), (2, 1)) if isinstance(stage, Pairing) else ((2, 1),)
+            assert type(stage.on_basis(*key)) is dict, stage
+            assert stage.lookup == (stage.name in self.LOOKED_UP), stage
+
+    @staticmethod
+    def record_reads(monkeypatch) -> list:
+        """Patch the class-level read of both stage kinds to record each reader."""
+        readers: list = []
+        for cls in (Pairing, Cochain1):
+            def counted(self, *key, _read=cls.on_basis):
+                readers.append(self)
+                return _read(self, *key)
+
+            monkeypatch.setattr(cls, "on_basis", counted)
+        return readers
+
+    def test_a_product_reads_every_stage_through_the_class(self, monkeypatch):
+        product = build_hash(named_spec("murnaghan-littlewood"))
+        readers = self.record_reads(monkeypatch)
+        x, y = s(3, 2, 1) + s(2, 1), s(2, 2) - s(3, 1).scale(2)
+        assert product(x, y) == power_sum_hash("murnaghan-littlewood", x, y)
+        assert {"schur-hall", "inner", "outer"} <= {stage.name for stage in readers}
+
+    def test_looked_up_stages_hold_no_memo(self, monkeypatch):
+        """After products of every named spec and their cochains' reads, each
+        looked-up stage read has an empty memo."""
+        readers = self.record_reads(monkeypatch)
+        x, y = s(3, 2, 1) + s(2, 1), s(2, 2) - s(3, 1).scale(2)
+        for name in self.NAMED:
+            spec = named_spec(name)
+            value = build_hash(spec)(x, y)
+            for stage in (*(phi for _, phi in spec.stages), spec.final_cocycle):
+                assert stage(value) == value
+        looked_up = [stage for stage in readers if stage.name in self.LOOKED_UP]
+        assert {stage.name for stage in looked_up} == set(self.LOOKED_UP)
+        for stage in looked_up:
+            assert stage.lookup and not stage._memo, stage
 
 
 class TestDerivedAndInverse:
@@ -520,11 +589,11 @@ class TestDerivedAndInverse:
         for n in range(11):
             for x in partitions_of(n):
                 for y in partitions_of(n):
-                    expected = SymFunc.one() if x == y else SymFunc.zero()
+                    expected = {(): 1} if x == y else {}
                     assert derived.on_basis(x, y) == schur_hall.on_basis(x, y) == expected, (x, y)
 
     def test_derived_rejects_non_hom(self):
-        bad = Cochain1(lambda lam: SymFunc.basis(lam).scale(2), "doubling")
+        bad = Cochain1(lambda lam: {lam: 2}, "doubling")
         with pytest.raises(ValueError, match="not an algebra homomorphism"):
             derived_pairing(inner_pairing(), bad, 3)
 

@@ -28,6 +28,7 @@ from symchar.partitions import (
 from symchar.schur import (
     SymFunc,
     TensorSymFunc,
+    _bilinear,
     _skew,
     antipode,
     coproduct,
@@ -165,6 +166,18 @@ class TestCombinationCore:
         f = s(2).scale(2) - s(1, 1)
         assert linear(f, lambda lam: {lam[:1]: 1, (): 1}, SymFunc) == s(2).scale(2) - s(1) + unit()
         assert linear(f, coproduct_basis, TensorSymFunc) == coproduct(f)
+
+    @given(sym_elements, sym_elements)
+    @settings(max_examples=40)
+    def test_term_dicts_extend_as_their_combinations(self, f, g):
+        """linear, _bilinear, outer_mul and tensor read a {key: coefficient} dict,
+        such as a stage's value, as the combination that holds it."""
+        first = lambda lam: {lam[:1]: 1, (): 1}
+        assert linear(f.terms, first, SymFunc) == linear(f, first, SymFunc)
+        assert linear(f.terms, coproduct_basis, TensorSymFunc) == coproduct(f)
+        assert _bilinear(f.terms, g.terms, skew_basis) == _bilinear(f, g, skew_basis) == skew(f, g)
+        assert outer_mul(f.terms, g.terms) == outer_mul(f.terms, g) == outer_mul(f, g)
+        assert tensor(f.terms, g.terms) == tensor(f, g)
 
     def test_signed_sum(self):
         assert signed_sum([]) == "0"

@@ -8,10 +8,11 @@ phi != id) and declares `lookup` where the value is looked up instead (`inner`,
 convolution, (a * b)(f, g) on term dicts with its heads a(x1, y1) summed per
 second-leg pair: a hash product is one pass of it over (x, y) that ends in
 psi o m = `_composed(psi, outer_pairing())`, and `convolve2`, its memo on basis
-pairs, folds the stages and the coboundary; inverses recurse through the memo of
-the cochain or pairing they return.  Each checker is `_law` over a generator of the
-law's counterexamples on the Schur basis, whose sides read the cached LR kernels;
-the first is the witness.
+pairs, folds the stages and the coboundary.  It runs the cochain monoid too, a
+cochain f being the pairing f (x) eps read at (lam, ()), and both inverses, by the
+recursion abar = e2 - (a - e2) * abar through the memo of abar.  Each checker is
+`_law` over a generator of the law's counterexamples on the Schur basis, whose
+sides read the cached LR kernels; the first is the witness.
 """
 
 from __future__ import annotations
@@ -126,14 +127,17 @@ COCHAINS = {"id": identity_cochain, "antipode": antipode_cochain, "e": unit_coun
 
 # -- convolution -------------------------------------------------------------
 
-def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:
-    def fn(lam: Partition) -> dict[Partition, int]:
-        out = SymFunc.zero()
-        for (a, b), c in coproduct_basis(lam).items():
-            out.add(outer_mul(f.on_basis(a), g.on_basis(b)), c)
-        return out.terms
+def _first_leg(f: Cochain1) -> Pairing:
+    """f (x) eps: (s_mu, s_nu) -> f(s_mu) [nu = ()], looked up in f.  id (x) eps is a
+    coalgebra map, so this embeds the 1-cochain monoid in the pairing monoid; a
+    cochain is read back at (lam, ())."""
+    return Pairing(lambda mu, nu: {} if nu else f.on_basis(mu), f"{f.name}(x)eps", lookup=True)
 
-    return Cochain1(fn, f"({f.name})*({g.name})")
+
+def convolve1(f: Cochain1, g: Cochain1) -> Cochain1:
+    """(f * g)(lam) = `_convolve(f (x) eps, g (x) eps, {lam: 1}, {(): 1})`, memoized."""
+    a, b = _first_leg(f), _first_leg(g)
+    return Cochain1(lambda lam: _convolve(a, b, {lam: 1}, {(): 1}).terms, f"({f.name})*({g.name})")
 
 
 def _convolve(a: Pairing, b: Pairing, f: dict, g: dict) -> SymFunc:
@@ -183,42 +187,28 @@ def convolve2(a: Pairing, b: Pairing) -> Pairing:
 
 
 def milnor_moore_inverse1(f: Cochain1) -> Cochain1:
-    """Convolutive inverse of a normalized 1-cochain via cut-coproduct recursion."""
+    """Convolutive inverse of a normalized 1-cochain: `milnor_moore_inverse2(f (x) eps)`
+    read at (lam, ())."""
     if f.on_basis(()) != {(): 1}:
         raise ValueError(f"cochain {f.name!r} violates the normalized flag (f(1) != 1)")
-
-    def fn(lam: Partition) -> dict[Partition, int]:
-        out = -SymFunc(f.on_basis(lam))
-        for (a, b), c in coproduct_basis(lam).items():
-            if a and b:
-                out.add(outer_mul(inv.on_basis(a), f.on_basis(b)), -c)
-        return out.terms
-
-    inv = Cochain1(fn, f"inv({f.name})")
-    inv._memo[()] = {(): 1}
-    return inv
+    inv = milnor_moore_inverse2(_first_leg(f))
+    return Cochain1(lambda lam: inv.on_basis(lam, ()), f"inv({f.name})")
 
 
 def milnor_moore_inverse2(a: Pairing) -> Pairing:
-    """Convolutive inverse of a unital pairing (a(1,1) = 1 suffices:
-    Sym (x) Sym is connected, so invertibility only constrains degree 0).
-
-    Works in the Hopf algebra Sym (x) Sym: the cut coproduct keeps the leg
-    pairs whose total degrees are both positive, so the recursion descends
-    in total degree.
-    """
+    """Convolutive inverse of a unital pairing (a(1,1) = 1 suffices: Sym (x) Sym is
+    connected, so invertibility only constrains degree 0), by the recursion
+    abar = e2 - (a - e2) * abar, one `_convolve` per basis pair.  Every head of a - e2
+    has positive total degree, and `_convolve` reads a tail only under a nonzero head,
+    so abar is read on pairs of smaller total degree.  Convolution from the
+    cocommutative Sym (x) Sym into the commutative Sym is commutative, so this right
+    inverse is the left one."""
     if a.on_basis((), ()) != {(): 1}:
         raise ValueError(f"pairing {a.name!r} violates the unital flag (a(1,1) != 1)")
-
-    def fn(mu: Partition, nu: Partition) -> dict[Partition, int]:
-        out = -SymFunc(a.on_basis(mu, nu))
-        for (x1, x2), cx in coproduct_basis(mu).items():
-            for (y1, y2), cy in coproduct_basis(nu).items():
-                if (x1 or y1) and (x2 or y2):
-                    out.add(outer_mul(inv.on_basis(x1, y1), a.on_basis(x2, y2)), -cx * cy)
-        return out.terms
-
-    inv = Pairing(fn, f"inv({a.name})")
+    rest = Pairing(
+        lambda mu, nu: a.on_basis(mu, nu) if mu or nu else {}, f"{a.name}-e2", a.grade_preserving, lookup=True
+    )
+    inv = Pairing(lambda mu, nu: (-_convolve(rest, inv, {mu: 1}, {nu: 1})).terms, f"inv({a.name})")
     inv._memo[(), ()] = {(): 1}
     return inv
 
@@ -229,8 +219,7 @@ def coboundary1(f: Cochain1) -> Pairing:
     fbar = milnor_moore_inverse1(f)
     left = Pairing(lambda mu, nu: {} if mu else f.on_basis(nu), f"eps(x){f.name}")
     middle = _composed(fbar, outer_pairing())
-    right = Pairing(lambda mu, nu: {} if nu else f.on_basis(mu), f"{f.name}(x)eps")
-    d = convolve2(left, convolve2(middle, right))
+    d = convolve2(left, convolve2(middle, _first_leg(f)))
     d.name = f"d({f.name})"
     return d
 

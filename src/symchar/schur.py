@@ -125,13 +125,13 @@ def s(*parts) -> SymFunc:
 
 
 def h(n: int) -> SymFunc:
-    """Complete symmetric function h_n = s_(n)."""
-    return SymFunc.basis((n,) if n > 0 else ())
+    """Complete symmetric function h_n = s_(n); h_0 = 1 and h_n = 0 for n < 0."""
+    return SymFunc({(n,) if n else (): 1} if n >= 0 else {})
 
 
 def e(n: int) -> SymFunc:
-    """Elementary symmetric function e_n = s_(1^n)."""
-    return SymFunc.basis((1,) * n)
+    """Elementary symmetric function e_n = s_(1^n); e_0 = 1 and e_n = 0 for n < 0."""
+    return SymFunc({(1,) * n: 1} if n >= 0 else {})
 
 
 class TensorSymFunc(_Combination):

@@ -32,10 +32,11 @@ from symchar.convolution import (
     unit_pairing,
     Cochain1,
     Pairing,
+    _basis_pairs,
     _composed,
     _is_degree_preserving,
 )
-from symchar.hash_products import build_hash, composite_pairing, named_spec
+from symchar.hash_products import HashSpec, build_hash, composite_pairing, named_spec
 from symchar.kronecker import inner_coproduct_basis, kronecker_basis
 from symchar.partitions import conjugate, partitions_of, partitions_up_to, weight
 from symchar.schur import (
@@ -46,6 +47,7 @@ from symchar.schur import (
     h,
     iterated_coproduct_basis,
     outer_mul,
+    product_basis,
     s,
     tensor,
     unit,
@@ -257,6 +259,62 @@ class TestMilnorMooreInverse:
         inv = milnor_moore_inverse2(lopsided)
         assert pairings_equal(convolve2(inv, lopsided), unit_pairing(), 4)
         assert pairings_equal(convolve2(lopsided, inv), unit_pairing(), 4)
+
+
+class TestLaplaceGroup:
+    """The group laws of the pairing inverse on the named pairings, and the one
+    convolution kernel behind the cochain product and both inverses."""
+
+    GROUP = ("inner", "schur-hall", "e2")
+
+    def test_closed_form_of_a_scalar_inverse(self):
+        """schur-hall takes values in degree 0, so its inverse is (-1)^|mu| s_() at
+        nu = mu' and 0 elsewhere, on every pair of total weight <= 10."""
+        inv = milnor_moore_inverse2(schur_hall_pairing())
+        pairs = list(_basis_pairs(10))
+        assert len(pairs) == 1215
+        for mu, nu in pairs:
+            assert inv.on_basis(mu, nu) == ({(): (-1) ** weight(mu)} if nu == conjugate(mu) else {}), (mu, nu)
+
+    @pytest.mark.parametrize("name", GROUP)
+    def test_two_sided_inverse(self, name):
+        a = PAIRINGS[name]()
+        inv = milnor_moore_inverse2(a)
+        assert pairings_equal(convolve2(a, inv), unit_pairing(), 5)
+        assert pairings_equal(convolve2(inv, a), unit_pairing(), 5)
+
+    @pytest.mark.parametrize("name", GROUP)
+    def test_inverse_is_laplace(self, name):
+        assert is_laplace(milnor_moore_inverse2(PAIRINGS[name]()), 4)
+
+    @pytest.mark.parametrize("name", ["schur-hall", "inner"])
+    def test_stage_and_its_inverse_hash_to_the_outer_product(self, name):
+        a, ident = PAIRINGS[name](), identity_cochain()
+        product = build_hash(HashSpec(((a, ident), (milnor_moore_inverse2(a), ident))))
+        pairs = [(x, y) for x in partitions_up_to(4) for y in partitions_up_to(4)]
+        assert len(pairs) == 144
+        for x, y in pairs:
+            assert product(SymFunc.basis(x), SymFunc.basis(y)) == SymFunc(product_basis(x, y)), (x, y)
+
+    def test_cochain_product_and_inverses_run_on_the_kernel(self, monkeypatch):
+        import symchar.convolution as convolution
+
+        calls: list = []
+
+        def counted(a, b, f, g, _kernel=convolution._convolve):
+            calls.append((f, g))
+            return _kernel(a, b, f, g)
+
+        monkeypatch.setattr(convolution, "_convolve", counted)
+        reads = [
+            lambda: convolve1(identity_cochain(), antipode_cochain()).on_basis((2, 1)),
+            lambda: milnor_moore_inverse1(identity_cochain()).on_basis((2, 1)),
+            lambda: milnor_moore_inverse2(inner_pairing()).on_basis((2, 1), (2, 1)),
+        ]
+        for read in reads:
+            calls.clear()
+            read()
+            assert calls
 
 
 def reference_coboundary1(f: Cochain1) -> Pairing:

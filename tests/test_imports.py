@@ -146,7 +146,6 @@ KEPT = {
     "convolution.py:coboundary1",
     "convolution.py:convolve1",
     "convolution.py:frobenius_inverse",
-    "convolution.py:milnor_moore_inverse2",
     "hash_products.py:hash_is_hopf",
     "series.py:is_group_like",
 }

@@ -475,6 +475,8 @@ class TestMonomialExpansion:
         assert h(2) == s(2)
         assert e(2) == s(1, 1)
         assert h(0) == unit()
+        assert h(-1) == SymFunc.zero()  # h_n = e_n = 0 for n < 0
+        assert e(-2) == SymFunc.zero()
 
 
 class TestStoredOnce:

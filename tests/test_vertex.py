@@ -60,6 +60,18 @@ class TestCommutation:
     def test_degenerate(self):
         assert check_commutation(0)
 
+    def test_fails_with_e_replaced_by_h(self, monkeypatch, capsys):
+        """The check can fail: with e_i replaced by h_i the relation breaks, and
+        the CLI prints FAIL and exits 1."""
+        import symchar.vertex
+        from symchar.cli import main
+        from symchar.schur import h
+
+        monkeypatch.setattr(symchar.vertex, "e", h)
+        assert not check_commutation(3)
+        assert main(["vertex", "check-commutation", "--cap", "3"]) == 1
+        assert capsys.readouterr().out == "FAIL\n"
+
 
 def series_pairing_coefficients(cap: int) -> dict[tuple[int, int], int]:
     """<L(z)|M(w)> degreewise: coefficient of z^i w^j, expected (1 - zw)."""

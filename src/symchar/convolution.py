@@ -200,15 +200,17 @@ def milnor_moore_inverse2(a: Pairing) -> Pairing:
     connected, so invertibility only constrains degree 0), by the recursion
     abar = e2 - (a - e2) * abar, one `_convolve` per basis pair.  Every head of a - e2
     has positive total degree, and `_convolve` reads a tail only under a nonzero head,
-    so abar is read on pairs of smaller total degree.  Convolution from the
-    cocommutative Sym (x) Sym into the commutative Sym is commutative, so this right
-    inverse is the left one."""
+    so abar is read on pairs of smaller total degree.  abar declares a's grading, as
+    every (a - e2)(x1, y1) abar(x2, y2) does.  Convolution from the cocommutative
+    Sym (x) Sym into the commutative Sym is commutative, so this right inverse is the left one."""
     if a.on_basis((), ()) != {(): 1}:
         raise ValueError(f"pairing {a.name!r} violates the unital flag (a(1,1) != 1)")
     rest = Pairing(
         lambda mu, nu: a.on_basis(mu, nu) if mu or nu else {}, f"{a.name}-e2", a.grade_preserving, lookup=True
     )
-    inv = Pairing(lambda mu, nu: (-_convolve(rest, inv, {mu: 1}, {nu: 1})).terms, f"inv({a.name})")
+    inv = Pairing(
+        lambda mu, nu: (-_convolve(rest, inv, {mu: 1}, {nu: 1})).terms, f"inv({a.name})", a.grade_preserving
+    )
     inv._memo[(), ()] = {(): 1}
     return inv
 

@@ -12,13 +12,13 @@ p_r is a fixed gather of signed entries.  Per-degree Kronecker
 coefficients are the character triple sum
 g^lam_{mu,nu} = sum_rho chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho,
 taken over the classes where chi^mu chi^nu is nonzero, as a packed-column
-matrix-vector product: every column of the table is also one big integer
-holding chi^lam(rho) in the w-byte slot of lam, so the sum costs one
-big-integer multiply-add per class, and every den * g^lam is read back from
-one byte string, each distinct slot decoded once per n.  No slot can
-overflow: g is symmetric in lam, mu, nu and sum_lam g^lam_{mu,nu} f^lam =
-f^mu f^nu, so 0 <= g^lam_{mu,nu} <= f^lam <= max f, the largest entry of the
-column of rho = (1^n).
+matrix-vector product: a column is also one big integer holding chi^lam(rho)
+in the w-byte slot of each lam >= lam' (chi^lam' = sgn chi^lam, omega being
+the antipode up to sign), so sums E over the even classes and O over the odd
+ones cost one multiply-add per class on half-length columns, and every
+den * g^lam is read back from the bytes of E + O and E - O, each distinct slot
+decoded once per n.  No slot can overflow: g is symmetric in lam, mu, nu and
+sum_lam g^lam_{mu,nu} f^lam = f^mu f^nu, so 0 <= g^lam_{mu,nu} <= f^lam <= max f.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cache, partial, reduce
 from itertools import compress, zip_longest
 from operator import add, itemgetter, mul, neg
 
-from .partitions import Partition, make_partition, partitions_of, weight, z_and_n
+from .partitions import Partition, conjugate, make_partition, partitions_of, weight, z_and_n
 from .schur import SymFunc, TensorSymFunc, _bilinear, linear
 
 
@@ -86,33 +86,38 @@ class _Slots(dict):
 
 
 @cache
-def _table(n: int) -> tuple[
-    tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], int, int, dict, _Slots
-]:
-    """(columns, packed, scales, w, bias, index, slots) for S_n.
+def _table(n: int) -> tuple:
+    """(columns, packed, scales, odd, size, bias, cuts, index, slots) for S_n.
 
-    columns[j] is the cached _column of rho_j, the j-th of partitions_of(n),
-    so columns[j][index[lam]] = chi^lam(rho_j); scales[j] = den // z_rho_j,
-    den = lcm z_rho.  packed[j] = sum_i columns[j][i] 2^(8wi) is column j in
-    slots of w bytes, w the fewest with den * max f < 2^(8w - 2), so each slot
-    of a triple sum holds 0 <= den * g^lam <= den * f^lam with room to spare.
-    bias has 2^(8w - 1) in each of the p(n) + 1 slots (the trailing 0 has one
-    too); added to the sum, it keeps each slot's value in [0, 2^(8w)), so no
-    slot borrows from another.  Each distinct value is turned into its slot
-    bytes once, and slots reads each distinct slot of a sum back once."""
+    columns[j] is the cached _column of rho_j, the j-th of partitions_of(n), so
+    columns[j][index[lam]] = chi^lam(rho_j); scales[j] = den // z_rho_j, den = lcm z_rho;
+    odd[j] = (n - len(rho_j)) % 2.  As chi^lam'(rho) = (-1)^odd chi^lam(rho), packed[j] =
+    sum_k columns[j][rep_k] 2^(8wk) over the h representatives rep_k >= rep_k' of the
+    conjugate pairs, w the fewest bytes with den * max f < 2^(8w - 2).  Summed over the
+    even classes into E and the odd ones into O, E + O holds den * g^lam and E - O
+    den * g^lam' in the slot of rep lam (O is 0 there if lam = lam'), each in
+    [0, den * max f] as in the full sum; bias, 2^(8w - 1) in each of the h slots, keeps
+    every slot of either in [0, 2^(8w)), so none borrows.  cuts[i] is the slot of
+    partitions_of(n)[i] in the size bytes of E + O + bias followed by those of E - O +
+    bias.  Each distinct value becomes slot bytes once; slots reads each slot back once."""
     labels = partitions_of(n)
+    index = {lam: i for i, lam in enumerate(labels)}
     columns = tuple(map(_column, labels))
     zs = [z_and_n(rho)[0] for rho in labels]
     den = math.lcm(*zs)
     w = ((den * max(columns[-1])).bit_length() + 9) // 8  # columns[-1]: rho = (1^n)
     half = 1 << (8 * w - 1)
-    bias = int.from_bytes(half.to_bytes(w, "little") * (len(labels) + 1), "little")
+    reps = [i for i, lam in enumerate(labels) if lam >= conjugate(lam)]
+    place = {conjugate(labels[i]): len(reps) + k for k, i in enumerate(reps)}
+    place.update({labels[i]: k for k, i in enumerate(reps)})  # E + O for a self-conjugate lam
+    bias = int.from_bytes(half.to_bytes(w, "little") * len(reps), "little")
     slot = {v: (half + v).to_bytes(w, "little") for v in set().union(*columns)}.__getitem__
     packed = tuple(
-        int.from_bytes(b"".join(map(slot, col)), "little") - bias for col in columns
+        int.from_bytes(b"".join(map(slot, map(c.__getitem__, reps))), "little") - bias for c in columns
     )
-    index = {lam: i for i, lam in enumerate(labels)}
-    return columns, packed, tuple(den // z for z in zs), w, bias, index, _Slots(half, den)
+    cuts = tuple(slice(w * place[lam], w * place[lam] + w) for lam in labels)
+    scales, odd = tuple(den // z for z in zs), tuple((n - len(rho)) & 1 for rho in labels)
+    return columns, packed, scales, odd, w * len(reps), bias, cuts, index, _Slots(half, den)
 
 
 def character(lam: Partition, rho: Partition) -> int:
@@ -136,19 +141,24 @@ def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
 
 @cache
 def kronecker_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """Expansion of s_mu * s_nu; zero unless |mu| = |nu|.  One multiply-add of a
-    packed column per class with chi^mu chi^nu != 0 leaves den * g^lam_{mu,nu}
-    + 2^(8w - 1) in the w-byte slot of each lam (see _table)."""
+    """Expansion of s_mu * s_nu; zero unless |mu| = |nu|.  One multiply-add of a packed
+    column per class with chi^mu chi^nu != 0, into E or O by its parity, leaves
+    den * g^lam_{mu,nu} in the slot of each rep lam of E + O and den * g^lam' in that
+    of E - O; the slots are read back in partitions_of(n) order (see _table)."""
     n = weight(mu)
     if n != weight(nu):
         return {}
-    columns, packed, scales, w, total, index, slots = _table(n)
+    columns, packed, scales, odd, size, bias, cuts, index, slots = _table(n)
     chi = map(mul, map(itemgetter(index[mu]), columns), map(itemgetter(index[nu]), columns))
-    for ab, s, column in zip(chi, scales, packed):
+    e = o = 0
+    for ab, s, column, sign in zip(chi, scales, packed, odd):
         if ab:
-            total += ab * s * column
-    data = total.to_bytes(w * (len(columns) + 1), "little")
-    g = list(map(slots.__getitem__, [data[i:i + w] for i in range(0, len(data), w)]))
+            if sign:
+                o += ab * s * column
+            else:
+                e += ab * s * column
+    data = (e + o + bias).to_bytes(size, "little") + (e - o + bias).to_bytes(size, "little")
+    g = list(map(slots.__getitem__, map(data.__getitem__, cuts)))
     return dict(compress(zip(partitions_of(n), g), g))
 
 

@@ -258,10 +258,17 @@ def linear(f, on_basis, cls):
 
 
 def _bilinear(f, g, on_basis) -> SymFunc:
-    """The bilinear extension of on_basis (as in `linear`) at (f, g)."""
+    """The bilinear extension of on_basis (as in `linear`) at (f, g); on two single
+    terms, one scaled copy of the image, which holds no zero terms to filter."""
+    f, g = getattr(f, "terms", f), getattr(g, "terms", g)
+    if len(f) == len(g) == 1:
+        ((mu, cf),), ((nu, cg),) = f.items(), g.items()
+        image, c, out = on_basis(mu, nu), cf * cg, SymFunc.__new__(SymFunc)
+        image = getattr(image, "terms", image)
+        out.terms = dict(image) if c == 1 else {lam: c * v for lam, v in image.items()} if c else {}
+        return out
     out: dict[Partition, int] = {}
-    g = getattr(g, "terms", g)
-    for mu, cf in getattr(f, "terms", f).items():
+    for mu, cf in f.items():
         for nu, cg in g.items():
             image = on_basis(mu, nu)
             for lam, c in getattr(image, "terms", image).items():
@@ -319,11 +326,16 @@ def counit(f: SymFunc) -> int:
 
 @cache
 def coproduct_basis(lam: Partition) -> dict[tuple[Partition, Partition], int]:
-    """Delta(s_lam) = sum_eta s_{lam/eta} (x) s_eta."""
+    """Delta(s_lam) = sum_eta s_{lam/eta} (x) s_eta, filling only the skews with the
+    fewest cells, 2|eta| >= |lam|: Delta is cocommutative (c^lam_{eta,nu} =
+    c^lam_{nu,eta}), so if 2|eta| > |lam| each term (nu, eta) also gives (eta, nu)."""
     out: dict[tuple[Partition, Partition], int] = {}
     for eta in map(canonical, _inside(lam)):
-        for nu, c in _skew(lam, eta).items():
+        half = 2 * weight(eta) - weight(lam)
+        for nu, c in _skew(lam, eta).items() if half >= 0 else ():
             out[(nu, eta)] = c
+            if half:
+                out[(eta, nu)] = c
     return out
 
 

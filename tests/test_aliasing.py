@@ -18,9 +18,9 @@ from symchar.convolution import (
     schur_hall_pairing,
 )
 from symchar.hash_products import build_hash, named_spec
-from symchar.kronecker import kronecker_basis
+from symchar.kronecker import inner_mul, kronecker_basis
 from symchar.partitions import partitions_up_to, weight
-from symchar.schur import SymFunc, coproduct_basis, loop, product_basis, s, skew_basis
+from symchar.schur import SymFunc, coproduct_basis, loop, outer_mul, product_basis, s, skew_basis
 from symchar.series import SERIES_TAGS, mul_by_series, series_degree_term
 from symchar.vertex import bernstein
 
@@ -103,3 +103,19 @@ def test_accumulators_leave_caches_intact():
     for mu in BASIS:
         for nu in BASIS:
             assert kronecker_basis(mu, nu) == kronecker_basis.__wrapped__(mu, nu)
+
+
+def test_single_pair_products_are_fresh():
+    """A product of two basis elements is a copy of the cached expansion: adding
+    into it, over its own terms and new ones, leaves both kernels' caches as a
+    fresh recomputation gives them."""
+    outer = outer_mul(s(3, 1), s(2))
+    outer.add(s(5, 1) + s(4, 2).scale(3) + s(6), -1)
+    inner = inner_mul(s(3, 1), s(2, 2))
+    inner.add(s(3, 1) + s(2, 1, 1).scale(2) + s(4), -1)
+    assert (5, 1) not in outer.terms and (3, 1) not in inner.terms
+    assert product_basis((2,), (3, 1)) == product_basis.__wrapped__((2,), (3, 1))
+    assert product_basis((3, 1), (2,)) == product_basis.__wrapped__((2,), (3, 1))
+    assert kronecker_basis((3, 1), (2, 2)) == kronecker_basis.__wrapped__((3, 1), (2, 2))
+    assert outer_mul(s(3, 1), s(2)) == SymFunc(product_basis.__wrapped__((2,), (3, 1)))
+    assert inner_mul(s(3, 1), s(2, 2)) == SymFunc(kronecker_basis.__wrapped__((3, 1), (2, 2)))

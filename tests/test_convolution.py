@@ -296,6 +296,31 @@ class TestLaplaceGroup:
         for x, y in pairs:
             assert product(SymFunc.basis(x), SymFunc.basis(y)) == SymFunc(product_basis(x, y)), (x, y)
 
+    def test_inverse_declares_the_grading(self):
+        assert milnor_moore_inverse2(inner_pairing()).grade_preserving
+        assert milnor_moore_inverse2(schur_hall_pairing()).grade_preserving
+        assert not milnor_moore_inverse2(outer_pairing()).grade_preserving
+
+    def test_inverse_of_inner_is_zero_off_equal_weights(self):
+        inv = milnor_moore_inverse2(inner_pairing())
+        pairs = [(x, y) for x, y in _basis_pairs(8) if weight(x) != weight(y)]
+        assert len(pairs) == 394
+        for x, y in pairs:
+            assert not inv.on_basis(x, y), (x, y)
+
+    def test_declared_inverse_stage_hashes_as_undeclared(self):
+        """With its grading declared, the inverse as a stage matches only equal-weight
+        first legs; the products are those of the same inverse without the flag."""
+        a, ident = inner_pairing(), identity_cochain()
+        undeclared = milnor_moore_inverse2(inner_pairing())
+        undeclared.grade_preserving = False
+        declared = build_hash(HashSpec(((a, ident), (milnor_moore_inverse2(a), ident))))
+        reference = build_hash(HashSpec(((a, ident), (undeclared, ident))))
+        basis = [SymFunc.basis(x) for x in partitions_up_to(5)]
+        for x in basis:
+            for y in basis:
+                assert declared(x, y) == reference(x, y), (x, y)
+
     def test_cochain_product_and_inverses_run_on_the_kernel(self, monkeypatch):
         import symchar.convolution as convolution
 

@@ -63,6 +63,19 @@ class TestAgainstReference:
                 for nu in partitions_of(n):
                     assert kronecker_basis(mu, nu) == reference_kronecker(mu, nu)
 
+    def test_kronecker_basis_keeps_partitions_of_order(self):
+        """Representatives and conjugates are decoded from two halves of the
+        slots; the terms still come in partitions_of(n) order."""
+        pairs = [(mu, nu) for n in range(9) for mu in partitions_of(n) for nu in partitions_of(n)]
+        rng = random.Random(1416)
+        for _ in range(40):
+            labels = partitions_of(rng.randint(14, 16))
+            pairs.append((rng.choice(labels), rng.choice(labels)))
+        for mu, nu in pairs:
+            order = partitions_of(weight(mu)).index
+            positions = [order(lam) for lam in kronecker_basis(mu, nu)]
+            assert positions == sorted(positions), (mu, nu)
+
     def test_column_orthogonality_n14(self):
         labels = partitions_of(14)
         table = character_table(14)
@@ -180,16 +193,20 @@ class TestSharedColumns:
         n, mu, nu = 12, (5, 4, 2, 1), (4, 4, 3, 1)
         assert kronecker_basis.__wrapped__(mu, nu) == reference_kronecker(mu, nu)
         table = kronecker._table(n)
-        columns, packed, scales, w, _, index, slots = table
+        columns, packed, scales, odd, _, _, cuts, index, slots = table
         assert slots  # warm: every slot value of that sum is decoded
-        # Add 1 to the slot of lam = (n) in the column of rho = (1^n), whose
-        # weight f^mu f^nu den / n! in the sum is not a multiple of den.
-        ab = columns[-1][index[mu]] * columns[-1][index[nu]]
-        assert ab * scales[-1] % slots.den
-        bad = packed[:-1] + (packed[-1] + (1 << (8 * w * index[(n,)])),)
-        monkeypatch.setattr(kronecker, "_table", lambda m: (columns, bad, *table[2:]))
-        with pytest.raises(ArithmeticError):
-            kronecker_basis.__wrapped__(mu, nu)
+        # Add 1 to the slot of lam = (n) in the column of rho = (1^n), an even
+        # class, and then of rho = (2, 1^(n-2)), an odd one: each one's weight
+        # chi^mu chi^nu den / z_rho in the sum is not a multiple of den.
+        for rho, parity in (((1,) * n, 0), ((2,) + (1,) * (n - 2), 1)):
+            j = index[rho]
+            assert odd[j] == parity
+            ab = columns[j][index[mu]] * columns[j][index[nu]]
+            assert ab * scales[j] % slots.den
+            bad = packed[:j] + (packed[j] + (1 << (8 * cuts[index[(n,)]].start)),) + packed[j + 1:]
+            monkeypatch.setattr(kronecker, "_table", lambda m: (columns, bad, *table[2:]))
+            with pytest.raises(ArithmeticError):
+                kronecker_basis.__wrapped__(mu, nu)
 
 
 class TestCharacter:

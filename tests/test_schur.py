@@ -179,6 +179,14 @@ class TestCombinationCore:
         assert outer_mul(f.terms, g.terms) == outer_mul(f.terms, g) == outer_mul(f, g)
         assert tensor(f.terms, g.terms) == tensor(f, g)
 
+    def test_single_term_product_is_a_scaled_copy(self):
+        """On two single terms, _bilinear copies the cached image: a zero
+        coefficient gives zero, and the copy never aliases the cache."""
+        assert _bilinear({(1,): 0}, {(1,): 1}, product_basis) == SymFunc.zero()
+        assert _bilinear({(1,): -2}, {(1,): 1}, product_basis) == (s(2) + s(1, 1)).scale(-2)
+        one = _bilinear(s(2, 1), s(1), product_basis)
+        assert one == SymFunc(product_basis((2, 1), (1,))) and one.terms is not product_basis((2, 1), (1,))
+
     def test_signed_sum(self):
         assert signed_sum([]) == "0"
         assert signed_sum([(1, "a"), (-1, "b"), (3, "c"), (-2, "")]) == "a - b + 3*c - 2"

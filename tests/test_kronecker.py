@@ -93,6 +93,12 @@ class TestAgainstReference:
         assert kronecker_basis((1,), (1,)) == {(1,): 1}
         assert inner_mul(s(), s()) == s()
 
+    def test_negative_degree_table_is_empty(self):
+        built = kronecker._table.cache_info()
+        for n in (-1, -2, -7):
+            assert character_table(n) == {}
+        assert kronecker._table.cache_info() == built
+
 
 def assert_kronecker_identities(mu, nu):
     """sum_lam g^lam_{mu,nu} f^lam = f^mu f^nu and g^{lam'}_{mu,nu} = g^lam_{mu,nu'}."""
@@ -168,7 +174,7 @@ class TestSharedColumns:
 
     @pytest.mark.parametrize("order", [(16, 12), (12, 16)])
     def test_tables_and_products_do_not_depend_on_build_order(self, order):
-        for memo in (kronecker._masks, kronecker._moves, kronecker._column, kronecker._table):
+        for memo in (kronecker._reps, kronecker._moves, kronecker._column, kronecker._table):
             memo.cache_clear()
         kronecker_basis.cache_clear()
         tables = {n: character_table(n) for n in order}
@@ -193,20 +199,48 @@ class TestSharedColumns:
         n, mu, nu = 12, (5, 4, 2, 1), (4, 4, 3, 1)
         assert kronecker_basis.__wrapped__(mu, nu) == reference_kronecker(mu, nu)
         table = kronecker._table(n)
-        columns, packed, scales, odd, _, _, cuts, index, slots = table
+        sides, _, _, cuts, _, slots = table
         assert slots  # warm: every slot value of that sum is decoded
-        # Add 1 to the slot of lam = (n) in the column of rho = (1^n), an even
-        # class, and then of rho = (2, 1^(n-2)), an odd one: each one's weight
-        # chi^mu chi^nu den / z_rho in the sum is not a multiple of den.
+        labels = partitions_of(n)
+        # Add 1 to the slot of lam = (n) in the stored (pre-scaled) column of
+        # rho = (1^n), an even class, and then of rho = (2, 1^(n-2)), an odd one:
+        # each one's weight chi^mu chi^nu in the sum is not a multiple of den.
         for rho, parity in (((1,) * n, 0), ((2,) + (1,) * (n - 2), 1)):
-            j = index[rho]
-            assert odd[j] == parity
-            ab = columns[j][index[mu]] * columns[j][index[nu]]
-            assert ab * scales[j] % slots.den
-            bad = packed[:j] + (packed[j] + (1 << (8 * cuts[index[(n,)]].start)),) + packed[j + 1:]
-            monkeypatch.setattr(kronecker, "_table", lambda m: (columns, bad, *table[2:]))
+            columns, scaled = sides[parity]
+            j = [r for r in labels if (n - len(r)) % 2 == parity].index(rho)
+            assert columns[j] is kronecker._column(rho)
+            ab = character(mu, rho) * character(nu, rho)
+            assert ab % slots.den
+            corrupt = scaled[j] + (1 << (8 * cuts[labels.index((n,))].start))
+            bad = list(sides)
+            bad[parity] = (columns, scaled[:j] + [corrupt] + scaled[j + 1:])
+            monkeypatch.setattr(kronecker, "_table", lambda m: (tuple(bad), *table[1:]))
             with pytest.raises(ArithmeticError):
                 kronecker_basis.__wrapped__(mu, nu)
+
+
+class TestConjugatePairs:
+    """chi^lam'(rho) = sgn(rho) chi^lam(rho), with no oracle, on pairs that mix
+    representatives lam >= lam' and their conjugates."""
+
+    def test_kronecker_basis_of_conjugates(self):
+        pairs = [(mu, nu) for n in range(9) for mu in partitions_of(n) for nu in partitions_of(n)]
+        rng = random.Random(1614)
+        for _ in range(40):
+            labels = partitions_of(rng.randint(14, 16))
+            pairs.append((rng.choice(labels), rng.choice(labels)))
+        for mu, nu in pairs:
+            g = kronecker_basis(mu, nu)
+            assert kronecker_basis(conjugate(mu), nu) == {conjugate(lam): c for lam, c in g.items()}, (mu, nu)
+            assert kronecker_basis(conjugate(mu), conjugate(nu)) == g, (mu, nu)
+
+    def test_character_of_conjugate_sample_n16(self):
+        n = 16
+        labels = partitions_of(n)
+        rng = random.Random(16)
+        for _ in range(200):
+            lam, rho = rng.choice(labels), rng.choice(labels)
+            assert character(conjugate(lam), rho) == (-1) ** (n - len(rho)) * character(lam, rho), (lam, rho)
 
 
 class TestCharacter:

@@ -3,8 +3,8 @@ characters, Thibon characters, and reduced symmetric-group characters."""
 
 from __future__ import annotations
 
-from .partitions import conjugate, partitions_up_to, weight
-from .schur import SymFunc, TensorSymFunc, outer_mul, skew_basis, tensor
+from .partitions import conjugate, weight
+from .schur import SymFunc, TensorSymFunc, coproduct_basis
 from .series import skew_by_series
 from .hash_products import named_product
 
@@ -67,45 +67,41 @@ class RationalChar:
 
 
 def rational_mul(x: RationalChar, y: RationalChar) -> RationalChar:
-    """{kappa;lam-bar} {mu;nu-bar} = sum_{sigma,tau}
-    {(kappa/sigma)(mu/tau); ((lam/tau)(nu/sigma))-bar}."""
+    """{kappa;lam-bar} {mu;nu-bar} = T(kappa, nu) T(mu, lam) in Sym (x) Sym = sum_{sigma,tau}
+    {(kappa/sigma)(mu/tau); ((lam/tau)(nu/sigma))-bar}; the first product accumulates."""
     if not (x.irreducible and y.irreducible):
         raise ValueError("rational_mul expects irreducible-interpretation characters")
-    out = TensorSymFunc()
+
+    def cross(a, b) -> TensorSymFunc:
+        return rational_convert(RationalChar.basis(a, b, False), "to_irreducible").element
+
+    out = None
     for (kappa, lam), cx in x.element.terms.items():
         for (mu, nu), cy in y.element.terms.items():
-            for sigma in partitions_up_to(min(weight(kappa), weight(nu))):
-                ks = skew_basis(kappa, sigma)
-                ns = skew_basis(nu, sigma)
-                if not ks or not ns:
-                    continue
-                for tau in partitions_up_to(min(weight(lam), weight(mu))):
-                    ms = skew_basis(mu, tau)
-                    ls = skew_basis(lam, tau)
-                    if not ms or not ls:
-                        continue
-                    out.add(tensor(outer_mul(ks, ms), outer_mul(ls, ns)), cx * cy)
-    return RationalChar(out, irreducible=True)
+            term = cross(kappa, nu).scale(cx * cy) * cross(mu, lam)
+            out = term if out is None else out.add(term)
+    return RationalChar(out or TensorSymFunc(), irreducible=True)
 
 
 def rational_convert(x: RationalChar, direction: str) -> RationalChar:
-    """reducible -> irreducible: {lam}(x){mu-bar} = sum_zeta {lam/zeta;(mu/zeta)-bar};
-    irreducible -> reducible: {lam;mu-bar} = sum_zeta (-1)^{|zeta|}
-    {lam/zeta}(x){(mu/zeta')-bar}."""
+    """reducible -> irreducible is the cross pairing T: {lam}(x){mu-bar} = sum_zeta
+    {lam/zeta;(mu/zeta)-bar}; irreducible -> reducible is T-bar: {lam;mu-bar} =
+    sum_zeta (-1)^{|zeta|} {lam/zeta}(x){(mu/zeta')-bar}; both read Delta s_lam, Delta s_mu."""
     if direction not in ("to_irreducible", "to_reducible"):
         raise ValueError(f"unknown direction {direction!r}")
     to_irreducible = direction == "to_irreducible"
     if x.irreducible == to_irreducible:
         raise ValueError(f"input is already in the {direction[3:]} interpretation")
-    out = TensorSymFunc()
+    out: dict = {}
     for (lam, mu), c in x.element.terms.items():
-        for zeta in partitions_up_to(min(weight(lam), weight(mu))):
-            ls = skew_basis(lam, zeta)
-            ms = skew_basis(mu, zeta if to_irreducible else conjugate(zeta))
-            if ls and ms:
-                sign = 1 if to_irreducible else (-1) ** weight(zeta)
-                out.add(tensor(ls, ms), c * sign)
-    return RationalChar(out, irreducible=to_irreducible)
+        legs: dict = {}  # zeta -> the terms (m1, c) of s_{mu/zeta}
+        for (m1, zeta), cm in coproduct_basis(mu).items():
+            legs.setdefault(zeta, []).append((m1, cm))
+        for (l1, zeta), cl in coproduct_basis(lam).items():
+            sign, zeta = (1, zeta) if to_irreducible else ((-1) ** weight(zeta), conjugate(zeta))
+            for m1, cm in legs.get(zeta, ()):
+                out[l1, m1] = out.get((l1, m1), 0) + c * sign * cl * cm
+    return RationalChar(TensorSymFunc(out), irreducible=to_irreducible)
 
 
 # -- Thibon characters -------------------------------------------------------

@@ -11,14 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .kronecker import inner_coproduct_basis
-from .schur import (
-    SymFunc,
-    TensorSymFunc,
-    coproduct,
-    iterated_coproduct_basis,
-    outer_mul,
-    tensor,
-)
+from .schur import SymFunc, TensorSymFunc, coproduct, iterated_coproduct_basis
 
 # Sparse polynomial in `nvars` variables: exponent tuple -> Fraction.
 Poly = dict[tuple[int, ...], Fraction]
@@ -167,8 +160,8 @@ def fgl_log(F: FGL1) -> Poly:
 
 def coproduct_from_fgl(which: str, f: SymFunc) -> TensorSymFunc:
     """additive -> the outer coproduct (alphabet X + Y); multiplicative ->
-    Delta_m (alphabet X + Y + XY), built by splitting the middle leg of the
-    threefold coproduct with the inner coproduct."""
+    Delta_m (alphabet X + Y + XY): over the threefold coproduct's terms
+    (x1, x2, x3), the `TensorSymFunc` product (s_x1 (x) s_x3) Delta_inner(s_x2)."""
     if which == "additive":
         return coproduct(f)
     if which != "multiplicative":
@@ -176,8 +169,6 @@ def coproduct_from_fgl(which: str, f: SymFunc) -> TensorSymFunc:
     out = TensorSymFunc()
     for lam, c in f.terms.items():
         for (x1, x2, x3), cc in iterated_coproduct_basis(lam, 3).items():
-            for (m1, m2), cm in inner_coproduct_basis(x2).items():
-                left = outer_mul(SymFunc.basis(x1), SymFunc.basis(m1))
-                right = outer_mul(SymFunc.basis(x3), SymFunc.basis(m2))
-                out.add(tensor(left, right), c * cc * cm)
+            inner = TensorSymFunc(inner_coproduct_basis(x2))
+            out.add(TensorSymFunc.basis(x1, x3) * inner, c * cc)
     return out

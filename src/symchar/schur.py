@@ -144,22 +144,29 @@ class TensorSymFunc(_Combination):
         return TensorSymFunc({(tuple(mu), tuple(nu)): 1})
 
     def __mul__(self, other):
-        """Componentwise (outer) product on Sym (x) Sym, left products summed per right pair."""
+        """Componentwise product s_a s_u (x) s_b s_v, one left sum per right pair (b, v)."""
         if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, TensorSymFunc):
-            lefts: dict = {}  # (b, v): sum of c1 c2 s_a s_u over the term pairs
-            for (a, b), c1 in self.terms.items():
-                for (u, v), c2 in other.terms.items():
-                    left = lefts.setdefault((b, v), {})
-                    for p, cp in product_basis(a, u).items():
-                        left[p] = left.get(p, 0) + c1 * c2 * cp
-            out: dict = {}
-            for (b, v), left in lefts.items():
-                for q, cq in product_basis(b, v).items():
-                    for p, cp in left.items():
-                        out[p, q] = out.get((p, q), 0) + cp * cq
-            return TensorSymFunc(out)
+            mine, theirs, result = {}, {}, TensorSymFunc()
+            for f, groups in ((self, mine), (other, theirs)):
+                for (a, b), c in f.terms.items():
+                    groups.setdefault(b, []).append((a, c))
+            out = result.terms
+            for b, xs in mine.items():
+                for v, ys in theirs.items():
+                    left: dict = {}
+                    for a, c1 in xs:
+                        for u, c2 in ys:
+                            for p, cp in product_basis(a, u).items():
+                                left[p] = left.get(p, 0) + c1 * c2 * cp
+                    right = product_basis(b, v).items()
+                    for p, cp in left.items():  # p outer: keys arrive nearer sorted order
+                        for q, cq in right:
+                            out[p, q] = out.get((p, q), 0) + cp * cq
+            for key in [key for key, c in out.items() if not c]:
+                del out[key]  # in place: a filtered copy would double the peak
+            return result
         return NotImplemented
 
     def __repr__(self) -> str:

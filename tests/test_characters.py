@@ -1,6 +1,8 @@
 """Classical character decompositions: branchings, Newell-Littlewood,
 rational GL characters, Thibon characters, reduced characters, Cummins."""
 
+import random
+
 import pytest
 
 from oracles import (
@@ -23,8 +25,21 @@ from symchar.characters import (
 )
 from symchar.kronecker import inner_mul
 from symchar.partitions import partitions_up_to, standardize, weight
-from symchar.schur import SymFunc, TensorSymFunc, outer_mul, s, tensor, unit
+from symchar.schur import SymFunc, TensorSymFunc, dimension_gl, outer_mul, s, tensor, unit
 from symchar.series import mul_by_series
+
+
+def rational_dimension(x: RationalChar, n: int) -> int:
+    """dim of an irreducible-interpretation x at GL(n), n at least each term's total
+    length: {alpha;beta-bar} has highest weight (alpha, 0, ..., 0, -beta reversed),
+    a partition once shifted by beta_1 (a power of det, which keeps the dimension)."""
+    total = 0
+    for (alpha, beta), c in x.element.terms.items():
+        top = beta[0] if beta else 0
+        zeros = n - len(alpha) - len(beta)
+        shifted = [a + top for a in alpha] + [top] * zeros + [top - b for b in reversed(beta)]
+        total += c * dimension_gl(tuple(p for p in shifted if p), n)
+    return total
 
 
 class TestBranch:
@@ -110,6 +125,46 @@ class TestRationalGL:
             for l in partitions_up_to(3):
                 x = RationalChar.basis(k, l)
                 assert rational_convert(rational_convert(x, "to_reducible"), "to_irreducible") == x
+
+    def test_stable_dimensions(self):
+        """Independent of LR, skews and coproducts: at GL(n) with n above the
+        total length, the product and both conversions keep dimensions."""
+        labels = [(k, l) for k in partitions_up_to(3) for l in partitions_up_to(3) if weight(k) + weight(l) <= 4]
+        for kappa, lam in labels:
+            n = len(kappa) + len(lam) + 1
+            irr = rational_convert(RationalChar.basis(kappa, lam, False), "to_irreducible")
+            assert dimension_gl(kappa, n) * dimension_gl(lam, n) == rational_dimension(irr, n)
+            red = rational_convert(RationalChar.basis(kappa, lam), "to_reducible")
+            assert rational_dimension(RationalChar.basis(kappa, lam), n) == sum(
+                c * dimension_gl(a, n) * dimension_gl(b, n) for (a, b), c in red.element.terms.items()
+            )
+            for mu, nu in labels:
+                n = len(kappa) + len(lam) + len(mu) + len(nu) + 1
+                x, y = RationalChar.basis(kappa, lam), RationalChar.basis(mu, nu)
+                assert rational_dimension(x, n) * rational_dimension(y, n) == rational_dimension(
+                    rational_mul(x, y), n
+                ), (kappa, lam, mu, nu)
+
+    def test_sums_are_linear(self):
+        """On two-term sums with coefficients other than +-1, the product and
+        the conversions are the sums of their basis results."""
+        rng = random.Random(32)
+        labels = [(k, l) for k in partitions_up_to(3) for l in partitions_up_to(3) if weight(k) + weight(l) <= 3]
+        for _ in range(12):
+            x, y = (dict(zip(rng.sample(labels, 2), rng.sample((-3, -2, 2, 3, 5), 2))) for _ in range(2))
+            both = RationalChar(TensorSymFunc(x)), RationalChar(TensorSymFunc(y))
+            expected = TensorSymFunc()
+            for a, cx in x.items():
+                for b, cy in y.items():
+                    expected.add(rational_mul(RationalChar.basis(*a), RationalChar.basis(*b)).element, cx * cy)
+            assert rational_mul(*both).element == expected
+            assert rational_mul(*both) == rational_mul_hash(*both)
+            for irreducible, direction in ((False, "to_irreducible"), (True, "to_reducible")):
+                expected = TensorSymFunc()
+                for a, c in x.items():
+                    expected.add(rational_convert(RationalChar.basis(*a, irreducible), direction).element, c)
+                got = rational_convert(RationalChar(TensorSymFunc(x), irreducible), direction)
+                assert got.element == expected and got.irreducible != irreducible
 
     def test_convert_direction_errors(self):
         with pytest.raises(ValueError):

@@ -138,11 +138,10 @@ def referenced_names(node: ast.AST, path: Path) -> set[str]:
 
 # Module-level names that no src/ or bench/ code reads, kept on purpose: the
 # paper's constructions (cochain convolution, pairing inverses, coboundaries,
-# rational GL conversion, group-like series) and the Hopf classification of
-# hash products, which the acceptance criteria and the convolution tests
-# exercise.  The public names of `symchar.__all__` need no entry.
+# group-like series) and the Hopf classification of hash products, which the
+# acceptance criteria and the convolution tests exercise.  The public names of
+# `symchar.__all__` need no entry.
 KEPT = {
-    "characters.py:rational_convert",
     "convolution.py:coboundary1",
     "convolution.py:convolve1",
     "convolution.py:frobenius_inverse",

@@ -187,6 +187,30 @@ class TestCombinationCore:
         one = _bilinear(s(2, 1), s(1), product_basis)
         assert one == SymFunc(product_basis((2, 1), (1,))) and one.terms is not product_basis((2, 1), (1,))
 
+    def test_tensor_product_on_sums(self):
+        """TensorSymFunc * is the componentwise product term by term,
+        sum c1 c2 (s_a s_u) (x) (s_b s_v), and holds no cancelled term."""
+        def per_term(x, y):
+            out = TensorSymFunc()
+            for (a, b), c1 in x.terms.items():
+                for (u, v), c2 in y.terms.items():
+                    out.add(tensor(outer_mul(s(*a), s(*u)), outer_mul(s(*b), s(*v))), c1 * c2)
+            return out
+
+        rng = random.Random(32)
+        legs = partitions_up_to(3)
+        for _ in range(40):
+            x, y = (
+                TensorSymFunc({(rng.choice(legs), rng.choice(legs)): rng.choice((-3, -2, -1, 1, 2, 3))
+                               for _ in range(rng.randint(1, 4))})
+                for _ in range(2)
+            )
+            product = x * y
+            assert product == per_term(x, y) and 0 not in product.terms.values()
+        one, box = TensorSymFunc.basis((1,), ()), TensorSymFunc.basis((), (1,))
+        product = (one - box) * (one + box)
+        assert product.terms == {((2,), ()): 1, ((1, 1), ()): 1, ((), (2,)): -1, ((), (1, 1)): -1}
+
     def test_signed_sum(self):
         assert signed_sum([]) == "0"
         assert signed_sum([(1, "a"), (-1, "b"), (3, "c"), (-2, "")]) == "a - b + 3*c - 2"

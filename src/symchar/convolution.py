@@ -2,13 +2,13 @@
 
 A stage, `Cochain1` or `Pairing`, answers every basis read through one class-level
 `on_basis` with a read-only {partition: coefficient} dict; its call is the linear
-extension.  It memoizes what it computes (`convolve2` folds, inverses, phi o a with
-phi != id) and declares `lookup` where the value is looked up instead (`inner`,
-`outer`, `schur-hall`, `e2` and id hold no memo).  `_convolve` is the one pairing
-convolution, (a * b)(f, g) on term dicts with its heads a(x1, y1) summed per
-second-leg pair: a hash product is one pass of it over (x, y) that ends in
-psi o m = `_composed(psi, outer_pairing())`, and `convolve2`, its memo on basis
-pairs, folds the stages and the coboundary.  It runs the cochain monoid too, a
+extension.  It memoizes what it computes (`inner` Kronecker products, `convolve2`
+folds, inverses, phi o a with phi != id) and declares `lookup` where the value is
+looked up instead (`outer`, `schur-hall`, `e2` and id hold no memo).  `_convolve`
+is the one pairing convolution, (a * b)(f, g) on term dicts with its heads
+a(x1, y1) summed per second-leg pair: a hash product is one pass of it over (x, y)
+that ends in psi o m = `_composed(psi, outer_pairing())`, and `convolve2`, its memo
+on basis pairs, folds the stages and the coboundary.  It runs the cochain monoid too, a
 cochain f being the pairing f (x) eps read at (lam, ()), and both inverses, by the
 recursion abar = e2 - (a - e2) * abar through the memo of abar.  Each checker is
 `_law` over a generator of the law's counterexamples on the Schur basis, whose
@@ -110,9 +110,11 @@ def outer_pairing() -> Pairing:
 
 
 def inner_pairing() -> Pairing:
+    """a(mu, nu) = s_mu * s_nu, computed by `kronecker_basis` (which keeps no table)
+    and memoized in this stage."""
     from .kronecker import kronecker_basis
 
-    return Pairing(kronecker_basis, "inner", grade_preserving=True, lookup=True)
+    return Pairing(kronecker_basis, "inner", grade_preserving=True)
 
 
 def schur_hall_pairing() -> Pairing:

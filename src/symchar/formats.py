@@ -19,7 +19,8 @@ BRACKETS = {
 
 
 def parse_symfunc(text: str) -> SymFunc:
-    """Parse e.g. "s[2] + s[1,1] - 3*s[3]"; a bare partition is one basis term."""
+    """Parse e.g. "s[2] + s[1,1] - 3*s[3]"; a bare partition is one basis term.  Every
+    term after the first needs its sign: "s[2] s[1]" is an error, not a sum."""
     text = text.strip()
     if not text:
         raise ValueError("empty symmetric-function expression")
@@ -29,7 +30,7 @@ def parse_symfunc(text: str) -> SymFunc:
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        if not m:
+        if not m or (pos and not m.group(1)):
             raise ValueError(f"cannot parse symmetric function at: {text[pos:]!r}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = int(m.group(2)) if m.group(2) else 1

@@ -161,15 +161,15 @@ def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
             for lam in labels for k, flip in [where[lam]] for rho, pair in zip(labels, signs)}
 
 
-@cache
 def kronecker_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """Expansion of s_mu * s_nu; zero unless |mu| = |nu|.  chi^mu chi^nu is read
-    from the representatives' entries of each class column, and each class where it
-    is nonzero adds it times its pre-scaled packed column into E or O by its parity;
-    if exactly one of mu, nu is not a representative, sgn(rho) flips that product,
-    so O is negated.  E + O then holds den * g^lam_{mu,nu} in the slot of each rep
-    lam and E - O den * g^lam'; the slots are read back in partitions_of(n) order
-    (see _table)."""
+    """Expansion of s_mu * s_nu; zero unless |mu| = |nu|.  Not memoized: each call
+    returns a fresh dict, and the `inner` stage keeps the products it re-reads.
+    chi^mu chi^nu is read from the representatives' entries of each class column,
+    and each class where it is nonzero adds it times its pre-scaled packed column
+    into E or O by its parity; if exactly one of mu, nu is not a representative,
+    sgn(rho) flips that product, so O is negated.  E + O then holds
+    den * g^lam_{mu,nu} in the slot of each rep lam and E - O den * g^lam'; the
+    slots are read back in partitions_of(n) order (see _table)."""
     n = weight(mu)
     if n != weight(nu):
         return {}

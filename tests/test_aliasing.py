@@ -32,7 +32,7 @@ PAIRS = [(x, y) for x in BASIS for y in BASIS if weight(x) + weight(y) <= CAP]
 def assert_memo_fresh(owner, fresh) -> None:
     """Every memo entry of a Cochain1 or Pairing equals the same entry of an
     equivalent object built from scratch.  An owner declared `lookup` (the
-    identity cochain, `inner`, `outer`) holds no memo, so its values on the
+    identity cochain, `outer`) holds no memo, so its values on the
     basis are checked instead."""
     if owner.lookup:
         assert not owner._memo
@@ -70,8 +70,8 @@ def test_accumulators_leave_caches_intact():
         conv2(SymFunc.basis(mu), SymFunc.basis(nu))
         inv2(SymFunc.basis(mu), SymFunc.basis(nu))
         cobound(SymFunc.basis(mu), SymFunc.basis(nu))
-    # The psi = id tail and the inner pairing hand out product_basis's and
-    # kronecker_basis's cached dicts themselves.
+    # The psi = id tail hands out product_basis's cached dicts themselves, and the
+    # inner stage the named specs share hands out its memo's.
     for name in ("newell-littlewood", "thibon", "murnaghan-littlewood"):
         product = build_hash(named_spec(name))
         product(f, s(2) + s(1, 1))
@@ -100,22 +100,25 @@ def test_accumulators_leave_caches_intact():
         for nu in BASIS:
             assert product_basis(mu, nu) == product_basis.__wrapped__(mu, nu)
             assert skew_basis(mu, nu) == skew_basis.__wrapped__(mu, nu)
+    shared_inner = spec.stages[1][0]
     for mu in BASIS:
         for nu in BASIS:
-            assert kronecker_basis(mu, nu) == kronecker_basis.__wrapped__(mu, nu)
+            assert shared_inner.on_basis(mu, nu) == kronecker_basis(mu, nu)
 
 
 def test_single_pair_products_are_fresh():
     """A product of two basis elements is a copy of the cached expansion: adding
-    into it, over its own terms and new ones, leaves both kernels' caches as a
-    fresh recomputation gives them."""
+    into it, over its own terms and new ones, leaves the LR kernel's cache and
+    the inner stage's memo as a fresh recomputation gives them."""
     outer = outer_mul(s(3, 1), s(2))
     outer.add(s(5, 1) + s(4, 2).scale(3) + s(6), -1)
-    inner = inner_mul(s(3, 1), s(2, 2))
-    inner.add(s(3, 1) + s(2, 1, 1).scale(2) + s(4), -1)
-    assert (5, 1) not in outer.terms and (3, 1) not in inner.terms
+    stage = inner_pairing()
+    for inner in (inner_mul(s(3, 1), s(2, 2)), stage(s(3, 1), s(2, 2))):
+        inner.add(s(3, 1) + s(2, 1, 1).scale(2) + s(4), -1)
+        assert (3, 1) not in inner.terms
+    assert (5, 1) not in outer.terms
     assert product_basis((2,), (3, 1)) == product_basis.__wrapped__((2,), (3, 1))
     assert product_basis((3, 1), (2,)) == product_basis.__wrapped__((2,), (3, 1))
-    assert kronecker_basis((3, 1), (2, 2)) == kronecker_basis.__wrapped__((3, 1), (2, 2))
+    assert stage.on_basis((3, 1), (2, 2)) == kronecker_basis((3, 1), (2, 2))
     assert outer_mul(s(3, 1), s(2)) == SymFunc(product_basis.__wrapped__((2,), (3, 1)))
-    assert inner_mul(s(3, 1), s(2, 2)) == SymFunc(kronecker_basis.__wrapped__((3, 1), (2, 2)))
+    assert inner_mul(s(3, 1), s(2, 2)) == SymFunc(kronecker_basis((3, 1), (2, 2)))

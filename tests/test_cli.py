@@ -418,8 +418,11 @@ class TestContract:
             (("fgl", "loop", "gm", "-3", "--cap", "0"), 2, "parse error: cap must be >= 1"),
             (("fgl", "log", "gm", "--cap", "0"), 2, "parse error: cap must be >= 1"),
             (("hash", "--spec", DEEP, "1", "1"), 3, "resource bound exceeded: maximum recursion"),
+            (("decompose", "--product", "outer", "s[2] s[1]", "0"), 2, "parse error: cannot parse symmetric"),
+            (("decompose", "--product", "outer", "s[2]s[1]", "0"), 2, "parse error: cannot parse symmetric"),
         ],
-        ids=["rational negative exponent", "loop 3 cap 0", "loop -3 cap 0", "log cap 0", "deep spec"],
+        ids=["rational negative exponent", "loop 3 cap 0", "loop -3 cap 0", "log cap 0", "deep spec",
+             "terms with a space and no sign", "terms with no sign"],
     )
     def test_misread_inputs_are_refused(self, capsys, argv, code, prefix):
         got, out, err = run(capsys, *argv)

@@ -36,8 +36,8 @@ from symchar.convolution import (
     _composed,
     _is_degree_preserving,
 )
-from symchar.hash_products import HashSpec, build_hash, composite_pairing, named_spec
-from symchar.kronecker import inner_coproduct_basis, kronecker_basis
+from symchar.hash_products import HashSpec, build_hash, composite_pairing, named_product, named_spec
+from symchar.kronecker import inner_coproduct_basis, inner_mul, kronecker_basis
 from symchar.partitions import conjugate, partitions_of, partitions_up_to, weight
 from symchar.schur import (
     SymFunc,
@@ -596,7 +596,7 @@ class TestOneReadPath:
     """A stage is one thing: every Cochain1 and Pairing answers a basis read through
     the one class-level `on_basis`, with a dict; only a computed value is memoized."""
 
-    LOOKED_UP = ("inner", "outer", "schur-hall", "e2", "id")
+    LOOKED_UP = ("outer", "schur-hall", "e2", "id")
     NAMED = ("trivial", "newell-littlewood", "thibon", "murnaghan-littlewood")
 
     def library_stages(self):
@@ -656,6 +656,47 @@ class TestOneReadPath:
         assert {stage.name for stage in looked_up} == set(self.LOOKED_UP)
         for stage in looked_up:
             assert stage.lookup and not stage._memo, stage
+
+
+class TestInnerMemo:
+    """The `inner` stage keeps the Kronecker products it reads, one memo per stage;
+    `kronecker_basis` keeps none, so a caller's `inner_mul` leaves nothing behind."""
+
+    def test_each_pair_is_computed_once_per_stage(self):
+        inner = inner_pairing()
+        calls: list = []
+
+        def counted(mu, nu, _fn=inner._fn):
+            calls.append((mu, nu))
+            return _fn(mu, nu)
+
+        inner._fn = counted
+        product = build_hash(HashSpec(((inner, identity_cochain()),), name="thibon"))
+        x, y = s(3, 2, 1) + s(2, 1), s(2, 2) - s(3, 1).scale(2)
+        value = product(x, y)
+        assert value == named_product("thibon")(x, y)
+        assert calls and len(calls) == len(set(calls)) == len(inner._memo)
+        assert set(calls) == set(inner._memo)
+        for mu, nu in calls:
+            assert inner._memo[mu, nu] == kronecker_basis(mu, nu)
+        read = len(calls)
+        assert product(x, y) == value
+        assert len(calls) == read
+
+    def test_inner_mul_leaves_every_stage_memo_unchanged(self):
+        thibon, reduced = named_spec("thibon"), named_spec("murnaghan-littlewood")
+        shared = thibon.stages[0][0]
+        assert shared.name == "inner" and reduced.stages[1][0] is shared
+        named_product("thibon")(s(2, 1), s(2, 1))
+        fresh = inner_pairing()
+        fresh(s(2, 1), s(3))
+        stages = [shared, fresh, *(stage for pair in reduced.stages for stage in pair)]
+        before = [dict(stage._memo) for stage in stages]
+        assert before[0] and before[1]
+        pair = (7, 4, 2, 1), (5, 5, 3, 1)
+        assert pair not in shared._memo
+        assert inner_mul(s(*pair[0]), s(*pair[1])) == SymFunc(kronecker_basis(*pair))
+        assert [stage._memo for stage in stages] == before
 
 
 class TestDerivedAndInverse:

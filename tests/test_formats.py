@@ -40,6 +40,16 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_symfunc("s[1] + banana")
 
+    def test_leading_sign(self):
+        assert parse_symfunc("+s[1]") == s(1)
+        assert parse_symfunc("-2*s[1] + s[2]") == s(2) - s(1).scale(2)
+
+    @pytest.mark.parametrize("text", ["s[2] s[1]", "s[2]s[1]", "s[2] + s[1] 3*s[3]", "s[1] 2s[1]"])
+    def test_unsigned_later_term_rejected(self, text):
+        """Juxtaposed terms are not a sum: every term after the first needs a sign."""
+        with pytest.raises(ValueError, match="cannot parse symmetric function at"):
+            parse_symfunc(text)
+
 
 class TestFormat:
     def test_zero(self):

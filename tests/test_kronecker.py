@@ -176,7 +176,6 @@ class TestSharedColumns:
     def test_tables_and_products_do_not_depend_on_build_order(self, order):
         for memo in (kronecker._reps, kronecker._moves, kronecker._column, kronecker._table):
             memo.cache_clear()
-        kronecker_basis.cache_clear()
         tables = {n: character_table(n) for n in order}
         rng = random.Random(1612)
         for n in (12, 16):
@@ -197,7 +196,7 @@ class TestSharedColumns:
 
     def test_corrupt_slot_raises_with_warm_decode_cache(self, monkeypatch):
         n, mu, nu = 12, (5, 4, 2, 1), (4, 4, 3, 1)
-        assert kronecker_basis.__wrapped__(mu, nu) == reference_kronecker(mu, nu)
+        assert kronecker_basis(mu, nu) == reference_kronecker(mu, nu)
         table = kronecker._table(n)
         sides, _, _, cuts, _, slots = table
         assert slots  # warm: every slot value of that sum is decoded
@@ -216,7 +215,7 @@ class TestSharedColumns:
             bad[parity] = (columns, scaled[:j] + [corrupt] + scaled[j + 1:])
             monkeypatch.setattr(kronecker, "_table", lambda m: (tuple(bad), *table[1:]))
             with pytest.raises(ArithmeticError):
-                kronecker_basis.__wrapped__(mu, nu)
+                kronecker_basis(mu, nu)
 
 
 class TestConjugatePairs:

@@ -20,21 +20,15 @@ def canonical(lam: Partition) -> Partition:
     return CANONICAL.setdefault(lam, lam)
 
 
-def is_partition(parts) -> bool:
-    parts = tuple(parts)
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
-
-
 def make_partition(parts) -> Partition:
-    """Canonicalize a weakly decreasing sequence, stripping trailing zeros."""
-    parts = [int(p) for p in parts]
-    while parts and parts[-1] == 0:
-        parts.pop()
-    if not is_partition(parts):
-        raise ValueError(f"not a partition: {tuple(parts)!r}")
-    return tuple(parts)
+    """parts as a partition tuple, trailing zeros stripped; ValueError unless the rest
+    are weakly decreasing positive ints, tested by one set of types and one sorted copy."""
+    lam = tuple(parts)
+    while lam and lam[-1] == 0:
+        lam = lam[:-1]
+    if lam and not (set(map(type, lam)) == {int} and lam[-1] > 0 and lam == tuple(sorted(lam, reverse=True))):
+        raise ValueError(f"not a partition: {lam!r}")
+    return lam
 
 
 def weight(lam: Partition) -> int:
@@ -88,12 +82,7 @@ def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> Partition:
     rows = [arms[k] + k + 1 for k in range(r)]
     # Column lengths below the diagonal determine the remaining rows.
     col = [legs[k] + k + 1 for k in range(r)]
-    extra = []
-    for i in range(r, max(col, default=0)):
-        row = sum(1 for c in col if c >= i + 1)
-        if row == 0:
-            break
-        extra.append(row)
+    extra = [sum(1 for c in col if c >= i + 1) for i in range(r, max(col, default=0))]
     return make_partition(rows + extra)
 
 

@@ -19,6 +19,7 @@ from .partitions import (
     contains,
     format_partition,
     hooks_and_contents,
+    make_partition,
     term_order,
     weight,
 )
@@ -78,7 +79,7 @@ class SymFunc(_Combination):
     # -- constructors -------------------------------------------------
     @staticmethod
     def basis(lam) -> "SymFunc":
-        return SymFunc({tuple(lam): 1})
+        return SymFunc({make_partition(lam): 1})
 
     @staticmethod
     def zero() -> "SymFunc":
@@ -141,7 +142,7 @@ class TensorSymFunc(_Combination):
 
     @staticmethod
     def basis(mu, nu) -> "TensorSymFunc":
-        return TensorSymFunc({(tuple(mu), tuple(nu)): 1})
+        return TensorSymFunc({(make_partition(mu), make_partition(nu)): 1})
 
     def __mul__(self, other):
         """Componentwise product s_a s_u (x) s_b s_v, one left sum per right pair (b, v)."""

@@ -80,6 +80,21 @@ class TestNewellLittlewood:
                 f, g = SymFunc.basis(mu), SymFunc.basis(nu)
                 assert newell_littlewood(f, g) == newell_littlewood_formula(f, g)
 
+    @pytest.mark.parametrize("to_gl, from_gl", [("o_to_gl", "gl_to_o"), ("sp_to_gl", "gl_to_sp")])
+    def test_kings_series_route(self, to_gl, from_gl):
+        """[mu][nu] = ((s_mu/C)(s_nu/C))/D for O, and with A and B for Sp (Newell, Proc.
+        Roy. Irish Acad. 54A (1951) 153; King, J. Math. Phys. 12 (1971) 1588): the series
+        route shares the LR and skew code with the hash, so it checks the hash by
+        schur-hall and the series, on every pair of weight <= 5 each and <= 8 in total."""
+        pairs = 0
+        for mu in partitions_up_to(5):
+            for nu in partitions_up_to(min(5, 8 - weight(mu))):
+                x, y = SymFunc.basis(mu), SymFunc.basis(nu)
+                route = branch(outer_mul(branch(x, to_gl), branch(y, to_gl)), from_gl)
+                assert route == newell_littlewood(x, y), (mu, nu)
+                pairs += 1
+        assert pairs == 242
+
 
 class TestRationalGL:
     def test_vector_times_covector(self):

@@ -34,7 +34,7 @@ from symchar.convolution import (
     Pairing,
     _basis_pairs,
     _composed,
-    _is_degree_preserving,
+    _transposed,
 )
 from symchar.hash_products import HashSpec, build_hash, composite_pairing, named_product, named_spec
 from symchar.kronecker import inner_coproduct_basis, inner_mul, kronecker_basis
@@ -442,11 +442,10 @@ class TestCheckers:
     def test_degree_check_demands_more_than_the_grading_flag(self):
         # schur-hall vanishes off |x| = |y|, as declared, but its values lie in degree 0.
         assert schur_hall_pairing().grade_preserving
-        assert not _is_degree_preserving(schur_hall_pairing(), 3)
-        assert _is_degree_preserving(inner_pairing(), 4)
         witness: list = []
         assert not is_frobenius(schur_hall_pairing(), 3, witness=witness)
         assert witness == [("not grade-preserving",)]
+        assert is_frobenius(inner_pairing(), 4)
 
     def test_derived_antipode_inner_laplace_not_frobenius(self):
         a = derived_pairing(inner_pairing(), antipode_cochain(), 4)
@@ -543,6 +542,69 @@ class TestWitnesses:
         witness: list = []
         assert not is_frobenius(bumped_inner(((2,), (1, 1)), s(2)), 3, witness)
         assert repr(witness) == "[('unit', 2, (1, 1), s[2] + s[1,1])]"
+
+
+def law_sides(a: Pairing, side: str, x, y, z) -> tuple[SymFunc, SymFunc]:
+    """Both sides of a's right law a(x, yz) = a(x1,y) a(x2,z) or left law
+    a(xy, z) = a(x,z1) a(y,z2) at (x, y, z), read from a alone."""
+    rhs = SymFunc.zero()
+    if side == "right":
+        for (x1, x2), c in coproduct_basis(x).items():
+            rhs.add(outer_mul(a.on_basis(x1, y), a.on_basis(x2, z)), c)
+        return a(s(*x), outer_mul(s(*y), s(*z))), rhs
+    for (z1, z2), c in coproduct_basis(z).items():
+        rhs.add(outer_mul(a.on_basis(x, z1), a.on_basis(y, z2)), c)
+    return a(outer_mul(s(*x), s(*y)), s(*z)), rhs
+
+
+class TestTransposed:
+    """a^T(x, y) = a(y, x), the stage through which `is_laplace` reads a's left law
+    and `coboundary1` reads eps (x) f."""
+
+    MAKERS = {
+        "outer": outer_pairing,
+        "inner": inner_pairing,
+        "eps-right": eps_right_pairing,
+        "bumped-inner": lambda: bumped_inner(((2,), (1, 1)), s(2)),
+    }
+
+    @pytest.mark.parametrize("name", MAKERS)
+    def test_swaps_and_transposing_twice_gives_back_a(self, name):
+        a = self.MAKERS[name]()
+        once, twice = _transposed(a), _transposed(_transposed(a))
+        for x, y in _basis_pairs(5):
+            assert once.on_basis(x, y) == a.on_basis(y, x), (x, y)
+            assert twice.on_basis(x, y) == a.on_basis(x, y), (x, y)
+
+    @pytest.mark.parametrize("name", MAKERS)
+    def test_keeps_the_grading_and_holds_no_memo(self, name):
+        a = self.MAKERS[name]()
+        t = _transposed(a)
+        assert t.grade_preserving == a.grade_preserving and t.lookup
+        for x, y in _basis_pairs(4):
+            t.on_basis(x, y)
+        assert t._memo == {}
+
+    # outer is symmetric, so outer^T has outer's first witness; eps-right is not.
+    WITNESSES = {
+        "outer": (outer_pairing, ("left", (), (), (1,)), ("left", (), (), (1,))),
+        "eps-right": (eps_right_pairing, ("right", (1,), (), ()), ("left", (), (), (1,))),
+    }
+
+    @pytest.mark.parametrize("name", WITNESSES)
+    def test_witness_moves_to_the_other_side_with_the_triple_rotated(self, name):
+        """a's left law at (x, y, z) is a^T's right law at (z, x, y), and a's right law
+        at (x, y, z) is a^T's left law at (y, z, x), with the same two sides."""
+        make, first, first_transposed = self.WITNESSES[name]
+        a = make()
+        for p, q, expected in ((a, _transposed(a), first), (_transposed(a), a, first_transposed)):
+            witness: list = []
+            assert not is_laplace(p, 3, witness)
+            side, x, y, z, lhs, rhs = witness[0]
+            assert (side, x, y, z) == expected
+            assert law_sides(p, side, x, y, z) == (lhs, rhs)
+            moved = ("left", y, z, x) if side == "right" else ("right", z, x, y)
+            assert law_sides(q, *moved) == (lhs, rhs)
 
 
 class TestAdjointComultiplication:

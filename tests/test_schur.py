@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import eval_polynomial, hook_dimension, poly_mul
 from symchar.hash_products import build_hash, named_spec
-from symchar.kronecker import inner_coproduct_basis, kronecker_basis
+from symchar.kronecker import inner_coproduct_basis, inner_mul, kronecker_basis
 from symchar.partitions import (
     CANONICAL,
     conjugate,
@@ -128,6 +128,31 @@ def reference_table() -> dict:
             if (c := reference_lr_coefficient(lam, mu, nu))
         }
     return table
+
+
+class TestBasisLabels:
+    """`SymFunc.basis`, `s` and `TensorSymFunc.basis` store a label as a partition:
+    trailing zeros are dropped, and a label that is not a partition raises."""
+
+    def test_trailing_zeros_are_dropped(self):
+        from symchar.characters import newell_littlewood
+
+        assert s(2, 0) == s(2) and SymFunc.basis([2, 1, 0, 0]) == s(2, 1) and s(0) == unit()
+        assert TensorSymFunc.basis((1, 0), (0,)) == TensorSymFunc.basis((1,), ())
+        assert outer_mul(s(2, 0), s(1)) == s(3) + s(2, 1)
+        assert inner_mul(s(2, 0), s(2)) == s(2)
+        assert newell_littlewood(s(1, 0), s(1)) == newell_littlewood(s(1), s(1))
+
+    @pytest.mark.parametrize("label", [(1, 2), (2, 0, 1), (0, 1), (2, -1), (-1,), (1.5,), ("2",)])
+    def test_non_partitions_raise(self, label):
+        for make in (
+            lambda: s(*label),
+            lambda: SymFunc.basis(label),
+            lambda: TensorSymFunc.basis(label, (1,)),
+            lambda: TensorSymFunc.basis((1,), label),
+        ):
+            with pytest.raises(ValueError, match="not a partition"):
+                make()
 
 
 class TestCombinationCore:

@@ -21,14 +21,19 @@ def canonical(lam: Partition) -> Partition:
 
 
 def make_partition(parts) -> Partition:
-    """parts as a partition tuple, trailing zeros stripped; ValueError unless the rest
-    are weakly decreasing positive ints, tested by one set of types and one sorted copy."""
+    """The tuple of ints that parts equals once trailing zeros are stripped: the stored
+    one when `canonical` holds it, else one sorted copy of int parts; ValueError unless
+    that copy equals the label and its parts are positive."""
     lam = tuple(parts)
     while lam and lam[-1] == 0:
         lam = lam[:-1]
-    if lam and not (set(map(type, lam)) == {int} and lam[-1] > 0 and lam == tuple(sorted(lam, reverse=True))):
+    known = CANONICAL.get(lam)
+    if known is not None:
+        return known
+    out = tuple(sorted(map(int, lam), reverse=True))
+    if out != lam or out[-1] < 1:
         raise ValueError(f"not a partition: {lam!r}")
-    return lam
+    return out
 
 
 def weight(lam: Partition) -> int:
@@ -82,7 +87,10 @@ def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> Partition:
     rows = [arms[k] + k + 1 for k in range(r)]
     # Column lengths below the diagonal determine the remaining rows.
     col = [legs[k] + k + 1 for k in range(r)]
-    extra = [sum(1 for c in col if c >= i + 1) for i in range(r, max(col, default=0))]
+    extra = []
+    for i in range(r, max(col, default=0)):
+        row = sum(1 for c in col if c >= i + 1)
+        extra.append(row)
     return make_partition(rows + extra)
 
 

@@ -19,15 +19,13 @@ costs the suite up to its first failure; a surviving one costs a full run.
 
 Run from anywhere:
 
-    python tests/mutants.py              # self-test, then every row
-    python tests/mutants.py --self-test  # the self-test only
+    python tests/mutants.py
 
 The file is not named test_*.py, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -65,6 +63,12 @@ CATALOGUE = [
         "return SymFunc({make_partition(lam): 1})",
         "return SymFunc({tuple(lam): 1})",
         "SymFunc.basis checks its label: trailing zeros dropped, non-partitions refused",
+    ),
+    Mutant(
+        "partitions.py",
+        "        return known\n",
+        "        return lam\n",
+        "make_partition answers a label held in CANONICAL with the stored int tuple, not the label",
     ),
     Mutant(
         "schur.py",
@@ -128,13 +132,8 @@ def self_test() -> None:
         print(f"self-test: {row.why}: {verdict}", flush=True)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Run the mutation catalogue against the test suite.")
-    parser.add_argument("--self-test", action="store_true", help="only check the script on its own rows")
-    args = parser.parse_args(argv)
+def main() -> int:
     self_test()
-    if args.self_test:
-        return 0
     bad = 0
     for row in CATALOGUE:
         start = time.perf_counter()

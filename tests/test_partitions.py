@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symchar.partitions import (
+    CANONICAL,
+    canonical,
     conjugate,
     contains,
     format_partition,
@@ -214,6 +216,26 @@ class TestParseFormat:
 
     def test_make_partition_strips_zeros(self):
         assert make_partition((3, 2, 0)) == (3, 2)
+
+    @pytest.mark.parametrize("lam", [(2, 1), (53, 2)])
+    def test_make_partition_gives_int_parts(self, lam):
+        """A label equal to a partition gives that partition as ints, whether the
+        tuple is the one `canonical` holds, (2, 1), or one it holds nowhere, (53, 2)."""
+        if lam == (2, 1):
+            held = canonical(lam)
+            assert make_partition(list(lam)) is held
+        assert (lam in CANONICAL) == (lam == (2, 1))
+        part = type("Part", (int,), {})
+        for label, want in [
+            ((float(lam[0]), lam[1], 0.0), lam),
+            (tuple(map(part, lam)), lam),
+            ([*lam, False], lam),
+            (lam + (True,), lam + (1,)),
+        ]:
+            out = make_partition(label)
+            assert out == want and {type(p) for p in out} == {int}
+        with pytest.raises(ValueError, match="not a partition"):
+            make_partition((lam[0] + 0.5, lam[1]))
 
     @pytest.mark.parametrize("text", ["1,0,1", "0,1"])
     def test_rejects_a_zero_before_a_part(self, text):

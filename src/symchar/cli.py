@@ -276,14 +276,14 @@ def _cmd_fgl_log(args) -> int:
 
 def _cmd_fgl_coproduct(args) -> int:
     from .fgl import coproduct_from_fgl
-    from .formats import pair_order
+    from .formats import pair_sorted
 
     lam = parse_partition(args.partition)
     _bounded(sum(lam), "partition weight", args)
     result = coproduct_from_fgl(args.law, SymFunc.basis(lam)).terms
     print(signed_sum(
         (result[a, b], f"s[{format_partition(a)}](x)s[{format_partition(b)}]")
-        for a, b in sorted(result, key=pair_order)
+        for a, b in pair_sorted(result)
     ))
     return 0
 

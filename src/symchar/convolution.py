@@ -27,7 +27,6 @@ from .schur import (
     antipode,
     coproduct_basis,
     linear,
-    outer_mul,
     product_basis,
     tensor,
 )
@@ -105,7 +104,8 @@ def unit_pairing() -> Pairing:
 
 
 def outer_pairing() -> Pairing:
-    """m: a(mu, nu) = s_mu s_nu, read from product_basis's cache."""
+    """m: a(mu, nu) = s_mu s_nu, read from `product_basis`, which stores it: hash products,
+    convolutions and law checks re-read their LR products, unlike a one-off `outer_mul`."""
     return Pairing(product_basis, "outer", lookup=True)
 
 
@@ -281,7 +281,7 @@ def is_algebra_hom(f: Cochain1, max_degree: int):
     counterexamples (x, y, lhs, rhs)."""
     for x, y in _basis_pairs(max_degree):
         lhs = f(product_basis(x, y))
-        rhs = outer_mul(f.on_basis(x), f.on_basis(y))
+        rhs = _bilinear(f.on_basis(x), f.on_basis(y), product_basis)
         if lhs != rhs:
             yield x, y, lhs, rhs
 
@@ -295,7 +295,7 @@ def is_laplace(a: Pairing, max_degree: int):
         for side, b, (u, v, w) in (("right", a, (x, y, z)), ("left", at, (z, x, y))):
             lhs, rhs = b({u: 1}, product_basis(v, w)), SymFunc.zero()
             for (u1, u2), c in coproduct_basis(u).items():
-                rhs.add(outer_mul(b.on_basis(u1, v), b.on_basis(u2, w)), c)
+                rhs.add(_bilinear(b.on_basis(u1, v), b.on_basis(u2, w), product_basis), c)
             if lhs != rhs:
                 yield side, x, y, z, lhs, rhs
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from .partitions import Partition, format_partition, parse_partition, term_order
 from .schur import SymFunc, TensorSymFunc, signed_sum
@@ -40,9 +41,11 @@ def parse_symfunc(text: str) -> SymFunc:
     return out
 
 
-def pair_order(key: tuple[Partition, Partition]):
-    """Sort key on Sym (x) Sym: term_order of the first leg, then of the second."""
-    return term_order(key[0]), term_order(key[1])
+def pair_sorted(keys) -> list[tuple[Partition, Partition]]:
+    """Sym (x) Sym keys sorted by term_order of the first leg, then of the second;
+    each distinct leg's term_order is built once per sort, since legs recur."""
+    order = cache(term_order)
+    return sorted(keys, key=lambda key: (order(key[0]), order(key[1])))
 
 
 def format_symfunc(f: SymFunc, kind: str = "gl") -> str:
@@ -72,7 +75,7 @@ def parse_rational_label(text: str) -> tuple[Partition, Partition]:
 def format_rational(x: TensorSymFunc) -> str:
     return signed_sum(
         (x.terms[key], f"{{{format_partition(key[0])};{format_partition(key[1])}~}}")
-        for key in sorted(x.terms, key=pair_order)
+        for key in pair_sorted(x.terms)
     )
 
 
@@ -82,6 +85,6 @@ def rational_json(x: TensorSymFunc) -> dict:
             "label": {"kind": "rational", "partition": list(lam), "contra": list(mu)},
             "coeff": x.terms[(lam, mu)],
         }
-        for (lam, mu) in sorted(x.terms, key=pair_order)
+        for (lam, mu) in pair_sorted(x.terms)
     ]
     return {"terms": terms, "meta": {"cap": None}}

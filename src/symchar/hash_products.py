@@ -90,8 +90,8 @@ def build_hash(spec: HashSpec):
 
 def _product(spec: HashSpec, composite: Pairing):
     """x # y = `_convolve(composite, psi o m, x, y)`, one pass over both factors'
-    terms; psi o m is `outer` itself (product_basis's cache) when psi declares
-    `identity`."""
+    terms; psi o m is `outer` itself when psi declares `identity`.  Every LR product
+    of the pass is read from `product_basis`, which stores it for the next query."""
     tail = _composed(spec.final_cocycle, outer_pairing())
     return lambda f, g: _convolve(composite, tail, f.terms, g.terms)
 

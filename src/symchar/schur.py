@@ -230,10 +230,9 @@ def _row_step(states: dict, lo: int, hi: int, off: int, final: bool) -> dict:
     return out
 
 
-@cache
-def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """Expansion of s_mu s_nu in the Schur basis.  It is the skew Schur
-    function of the two shapes placed corner to corner (Macdonald I.5), and
+def _product(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """Expansion of s_mu s_nu in the Schur basis, stored nowhere.  It is the skew
+    Schur function of the two shapes placed corner to corner (Macdonald I.5), and
     every LR filling of that shape puts i in each cell of the upper factor's
     row i.  So the factor with fewer rows (of the conjugates, if they need
     fewer: c^lam_{mu,nu} = c^lam'_{mu',nu'}) goes below and is the only one
@@ -241,7 +240,7 @@ def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
     its first row lies under no cell, and the last row keys the fillings by
     their contents lam."""
     if (mu, nu) > (nu, mu):
-        return product_basis(nu, mu)
+        mu, nu = nu, mu
     flip = bool(mu) and min(mu[0], nu[0]) < min(len(mu), len(nu))
     if flip:
         mu, nu = conjugate(mu), conjugate(nu)
@@ -252,6 +251,12 @@ def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
     for i, k in enumerate(rows):
         states, off = _row_step(states, 0, k, off, i == len(rows) - 1), 0
     return {conjugate(lam): c for lam, c in states.items()} if flip else states
+
+
+@cache
+def product_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """`_product` stored, one dict for (mu, nu) and (nu, mu), for the loops that re-read it."""
+    return product_basis(nu, mu) if (mu, nu) > (nu, mu) else _product(mu, nu)
 
 
 def linear(f, on_basis, cls):
@@ -285,7 +290,7 @@ def _bilinear(f, g, on_basis) -> SymFunc:
 
 
 def outer_mul(f: SymFunc, g: SymFunc) -> SymFunc:
-    return _bilinear(f, g, product_basis)
+    return _bilinear(f, g, _product)
 
 
 def _skew(lam: Partition, mu: Partition) -> dict[Partition, int]:
@@ -305,19 +310,19 @@ def _skew(lam: Partition, mu: Partition) -> dict[Partition, int]:
     return states
 
 
-skew_basis = cache(_skew)  # coproduct_basis calls _skew, so its skews are stored once
+skew_basis = cache(_skew)  # the skews that loops re-read; coproduct_basis stores its own
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """c^lam_{mu,nu}: LR skew tableaux of shape lam/mu and content nu."""
     if weight(lam) != weight(mu) + weight(nu) or not contains(lam, mu):
         return 0
-    return skew_basis(lam, mu).get(nu, 0)
+    return _skew(lam, mu).get(nu, 0)
 
 
 def skew(f: SymFunc, g: SymFunc) -> SymFunc:
     """s_nu-perp applied to f, bilinear in both slots: adjoint of multiplication."""
-    return _bilinear(f, g, skew_basis)
+    return _bilinear(f, g, _skew)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ for n < 0.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .partitions import Partition, partitions_up_to
-from .schur import SymFunc, e, h, outer_mul, skew
+from .schur import SymFunc, _bilinear, e, h, outer_mul, product_basis, skew, skew_basis
 
 
 def bernstein(m: int, f: SymFunc) -> SymFunc:
@@ -34,13 +36,15 @@ def schur_via_bernstein(lam: Partition) -> SymFunc:
 def check_commutation(cap: int) -> bool:
     """L-perp(z) M(w) = (1 - z w) M(w) L-perp(z) applied to every Schur basis
     element f of weight <= cap, compared on the z^i w^j coefficients with
-    i, j < cap; exact equality."""
+    i, j < cap; exact equality, reading the stored tables, as pairs recur."""
+    times, perp = (partial(_bilinear, on_basis=table) for table in (product_basis, skew_basis))
     for lam in partitions_up_to(cap):
         f = SymFunc.basis(lam)
         for i in range(cap):
+            lowered, below = perp(f, e(i)), perp(f, e(i - 1))
             for j in range(cap):
-                lhs = skew(outer_mul(h(j), f), e(i))
-                rhs = outer_mul(h(j), skew(f, e(i))) + outer_mul(h(j - 1), skew(f, e(i - 1)))
+                lhs = perp(times(h(j), f), e(i))
+                rhs = times(h(j), lowered) + times(h(j - 1), below)
                 if lhs != rhs:
                     return False
     return True

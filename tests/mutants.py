@@ -1,9 +1,12 @@
 """Mutation catalogue: small changes to `src/` that the test suite must catch.
 
-Each row is (file under src/symchar, exact old text, new text, why).  For each
-row the script copies the repository to a temporary directory, replaces the old
-text (which must occur exactly once) in the copy, and runs `pytest -x -q` there,
-so the suite and every subprocess it starts import the mutated copy.  A row is
+Each row is (file under src/symchar, exact old text, new text, why, the test
+files that kill it).  For each row the script copies the repository to a
+temporary directory and replaces the old text (which must occur exactly once)
+in the copy.  It runs `pytest -x -q` there, so the suite and every subprocess
+it starts import the mutated copy: first on the row's own test files, then on
+the whole suite only if they pass.  The whole suite includes the row's files,
+so the files a row names change its cost, not its verdict.  A row is
 
   killed    when the run fails, as it should;
   survived  when the run passes: no test sees the change;
@@ -14,8 +17,9 @@ three rows of its own, run against tests/test_partitions.py only: a
 whitespace-only change (an equivalent mutant, which must be reported as
 surviving), a real change (killed) and an absent old text (stale).
 
-A row is added wherever a test is claimed to catch a mutation.  A killed row
-costs the suite up to its first failure; a surviving one costs a full run.
+A row is added wherever a test is claimed to catch a mutation, naming the
+files of those tests.  A row killed by its files costs those files up to the
+first failure; a surviving one costs them and a full run.
 
 Run from anywhere:
 
@@ -43,6 +47,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     why: str
+    first: tuple[str, ...] = ()  # test files run before the whole suite
 
 
 CATALOGUE = [
@@ -51,48 +56,84 @@ CATALOGUE = [
         '("left", at, (z, x, y))',
         '("left", at, (x, y, z))',
         "is_laplace reads a's left law as a^T's right law at (z, x, y), not at (x, y, z)",
+        ("tests/test_convolution.py",),
     ),
     Mutant(
         "convolution.py",
         "lambda mu, nu: a.on_basis(nu, mu)",
         "lambda mu, nu: a.on_basis(mu, nu)",
         "_transposed swaps its arguments",
+        ("tests/test_convolution.py",),
     ),
     Mutant(
         "schur.py",
         "return SymFunc({make_partition(lam): 1})",
         "return SymFunc({tuple(lam): 1})",
         "SymFunc.basis checks its label: trailing zeros dropped, non-partitions refused",
+        ("tests/test_schur.py",),
     ),
     Mutant(
         "partitions.py",
         "        return known\n",
         "        return lam\n",
         "make_partition answers a label held in CANONICAL with the stored int tuple, not the label",
+        ("tests/test_partitions.py",),
     ),
     Mutant(
         "schur.py",
         "counts[v - 1] < counts[v - 2]:",
         "counts[v - 1] < counts[v - 2] + (v == 6):",
         "_row_step's lattice-word test, off by one at v = 6",
+        ("tests/test_acceptance.py",),
     ),
     Mutant(
         "schur.py",
         "out.terms = dict(image) if c == 1",
         "out.terms = image if c == 1",
         "_bilinear answers a single basis pair with a copy of the cached image, never the image itself",
+        ("tests/test_aliasing.py",),
     ),
     Mutant(
         "convolution.py",
         'f"inv({a.name})", a.grade_preserving',
         'f"inv({a.name})"',
         "milnor_moore_inverse2 declares abar's grading",
+        ("tests/test_convolution.py",),
     ),
     Mutant(
         "kronecker.py",
         '(e + o + bias).to_bytes(size, "little") + (e - o + bias)',
         '(e - o + bias).to_bytes(size, "little") + (e + o + bias)',
         "E + O holds den * g^lam and E - O den * g^lam', not the other way round",
+        ("tests/test_acceptance.py",),
+    ),
+    Mutant(
+        "schur.py",
+        "return _bilinear(f, g, _product)",
+        "return _bilinear(f, g, product_basis)",
+        "a caller's one-off outer_mul computes through the uncached kernel and stores nothing",
+        ("tests/test_schur.py",),
+    ),
+    Mutant(
+        "schur.py",
+        "            if half:\n                out[(eta, nu)] = c\n",
+        "",
+        "coproduct_basis writes each term (eta, nu) with 2|eta| > |lam| from its swap (nu, eta)",
+        ("tests/test_acceptance.py",),
+    ),
+    Mutant(
+        "schur.py",
+        "            if v:\n                terms[k] = v\n            else:\n                terms.pop(k, None)\n",
+        "            terms[k] = v\n",
+        "_Combination.add drops the terms that cancel instead of keeping a zero coefficient",
+        ("tests/test_schur.py",),
+    ),
+    Mutant(
+        "kronecker.py",
+        "return dict(compress(zip(partitions_of(n), g), g))",
+        "return dict(sorted(compress(zip(partitions_of(n), g), g), key=lambda t: where[t[0]][1]))",
+        "kronecker_basis returns its terms in partitions_of(n) order, not the representatives first",
+        ("tests/test_kronecker.py",),
     ),
 ]
 
@@ -104,7 +145,8 @@ SELF_TEST = [
 
 
 def run_row(row: Mutant, tests: tuple[str, ...] = ("tests",)) -> tuple[str, str]:
-    """(verdict, first failing test or "") for row, on a fresh copy of the repository."""
+    """(verdict, first failing test or "") for row, on a fresh copy of the repository:
+    the row's own test files first, then `tests` only if they pass."""
     with tempfile.TemporaryDirectory(prefix="symchar-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".*cache", ".hypothesis"))
@@ -114,8 +156,11 @@ def run_row(row: Mutant, tests: tuple[str, ...] = ("tests",)) -> tuple[str, str]
             return "stale", ""
         target.write_text(text.replace(row.old, row.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-        proc = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+        for files in filter(None, (row.first, tests)):
+            command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
+            proc = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+            if proc.returncode:
+                break
     if proc.returncode == 0:
         return "survived", ""
     if proc.returncode not in (1, 2):  # 1: a test failed; 2: collection stopped
@@ -133,6 +178,7 @@ def self_test() -> None:
 
 
 def main() -> int:
+    begin = time.perf_counter()
     self_test()
     bad = 0
     for row in CATALOGUE:
@@ -140,7 +186,7 @@ def main() -> int:
         verdict, detail = run_row(row)
         print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  {row.file}: {row.why}  {detail}", flush=True)
         bad += verdict != "killed"
-    print(f"{len(CATALOGUE) - bad} of {len(CATALOGUE)} rows killed")
+    print(f"{len(CATALOGUE) - bad} of {len(CATALOGUE)} rows killed in {time.perf_counter() - begin:.0f} s")
     return 1 if bad else 0
 
 

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import eval_polynomial, hook_dimension, poly_mul
-from symchar.hash_products import build_hash, named_spec
+from symchar.characters import branch
+from symchar.hash_products import build_hash, named_product, named_spec
 from symchar.kronecker import inner_coproduct_basis, inner_mul, kronecker_basis
 from symchar.partitions import (
     CANONICAL,
@@ -29,6 +30,7 @@ from symchar.schur import (
     SymFunc,
     TensorSymFunc,
     _bilinear,
+    _product,
     _skew,
     antipode,
     coproduct,
@@ -52,6 +54,8 @@ from symchar.schur import (
     tensor,
     unit,
 )
+from symchar.series import mul_by_series
+from symchar.vertex import bernstein, check_commutation
 
 small_partitions = st.sampled_from(partitions_up_to(5))
 sym_elements = st.lists(
@@ -584,6 +588,47 @@ class TestStoredOnce:
             expected |= {conjugate(lam) for lam in (*out, *conjugated)}
         assert len(out) > 10
         assert table == expected
+
+
+class TestTablesHoldRereads:
+    """`product_basis` and `skew_basis` store the products and skews the library's
+    loops re-read (hash products, `TensorSymFunc` products, `check_commutation`);
+    a caller's one-off `outer_mul`, `skew`, `lr_coefficient` or `branch`, and
+    `mul_by_series` and `bernstein` through them, computes and stores nothing.
+    Each test empties both tables first, so no pair it reads was read before."""
+
+    @staticmethod
+    def sizes() -> tuple[int, int]:
+        return product_basis.cache_info().currsize, skew_basis.cache_info().currsize
+
+    def empty(self) -> None:
+        product_basis.cache_clear()
+        skew_basis.cache_clear()
+        assert self.sizes() == (0, 0)
+
+    def test_one_off_calls_store_nothing(self):
+        self.empty()
+        f = s(4, 2, 1) + s(3, 3).scale(2)
+        assert outer_mul(f, s(3, 1, 1) - s(2)) and outer_mul(s(2, 2), s(3, 1))
+        assert skew(f, s(2, 1)) and lr_coefficient((4, 3, 1), (2, 1), (3, 2)) == 2
+        assert branch(f, "gl_to_o") and mul_by_series(f, "D", 9) and bernstein(2, f)
+        assert self.sizes() == (0, 0)
+
+    def test_library_loops_fill_the_tables(self):
+        self.empty()
+        named_product("thibon")(s(3, 1), s(2, 2))
+        assert self.sizes()[0] > 0
+        self.empty()
+        assert TensorSymFunc.basis((2, 1), (1,)) * TensorSymFunc.basis((3,), (2,))
+        assert self.sizes()[0] > 0
+        self.empty()
+        assert check_commutation(3)
+        assert min(self.sizes()) > 0
+
+    def test_a_swapped_pair_shares_one_dict(self):
+        for mu, nu in [((3, 1), (2, 2)), ((5,), (1, 1, 1)), ((2, 1), ())]:
+            assert product_basis(mu, nu) is product_basis(nu, mu)
+            assert product_basis(mu, nu) == _product(mu, nu) == _product(nu, mu)
 
 
 class TestNoReferenceCycles:

@@ -45,11 +45,16 @@ def _guard(f: SymFunc, args) -> SymFunc:
 
 
 def _emit(args, text, payload) -> None:
-    """Print payload() as JSON under --json, else text(); only the printed one is built."""
+    """Print payload() as JSON under --json, else text(); only the printed one is built.
+    The JSON is written in joined batches of the encoder's chunks, never as one string."""
     if args.json:
         import json
+        from itertools import islice
 
-        print(json.dumps(payload(), indent=2))
+        chunks = json.JSONEncoder(indent=2).iterencode(payload())
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         print(text())
 

@@ -75,9 +75,9 @@ class FGL1(namedtuple("FGL1", "coeffs cap")):
                 raise ValueError("mixed coefficients require i, j >= 1")
         return FGL1(items, cap)
 
-    def apply(self, p: Poly, q: Poly, cap: int | None = None) -> Poly:
-        """F(P, Q) truncated by total degree."""
-        cap = self.cap if cap is None else cap
+    def apply(self, p: Poly, q: Poly) -> Poly:
+        """F(P, Q) truncated at the law's total degree cap."""
+        cap = self.cap
         out = padd(p, q)
         for i, j, c in self.coeffs:
             if i + j > cap:
@@ -98,17 +98,14 @@ def multiplicative(b=1, cap: int = 8) -> FGL1:
 
 def antipode_series(F: FGL1) -> Poly:
     """The unique lambda(X) = -X + ... with F(X, lambda(X)) = 0, by fixed-point
-    iteration lambda <- -X - sum c_{i,j} X^i lambda^j (gains a degree per pass)."""
-    cap = F.cap
+    iteration lambda <- lambda - F(X, lambda) (gains a degree per pass)."""
     x = var(1, 0)
     lam = pscale(x, -1)
-    for _ in range(cap):
-        acc = pscale(x, -1)
-        for i, j, c in F.coeffs:
-            acc = padd(acc, pscale(pmul(ppow(x, i, cap), ppow(lam, j, cap), cap), -c))
-        if acc == lam:
+    for _ in range(F.cap):
+        step = F.apply(x, lam)
+        if not step:
             break
-        lam = acc
+        lam = padd(lam, pscale(step, -1))
     return lam
 
 
@@ -132,7 +129,7 @@ def loop_n(F: FGL1, n: int) -> Poly:
         return compose(loop_n(F, -n), antipode_series(F), cap)
     out = dict(x)
     for _ in range(n - 1):
-        out = F.apply(out, x, cap)
+        out = F.apply(out, x)
     return out
 
 

@@ -152,13 +152,9 @@ def character(lam: Partition, rho: Partition) -> int:
 
 
 def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
-    """Full character table of the symmetric group on n letters ({} for n < 0),
-    read from the class columns as character reads them."""
-    labels, where = partitions_of(n), _reps(n)[1]
-    columns = zip(labels, map(_column, labels))
-    signs = [(c, tuple(map(neg, c)) if (n - len(rho)) & 1 else c) for rho, c in columns]
-    return {(lam, rho): pair[flip][k]
-            for lam in labels for k, flip in [where[lam]] for rho, pair in zip(labels, signs)}
+    """Full character table of the symmetric group on n letters ({} for n < 0), by `character`."""
+    labels = partitions_of(n)
+    return {(lam, rho): character(lam, rho) for lam in labels for rho in labels}
 
 
 def kronecker_basis(mu: Partition, nu: Partition) -> dict[Partition, int]:

@@ -9,7 +9,7 @@ Semistandard-tableau monomial expansion is the independent oracle."""
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from math import prod
 
 from .partitions import (
@@ -396,19 +396,14 @@ def iterated_coproduct_basis(lam: Partition, k: int) -> dict[tuple[Partition, ..
 
 
 def loop(r: int, f: SymFunc) -> SymFunc:
-    """[r] = m^{(r-1)} o Delta^{(r-1)}; [1] = Id."""
+    """[r] = m^{(r-1)} o Delta^{(r-1)}, the convolution power id^{*r}, by `convolve1`; [1] = Id."""
     if r < 1:
         raise ValueError("loop order must be >= 1")
     if r == 1:
         return f
-    out = SymFunc.zero()
-    for lam, cf in f.terms.items():
-        for legs, c in iterated_coproduct_basis(lam, r).items():
-            term = SymFunc.one()
-            for leg in legs:
-                term = outer_mul(term, SymFunc.basis(leg))
-            out.add(term, cf * c)
-    return out
+    from .convolution import convolve1, identity_cochain  # not loaded by `import symchar.cli`
+
+    return reduce(convolve1, [identity_cochain()] * r)(f)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,27 @@ CATALOGUE = [
         "kronecker_basis returns its terms in partitions_of(n) order, not the representatives first",
         ("tests/test_kronecker.py",),
     ),
+    Mutant(
+        "schur.py",
+        "[identity_cochain()] * r)",
+        "[identity_cochain()] * (r + 1))",
+        "loop(r, f) is the r-th convolution power of id, not the (r + 1)-th",
+        ("tests/test_schur.py",),
+    ),
+    Mutant(
+        "kronecker.py",
+        "(lam, rho): character(lam, rho)",
+        "(lam, rho): character(rho, lam)",
+        "character_table holds chi^lam(rho) at (lam, rho), not chi^rho(lam)",
+        ("tests/test_kronecker.py",),
+    ),
+    Mutant(
+        "fgl.py",
+        "lam = padd(lam, pscale(step, -1))",
+        "lam = padd(lam, step)",
+        "antipode_series steps lambda <- lambda - F(X, lambda), not lambda + F(X, lambda)",
+        ("tests/test_fgl.py",),
+    ),
 ]
 
 SELF_TEST = [

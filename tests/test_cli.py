@@ -10,6 +10,7 @@ import pytest
 
 from symchar.cli import build_parser, main
 from symchar.partitions import partitions_of
+from symchar.schur import s
 
 
 def run(capsys, *argv):
@@ -125,6 +126,14 @@ class TestHash:
         assert out == "" and len(err.splitlines()) == 1
         assert "inline spec must look like" in err
 
+    def test_unparsable_inline_spec(self, capsys):
+        """A spec that starts like a JSON object but does not parse is reported by
+        the JSON decoder, not looked up as a spec name."""
+        code, out, err = run(capsys, "hash", "--spec", "{", "1", "1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("parse error: ")
+        assert "line 1 column 2" in err and "unknown hash spec" not in err
+
     def test_spec_failing_laplace_check(self, capsys):
         spec = json.dumps({"stages": [{"pairing": "outer", "cocycle": "id"}]})
         code, out, err = run(capsys, "hash", "--spec", spec, "1", "1")
@@ -138,6 +147,14 @@ class TestVertexAndFgl:
         code, out, _ = run(capsys, "vertex", "schur", "2,1")
         assert code == 0
         assert out.startswith("OK")
+
+    def test_vertex_schur_mismatch(self, capsys, monkeypatch):
+        import symchar.vertex
+
+        monkeypatch.setattr(symchar.vertex, "schur_via_bernstein", lambda lam: s(*lam) + s(1))
+        code, out, _ = run(capsys, "vertex", "schur", "2,1")
+        assert code == 1
+        assert out == "MISMATCH: difference {1}"
 
     def test_vertex_commutation(self, capsys):
         code, out, _ = run(capsys, "vertex", "check-commutation", "--cap", "3")

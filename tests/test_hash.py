@@ -302,6 +302,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="algebra homomorphism"):
             validate_spec(HashSpec(((inner_pairing(), doubling),)), 3)
 
+    def test_rejects_non_hom_final_cochain(self):
+        doubling = Cochain1(lambda lam: {lam: 2}, "doubling")
+        with pytest.raises(ValueError, match="^final cochain 'doubling' is not an algebra homomorphism$"):
+            validate_spec(HashSpec((), doubling), 3)
+
 
 class TestValidatedOnce:
     """Every path that builds a spec's derived pairings checks each of its

@@ -137,13 +137,12 @@ def referenced_names(node: ast.AST, path: Path) -> set[str]:
 
 
 # Module-level names that no src/ or bench/ code reads, kept on purpose: the
-# paper's constructions (cochain convolution, pairing inverses, coboundaries,
-# group-like series) and the Hopf classification of hash products, which the
-# acceptance criteria and the convolution tests exercise.  The public names of
+# paper's constructions (pairing inverses, coboundaries, group-like series)
+# and the Hopf classification of hash products, which the acceptance criteria
+# and the convolution tests exercise.  The public names of
 # `symchar.__all__` need no entry.
 KEPT = {
     "convolution.py:coboundary1",
-    "convolution.py:convolve1",
     "convolution.py:frobenius_inverse",
     "hash_products.py:hash_is_hopf",
     "series.py:is_group_like",

@@ -122,7 +122,7 @@ def _cmd_series(args) -> int:
     _emit(
         args,
         lambda: "\n".join(f"degree {d}: {format_symfunc(term)}" for d, term in enumerate(terms)),
-        lambda: {"degrees": [symfunc_json(term, "gl", cap=args.cap)["terms"] for term in terms],
+        lambda: {"degrees": [symfunc_json(term, "gl")["terms"] for term in terms],
                  "meta": {"cap": args.cap}},
     )
     return 0

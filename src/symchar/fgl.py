@@ -47,19 +47,17 @@ def pmul(p: Poly, q: Poly, cap: int) -> Poly:
 
 
 def ppow(p: Poly, n: int, cap: int) -> Poly:
-    out = {(0,) * _nvars(p): Fraction(1)} if n == 0 else dict(p)
+    """p^n for n >= 1."""
+    out = dict(p)
     for _ in range(n - 1):
         out = pmul(out, p, cap)
     return out
 
 
-def _nvars(p: Poly) -> int:
-    return len(next(iter(p))) if p else 0
-
-
 class FGL1(namedtuple("FGL1", "coeffs cap")):
     """One-dimensional formal group law given by its mixed coefficients
-    coeffs = ((i, j, c_{i,j}), ...), i, j >= 1, truncated at total degree cap."""
+    coeffs = ((i, j, c_{i,j}), ...), i, j >= 1, truncated at total degree cap:
+    `make` keeps only the coefficients with i + j <= cap."""
 
     __slots__ = ()
 
@@ -67,12 +65,11 @@ class FGL1(namedtuple("FGL1", "coeffs cap")):
     def make(coeffs: dict[tuple[int, int], object], cap: int) -> "FGL1":
         if cap < 1:  # truncating below degree 1 would drop X itself
             raise ValueError(f"cap must be >= 1, got {cap}")
+        if any(i < 1 or j < 1 for i, j in coeffs):
+            raise ValueError("mixed coefficients require i, j >= 1")
         items = tuple(
-            sorted((i, j, Fraction(c)) for (i, j), c in coeffs.items() if Fraction(c))
+            sorted((i, j, Fraction(c)) for (i, j), c in coeffs.items() if i + j <= cap and Fraction(c))
         )
-        for i, j, _ in items:
-            if i < 1 or j < 1:
-                raise ValueError("mixed coefficients require i, j >= 1")
         return FGL1(items, cap)
 
     def apply(self, p: Poly, q: Poly) -> Poly:
@@ -80,8 +77,6 @@ class FGL1(namedtuple("FGL1", "coeffs cap")):
         cap = self.cap
         out = padd(p, q)
         for i, j, c in self.coeffs:
-            if i + j > cap:
-                continue
             out = padd(out, pscale(pmul(ppow(p, i, cap), ppow(q, j, cap), cap), c))
         return out
 
@@ -109,26 +104,14 @@ def antipode_series(F: FGL1) -> Poly:
     return lam
 
 
-def compose(p: Poly, q: Poly, cap: int) -> Poly:
-    """p(q(X..)) for univariate p; q may be multivariate."""
-    nv = _nvars(q) or 1
-    out: Poly = {}
-    for e, c in p.items():
-        deg = e[0]
-        out = padd(out, pscale(ppow(q, deg, cap) if deg else {(0,) * nv: Fraction(1)}, c))
-    return out
-
-
 def loop_n(F: FGL1, n: int) -> Poly:
-    """[n](X): [0] = 0, [m] = F([m-1], X), [-m] = [m](lambda(X))."""
-    cap = F.cap
-    x = var(1, 0)
+    """[n](X): [0] = 0, [m](Y) = F([m-1](Y), Y) at Y = X for n = m > 0 and at
+    Y = lambda(X) for n = -m; substituting lambda commutes with the truncation,
+    since neither series has a constant term."""
     if n == 0:
         return {}
-    if n < 0:
-        return compose(loop_n(F, -n), antipode_series(F), cap)
-    out = dict(x)
-    for _ in range(n - 1):
+    x = out = var(1, 0) if n > 0 else antipode_series(F)
+    for _ in range(abs(n) - 1):
         out = F.apply(out, x)
     return out
 

@@ -56,12 +56,12 @@ def format_symfunc(f: SymFunc, kind: str = "gl") -> str:
     )
 
 
-def symfunc_json(f: SymFunc, kind: str, cap: int | None = None) -> dict:
+def symfunc_json(f: SymFunc, kind: str) -> dict:
     terms = [
         {"label": {"kind": kind, "partition": list(lam)}, "coeff": f.terms[lam]}
         for lam in sorted(f.terms, key=term_order)
     ]
-    return {"terms": terms, "meta": {"cap": cap}}
+    return {"terms": terms, "meta": {"cap": None}}
 
 
 def parse_rational_label(text: str) -> tuple[Partition, Partition]:

@@ -84,14 +84,9 @@ def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> Partition:
         if any(s < 0 for s in seq) or any(seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
             raise ValueError("arms and legs must be strictly decreasing and non-negative")
     r = len(arms)
-    rows = [arms[k] + k + 1 for k in range(r)]
-    # Column lengths below the diagonal determine the remaining rows.
-    col = [legs[k] + k + 1 for k in range(r)]
-    extra = []
-    for i in range(r, max(col, default=0)):
-        row = sum(1 for c in col if c >= i + 1)
-        extra.append(row)
-    return make_partition(rows + extra)
+    # Below the diagonal the rows are the conjugate of the columns legs_k + k + 1.
+    cols = tuple(legs[k] + k + 1 for k in range(r))
+    return make_partition([arms[k] + k + 1 for k in range(r)] + list(conjugate(cols)[r:]))
 
 
 def in_class(lam: Partition, cls: str) -> bool:
@@ -116,33 +111,21 @@ def in_class(lam: Partition, cls: str) -> bool:
 def standardize(comp) -> tuple[int, Partition]:
     """Standardize a composition with raising operators.
 
-    Applies R_{i,i+1}[..., t_i, t_{i+1}, ...] = -[..., t_{i+1}-1, t_i+1, ...]
-    at descents until sorted.  Returns (sign, partition); sign 0 when a swap
-    hits the fixed point t_{i+1} = t_i + 1 (so R(T) = -T) or a negative part
-    survives standardization.
+    R_{i,i+1}[..., t_i, t_{i+1}, ...] = -[..., t_{i+1}-1, t_i+1, ...] swaps
+    beta_i = t_i - i with beta_{i+1}, so straightening sorts beta decreasing
+    with sign (-1)^(inversions of beta): the Jacobi-Trudi row swap (Macdonald
+    I.3).  Returns (sign, partition); sign 0 when two beta agree (the fixed
+    point t_{i+1} = t_i + 1, where R(T) = -T) or a negative part survives.
     """
-    parts = [int(p) for p in comp]
-    sign = 1
-    # Bubble passes; each swap strictly decreases the number of inversions
-    # of the adjusted sequence (t_i - i), so len^2 passes always suffice.
-    for _ in range(len(parts) * len(parts) + 1):
-        swapped = False
-        for i in range(len(parts) - 1):
-            if parts[i] < parts[i + 1]:
-                if parts[i + 1] == parts[i] + 1:
-                    return 0, ()
-                parts[i], parts[i + 1] = parts[i + 1] - 1, parts[i] + 1
-                sign = -sign
-                swapped = True
-        if not swapped:
-            break
-    else:  # pragma: no cover - unreachable guard
+    beta = [int(t) - i for i, t in enumerate(comp)]
+    if len(set(beta)) < len(beta):
         return 0, ()
-    while parts and parts[-1] == 0:
-        parts.pop()
-    if any(p < 0 for p in parts):
+    # Sorted beta strictly decreases, so the parts weakly decrease: zeros, then negatives, last.
+    parts = [b + i for i, b in enumerate(sorted(beta, reverse=True))]
+    if parts and parts[-1] < 0:
         return 0, ()
-    return sign, tuple(parts)
+    inversions = sum(b < c for i, b in enumerate(beta) for c in beta[i + 1:])
+    return (-1) ** inversions, tuple(p for p in parts if p)
 
 
 def hooks_and_contents(lam: Partition) -> list[tuple[tuple[int, int], int, int]]:

@@ -97,9 +97,6 @@ class SymFunc(_Combination):
             return outer_mul(self, other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- structure queries -------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms

@@ -156,6 +156,41 @@ CATALOGUE = [
         "antipode_series steps lambda <- lambda - F(X, lambda), not lambda + F(X, lambda)",
         ("tests/test_fgl.py",),
     ),
+    Mutant(
+        "partitions.py",
+        "sum(b < c for",
+        "sum(b > c for",
+        "standardize's sign counts the inversions of beta, not its ordered pairs",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "partitions.py",
+        "parts[-1] < 0:",
+        "parts[-1] < -1:",
+        "standardize annihilates every composition that leaves a negative part",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "partitions.py",
+        "conjugate(cols)[r:]",
+        "conjugate(cols)[r + 1:]",
+        "from_frobenius reads the rows below the diagonal from row r of the columns' conjugate",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "fgl.py",
+        "out = F.apply(out, x)",
+        "out = F.apply(out, var(1, 0))",
+        "loop_n steps with lambda(X), not X, for n < 0",
+        ("tests/test_fgl.py",),
+    ),
+    Mutant(
+        "fgl.py",
+        "if i + j <= cap and",
+        "if i + j <= cap + 1 and",
+        "FGL1.make keeps only the coefficients with i + j <= cap",
+        ("tests/test_fgl.py",),
+    ),
 ]
 
 SELF_TEST = [

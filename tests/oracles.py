@@ -3,10 +3,11 @@ formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
 form of the rational GL product, the embedded-S_n path for reduced
 characters, the Cummins four-factor expansion of a Kronecker product, the
 product and evaluation of monomial-expanded polynomials, the hook length
-formula, and the named hash products in the power-sum basis from border-strip
-characters alone.  The library computes each product one way; these check it.  Also
-the bounded equality checks of cochains and pairings, and the mutual-inverse
-check of the series pairs, which only the tests use."""
+formula, straightening by adjacent raising operators, and the named hash
+products in the power-sum basis from border-strip characters alone.  The
+library computes each product one way; these check it.  Also the bounded
+equality checks of cochains and pairings, and the mutual-inverse check of the
+series pairs, which only the tests use."""
 
 from fractions import Fraction
 from functools import cache, reduce
@@ -198,6 +199,28 @@ def eval_polynomial(f: SymFunc, n_vars: int) -> dict[Monomial, int]:
         for expo, m in eval_monomials(lam, n_vars).items():
             out[expo] = out.get(expo, 0) + c * m
     return {k: v for k, v in out.items() if v}
+
+
+def raising_standardize(comp) -> tuple[int, tuple[int, ...]]:
+    """(sign, partition) of a composition by adjacent raising operators
+    R_{i,i+1}[..., t_i, t_{i+1}, ...] = -[..., t_{i+1}-1, t_i+1, ...] at each
+    ascent until none is left, without sorting; (0, ()) at the fixed point
+    t_{i+1} = t_i + 1 or when a negative part survives.  Each swap removes an
+    inversion of t_i - i, so the passes end."""
+    parts, sign, swapped = [int(p) for p in comp], 1, True
+    while swapped:
+        swapped = False
+        for i in range(len(parts) - 1):
+            if parts[i] < parts[i + 1]:
+                if parts[i + 1] == parts[i] + 1:
+                    return 0, ()
+                parts[i], parts[i + 1] = parts[i + 1] - 1, parts[i] + 1
+                sign, swapped = -sign, True
+    while parts and parts[-1] == 0:
+        parts.pop()
+    if any(p < 0 for p in parts):
+        return 0, ()
+    return sign, tuple(parts)
 
 
 @cache

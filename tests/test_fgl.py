@@ -11,12 +11,12 @@ from symchar.fgl import (
     Poly,
     additive,
     antipode_series,
-    compose,
     coproduct_from_fgl,
     fgl_log,
     loop_n,
     multiplicative,
     padd,
+    ppow,
     pscale,
     var,
 )
@@ -35,6 +35,15 @@ X = var(1, 0)
 def poly(coeffs):
     """{degree: coefficient} -> sparse univariate polynomial."""
     return {(d,): Fraction(c) for d, c in coeffs.items() if c}
+
+
+def compose(p: Poly, q: Poly, cap: int) -> Poly:
+    """p(q(X..)) for univariate p; q may be multivariate."""
+    one = {(0,) * (len(next(iter(q))) if q else 1): Fraction(1)}
+    out: Poly = {}
+    for (deg,), c in p.items():
+        out = padd(out, pscale(ppow(q, deg, cap) if deg else one, c))
+    return out
 
 
 def check_axioms(F: FGL1) -> bool:
@@ -84,6 +93,12 @@ class TestAxioms:
         with pytest.raises(ValueError):
             FGL1.make({(0, 1): 1}, cap=4)
 
+    def test_make_truncates_the_law(self):
+        # c_{2,2} X^2 Y^2 lies above cap 3: at P = 1, Q = X it would add X^2.
+        F = FGL1.make({(2, 2): 1}, cap=3)
+        assert F.coeffs == ()
+        assert F.apply({(0,): Fraction(1)}, X) == padd({(0,): Fraction(1)}, X)
+
     def test_rejects_a_cap_below_degree_one(self):
         for cap in (0, -1):
             with pytest.raises(ValueError, match="cap must be >= 1"):
@@ -122,6 +137,13 @@ class TestLoops:
         for F in (additive(cap=6), multiplicative(1, cap=6)):
             assert loop_n(F, 0) == {}
             assert loop_n(F, -1) == antipode_series(F)
+
+    def test_negative_loops_substitute_the_antipode(self):
+        for cap in range(1, 11):
+            for F in (additive(cap), *(multiplicative(b, cap) for b in (1, 2, 7))):
+                lam = antipode_series(F)
+                for n in range(1, 9):
+                    assert loop_n(F, -n) == compose(loop_n(F, n), lam, cap), (F, n)
 
     def test_loop_additivity(self):
         for F in (additive(cap=6), multiplicative(1, cap=6)):

@@ -79,8 +79,8 @@ class TestFormat:
 
 class TestJson:
     def test_schema(self):
-        payload = symfunc_json(s(2) + s(1, 1).scale(-2), "gl", cap=4)
-        assert payload["meta"] == {"cap": 4}
+        payload = symfunc_json(s(2) + s(1, 1).scale(-2), "gl")
+        assert payload["meta"] == {"cap": None}
         assert payload["terms"] == [
             {"label": {"kind": "gl", "partition": [2]}, "coeff": 1},
             {"label": {"kind": "gl", "partition": [1, 1]}, "coeff": -2},

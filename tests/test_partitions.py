@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import raising_standardize
 from symchar.partitions import (
     CANONICAL,
     canonical,
@@ -153,6 +154,7 @@ class TestStandardize:
     @given(st.lists(st.integers(-3, 6), max_size=6))
     def test_sign_and_idempotence(self, comp):
         sign, lam = standardize(tuple(comp))
+        assert (sign, lam) == raising_standardize(comp)
         assert sign in (-1, 0, 1)
         if sign == 0:
             assert lam == ()

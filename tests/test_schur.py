@@ -179,6 +179,29 @@ class TestCombinationCore:
         acc.add(TensorSymFunc.basis((1,), ()) - TensorSymFunc.basis((), (1,)), -1)
         assert acc == TensorSymFunc.basis((), (1,))
 
+    def test_integer_scaling_on_either_side(self):
+        assert 2 * s(1) == s(1) * 2 == s(1).scale(2)
+        assert TensorSymFunc.basis((1,), ()) * 3 == TensorSymFunc.basis((1,), ()).scale(3)
+
+    @pytest.mark.parametrize(
+        "multiply",
+        [
+            lambda: s(1) * 1.5,
+            lambda: 1.5 * s(1),
+            lambda: TensorSymFunc.basis((1,), ()) * 1.5,
+            lambda: 1.5 * TensorSymFunc.basis((1,), ()),
+            lambda: TensorSymFunc.basis((1,), ()) * s(1),
+        ],
+    )
+    def test_unsupported_operands_raise(self, multiply):
+        with pytest.raises(TypeError):
+            multiply()
+
+    def test_symfunc_is_unhashable(self):
+        # `add` changes a SymFunc in place, so a hash would go stale under a dict key.
+        with pytest.raises(TypeError):
+            hash(s(1))
+
     def test_operators_copy(self):
         f, g = s(2) + s(1), s(1)
         total, diff = f + g, f - g
@@ -491,6 +514,10 @@ class TestLoop:
         f = s(2, 1) - s(3)
         assert loop(1, f) == f
 
+    def test_order_below_one(self):
+        with pytest.raises(ValueError, match="loop order"):
+            loop(0, s(1))
+
     def test_loop_additivity(self):
         # [2] then multiply counts as Delta^(3) grouping: [3] = m o ([2] x Id) o Delta
         for lam in partitions_up_to(4):
@@ -514,6 +541,12 @@ class TestMonomialExpansion:
 
     def test_too_few_variables(self):
         assert eval_monomials((1, 1, 1), 2) == {}
+
+    def test_negative_variable_counts(self):
+        with pytest.raises(ValueError, match="n_vars"):
+            eval_monomials((1,), -1)
+        with pytest.raises(ValueError, match="d must"):
+            dimension_gl((1,), -1)
 
     def test_dimension_gl(self):
         assert dimension_gl((1,), 3) == 3

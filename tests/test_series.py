@@ -49,6 +49,10 @@ class TestSeriesTerms:
         with pytest.raises(ValueError):
             series_degree_term("X", 1)
 
+    def test_negative_degree_is_zero(self):
+        for tag in SERIES_TAGS:
+            assert series_degree_term(tag, -1) == SymFunc.zero()
+
     def test_terms_map(self):
         terms = {d: series_degree_term("M", d) for d in range(4)}
         assert set(terms) == {0, 1, 2, 3}

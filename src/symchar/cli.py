@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
 # The package itself loads these; other modules are imported by their handlers.
-from .kronecker import character_table, inner_mul
+from .kronecker import character_table
 from .partitions import format_partition, parse_partition, partitions_of
-from .schur import SymFunc, outer_mul, signed_sum
+from .schur import SymFunc, signed_sum
 
 DEFAULT_MAX_WEIGHT = 20
 
@@ -68,13 +69,13 @@ _BRANCH_RULES = ("gl_to_glm1", "gl_to_o", "gl_to_sp", "glm1_to_gl", "o_to_gl", "
 _PAIRING_NAMES = ("e2", "inner", "outer", "schur-hall")
 _COCHAIN_NAMES = ("antipode", "e", "id", "m")
 
-_PRODUCTS = {  # --product -> (characters function or None, label kind); rational apart
-    "outer": (None, "gl"),
-    "kronecker": (None, "gl"),
-    "newell-littlewood-o": ("newell_littlewood", "o"),
-    "newell-littlewood-sp": ("newell_littlewood", "sp"),
-    "thibon": ("thibon_inner", "thibon"),
-    "reduced": ("murnaghan_littlewood", "reduced"),
+_PRODUCTS = {  # --product -> (module, function, label kind); rational apart
+    "outer": ("schur", "outer_mul", "gl"),
+    "kronecker": ("kronecker", "inner_mul", "gl"),
+    "newell-littlewood-o": ("characters", "newell_littlewood", "o"),
+    "newell-littlewood-sp": ("characters", "newell_littlewood", "sp"),
+    "thibon": ("characters", "thibon_inner", "thibon"),
+    "reduced": ("characters", "murnaghan_littlewood", "reduced"),
 }
 
 
@@ -92,13 +93,8 @@ def _cmd_decompose(args) -> int:
         return 0
     lhs = _guard(parse_symfunc(args.lhs), args)
     rhs = _guard(parse_symfunc(args.rhs), args)
-    name, kind = _PRODUCTS[args.product]
-    if name is None:
-        result = (outer_mul if args.product == "outer" else inner_mul)(lhs, rhs)
-    else:
-        from . import characters
-
-        result = getattr(characters, name)(lhs, rhs)
+    module, name, kind = _PRODUCTS[args.product]
+    result = getattr(import_module(f".{module}", __package__), name)(lhs, rhs)
     _emit(args, lambda: format_symfunc(result, kind), lambda: symfunc_json(result, kind))
     return 0
 

@@ -293,9 +293,8 @@ def is_laplace(a: Pairing, max_degree: int):
     at = _transposed(a)
     for x, y, z in _basis_triples(max_degree):
         for side, b, (u, v, w) in (("right", a, (x, y, z)), ("left", at, (z, x, y))):
-            lhs, rhs = b({u: 1}, product_basis(v, w)), SymFunc.zero()
-            for (u1, u2), c in coproduct_basis(u).items():
-                rhs.add(_bilinear(b.on_basis(u1, v), b.on_basis(u2, w), product_basis), c)
+            term = lambda us: _bilinear(b.on_basis(us[0], v), b.on_basis(us[1], w), product_basis)
+            lhs, rhs = b({u: 1}, product_basis(v, w)), linear(coproduct_basis(u), term, SymFunc)
             if lhs != rhs:
                 yield side, x, y, z, lhs, rhs
 
@@ -331,7 +330,6 @@ def is_frobenius(a: Pairing, max_degree: int):
     for x, y in _basis_pairs(max_degree):
         if not all(weight(lam) == weight(x) == weight(y) for lam in a.on_basis(x, y)):
             yield ("not grade-preserving",)
-            return
     for n in range(1, max_degree + 1):
         grade = partitions_of(n)
         if any(a.on_basis(u, v) for u in grade for v in grade):
@@ -342,12 +340,8 @@ def is_frobenius(a: Pairing, max_degree: int):
     for x, y in _basis_pairs(max_degree):
         if weight(x) == weight(y):  # the Frobenius law; a vanishes off equal degrees
             middle = linear(a.on_basis(x, y), delta_a, TensorSymFunc)
-            lhs = TensorSymFunc()
-            for (y1, y2), cy in delta_a(y).terms.items():
-                lhs.add(tensor(a.on_basis(x, y1), {y2: 1}), cy)
-            rhs = TensorSymFunc()
-            for (x1, x2), cx in delta_a(x).terms.items():
-                rhs.add(tensor({x1: 1}, a.on_basis(x2, y)), cx)
+            lhs = linear(delta_a(y), lambda ys: tensor(a.on_basis(x, ys[0]), {ys[1]: 1}), TensorSymFunc)
+            rhs = linear(delta_a(x), lambda xs: tensor({xs[0]: 1}, a.on_basis(xs[1], y)), TensorSymFunc)
             if not (lhs == middle == rhs):
                 yield "frobenius-law", x, y, lhs, middle, rhs
         lhs = linear(product_basis(x, y), delta_a, TensorSymFunc)

@@ -57,7 +57,8 @@ def ppow(p: Poly, n: int, cap: int) -> Poly:
 class FGL1(namedtuple("FGL1", "coeffs cap")):
     """One-dimensional formal group law given by its mixed coefficients
     coeffs = ((i, j, c_{i,j}), ...), i, j >= 1, truncated at total degree cap:
-    `make` keeps only the coefficients with i + j <= cap."""
+    `make` keeps only the coefficients with i + j <= cap, and `apply` reads no
+    other, however the law was built (directly, by `type(F)(...)` or `_replace`)."""
 
     __slots__ = ()
 
@@ -77,7 +78,8 @@ class FGL1(namedtuple("FGL1", "coeffs cap")):
         cap = self.cap
         out = padd(p, q)
         for i, j, c in self.coeffs:
-            out = padd(out, pscale(pmul(ppow(p, i, cap), ppow(q, j, cap), cap), c))
+            if i + j <= cap:
+                out = padd(out, pscale(pmul(ppow(p, i, cap), ppow(q, j, cap), cap), c))
         return out
 
 

@@ -191,6 +191,27 @@ CATALOGUE = [
         "FGL1.make keeps only the coefficients with i + j <= cap",
         ("tests/test_fgl.py",),
     ),
+    Mutant(
+        "fgl.py",
+        "if i + j <= cap:",
+        "if i + j <= cap + 1:",
+        "FGL1.apply reads only the coefficients with i + j <= cap, however the law was built",
+        ("tests/test_fgl.py",),
+    ),
+    Mutant(
+        "series.py",
+        "range(d + 1)",
+        "range(d)",
+        "a series truncated at degree d keeps its degree-d term",
+        ("tests/test_series.py",),
+    ),
+    Mutant(
+        "series.py",
+        "weight(a) + weight(b) <= cap",
+        "weight(a) + weight(b) < cap",
+        "is_group_like cuts series (x) series at total degree cap, not below it",
+        ("tests/test_series.py",),
+    ),
 ]
 
 SELF_TEST = [

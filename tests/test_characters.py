@@ -101,6 +101,10 @@ class TestRationalGL:
         result = rational_mul(RationalChar.basis((1,), ()), RationalChar.basis((), (1,)))
         assert result.element == TensorSymFunc.basis((1,), (1,)) + TensorSymFunc.basis((), ())
 
+    def test_repr_names_the_interpretation(self):
+        assert repr(RationalChar.basis((1,), (1,))) == "RationalChar[irr](s[1](x)s[1])"
+        assert repr(RationalChar.basis((1,), (1,), False)) == "RationalChar[red](s[1](x)s[1])"
+
     def test_golden(self):
         result = rational_mul(RationalChar.basis((1,), (1,)), RationalChar.basis((1,), ()))
         expected = (

@@ -71,6 +71,13 @@ class TestBranchAndSeries:
         assert code == 0
         assert out.splitlines() == ["degree 0: {0}", "degree 1: 0", "degree 2: -{2}"]
 
+    def test_series_json_carries_its_cap(self, capsys):
+        code, out, _ = run(capsys, "series", "D", "--cap", "2", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["meta"] == {"cap": 2}
+        assert [[t["label"]["partition"] for t in terms] for terms in payload["degrees"]] == [[[]], [], [[2]]]
+
 
 class TestCheck:
     def test_pass(self, capsys):

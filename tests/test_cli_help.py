@@ -1,6 +1,7 @@
 """The parser stays as it was: help text byte for byte, and the accepted names
 that cli.py keeps as literals equal the library tables they come from."""
 
+import importlib
 import json
 from pathlib import Path
 
@@ -41,5 +42,5 @@ def test_pairing_and_cochain_names_match_the_constructor_tables():
 
 
 def test_product_choices_cover_the_characters_functions():
-    for name, _kind in cli._PRODUCTS.values():
-        assert name is None or callable(getattr(characters, name))
+    for module, name, _kind in cli._PRODUCTS.values():
+        assert callable(getattr(importlib.import_module(f"symchar.{module}"), name))

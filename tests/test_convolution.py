@@ -648,6 +648,10 @@ class TestDeclaredIdentity:
             assert ident.on_basis(lam) == {lam: 1}
         assert not ident._memo
 
+    def test_stage_repr_is_its_class_and_name(self):
+        assert repr(inner_pairing()) == "Pairing(inner)"
+        assert repr(identity_cochain()) == "Cochain1(id)"
+
     def test_derived_by_identity_is_the_pairing(self):
         for make in (inner_pairing, outer_pairing, schur_hall_pairing):
             p = make()

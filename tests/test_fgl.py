@@ -99,6 +99,13 @@ class TestAxioms:
         assert F.coeffs == ()
         assert F.apply({(0,): Fraction(1)}, X) == padd({(0,): Fraction(1)}, X)
 
+    def test_apply_truncates_however_the_law_is_built(self):
+        # Only `make` drops c_{2,2} above cap 3; `apply` ignores it on every other path too.
+        one, raw = {(0,): Fraction(1)}, ((2, 2, Fraction(1)),)
+        F = FGL1.make({(2, 2): 1}, cap=5)
+        for law in (FGL1.make({(2, 2): 1}, cap=3), FGL1(raw, 3), type(F)(raw, 3), F._replace(cap=3)):
+            assert law.apply(one, X) == padd(one, X), law
+
     def test_rejects_a_cap_below_degree_one(self):
         for cap in (0, -1):
             with pytest.raises(ValueError, match="cap must be >= 1"):

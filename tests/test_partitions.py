@@ -208,6 +208,9 @@ class TestParseFormat:
     def test_exponent_form(self):
         assert parse_partition("[1,2^2,4]") == (4, 2, 2, 1)
 
+    def test_exponent_form_skips_empty_tokens(self):
+        assert parse_partition("[2,,1]") == (2, 1)
+
     def test_rejects_non_partition(self):
         with pytest.raises(ValueError):
             parse_partition("1,2")

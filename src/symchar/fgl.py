@@ -11,7 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .kronecker import inner_coproduct_basis
-from .schur import SymFunc, TensorSymFunc, coproduct, iterated_coproduct_basis
+from .schur import SymFunc, TensorSymFunc, coproduct
 
 # Sparse polynomial in `nvars` variables: exponent tuple -> Fraction.
 Poly = dict[tuple[int, ...], Fraction]
@@ -142,15 +142,16 @@ def fgl_log(F: FGL1) -> Poly:
 
 def coproduct_from_fgl(which: str, f: SymFunc) -> TensorSymFunc:
     """additive -> the outer coproduct (alphabet X + Y); multiplicative ->
-    Delta_m (alphabet X + Y + XY): over the threefold coproduct's terms
-    (x1, x2, x3), the `TensorSymFunc` product (s_x1 (x) s_x3) Delta_inner(s_x2)."""
+    Delta_m (alphabet X + Y + XY), Delta then delta_inner on the middle leg:
+    sum_mu Delta(f/s_mu) delta_inner(s_mu), f/s_mu read off Delta f's terms (nu, mu)."""
     if which == "additive":
         return coproduct(f)
     if which != "multiplicative":
         raise ValueError(f"unknown formal group tag {which!r}")
+    skews: dict = {}
+    for (nu, mu), c in coproduct(f).terms.items():
+        skews.setdefault(mu, {})[nu] = c
     out = TensorSymFunc()
-    for lam, c in f.terms.items():
-        for (x1, x2, x3), cc in iterated_coproduct_basis(lam, 3).items():
-            inner = TensorSymFunc(inner_coproduct_basis(x2))
-            out.add(TensorSymFunc.basis(x1, x3) * inner, c * cc)
+    for mu, rest in skews.items():
+        out.add(coproduct(SymFunc(rest)) * TensorSymFunc(inner_coproduct_basis(mu)))
     return out

@@ -139,19 +139,17 @@ def hooks_and_contents(lam: Partition) -> list[tuple[tuple[int, int], int, int]]
 
 
 @cache
-def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of n with parts bounded by max_part, reverse-lex order."""
-    if n < 0:
-        return ()
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        return ((),)
-    out: list[Partition] = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append(canonical((first,) + rest))
-    return tuple(out)
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, reverse-lex order: each first part, from n down to 1,
+    followed by every partition of the rest whose first part is no larger."""
+    if n <= 0:
+        return ((),) if n == 0 else ()
+    return tuple(
+        canonical((first,) + rest)
+        for first in range(n, 0, -1)
+        for rest in partitions_of(n - first)
+        if rest[:1] <= (first,)
+    )
 
 
 def partitions_up_to(n: int) -> list[Partition]:

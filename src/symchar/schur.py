@@ -5,11 +5,12 @@ are generated directly by one kernel, a fused step per row that adds every
 state's successors straight into the next state dict: products fill the rows
 of one factor seeded with the other's content, skews fill lam/mu once with
 free content, and the coproduct skews by each eta inside lam.
-Semistandard-tableau monomial expansion is the independent oracle."""
+Monomial expansion by the branching rule is the independent oracle."""
 
 from __future__ import annotations
 
 from functools import cache, reduce
+from itertools import product
 from math import prod
 
 from .partitions import (
@@ -409,38 +410,21 @@ def loop(r: int, f: SymFunc) -> SymFunc:
 
 @cache
 def eval_monomials(lam: Partition, n_vars: int) -> dict[Monomial, int]:
-    """s_lam(x_1..x_N) by semistandard-tableau enumeration.
-
-    Returns a sparse polynomial: exponent tuple of length n_vars -> coefficient.
-    """
+    """s_lam(x_1..x_N) as {exponent tuple of length n_vars: coefficient}, by the
+    branching rule (Macdonald I.5): the cells of a semistandard tableau holding N
+    form a horizontal strip lam/mu, so s_lam is the sum of s_mu(x_1..x_{N-1})
+    x_N^{|lam/mu|} over the mu interlacing lam, lam_{i+1} <= mu_i <= lam_i."""
     if n_vars < 0:
         raise ValueError("n_vars must be >= 0")
     if len(lam) > n_vars:
         return {}
     if not lam:
         return {(0,) * n_vars: 1}
-    cells = [(i, j) for i in range(len(lam)) for j in range(lam[i])]
-    grid: dict[tuple[int, int], int] = {}
     poly: dict[Monomial, int] = {}
-
-    def fill(pos: int, expo: list[int]) -> None:
-        if pos == len(cells):
-            key = tuple(expo)
-            poly[key] = poly.get(key, 0) + 1
-            return
-        i, j = cells[pos]
-        left = grid.get((i, j - 1), 1)
-        above = grid.get((i - 1, j))
-        lo = max(left, above + 1 if above is not None else 1)
-        for v in range(lo, n_vars + 1):
-            grid[(i, j)] = v
-            expo[v - 1] += 1
-            fill(pos + 1, expo)
-            expo[v - 1] -= 1
-            del grid[(i, j)]
-
-    fill(0, [0] * n_vars)
-    del fill  # as in _row_step
+    for mu in product(*map(range, lam[1:] + (0,), [p + 1 for p in lam])):
+        strip = (weight(lam) - sum(mu),)
+        for expo, c in eval_monomials(tuple(p for p in mu if p), n_vars - 1).items():
+            poly[expo + strip] = poly.get(expo + strip, 0) + c
     return poly
 
 

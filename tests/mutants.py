@@ -212,6 +212,34 @@ CATALOGUE = [
         "is_group_like cuts series (x) series at total degree cap, not below it",
         ("tests/test_series.py",),
     ),
+    Mutant(
+        "convolution.py",
+        "for q, c in row.items() if p else ()",
+        "for q, c in row.items() if p and p != (2, 1) else ()",
+        "_convolve's last loop multiplies out every row p, (2,1) included",
+        ("tests/test_characters.py",),
+    ),
+    Mutant(
+        "partitions.py",
+        "rest[:1] <= (first,)",
+        "rest[:1] < (first,)",
+        "partitions_of follows a first part by the partitions of the rest whose first part is at most as large",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "schur.py",
+        "[p + 1 for p in lam]",
+        "[p for p in lam]",
+        "eval_monomials branches over every mu interlacing lam, mu_i = lam_i included",
+        ("tests/test_schur.py",),
+    ),
+    Mutant(
+        "fgl.py",
+        "skews.setdefault(mu, {})[nu] = c",
+        "skews.setdefault(mu, {})[nu] = 1",
+        "Delta_m's skew f/s_mu carries the coefficients of Delta f, not 1",
+        ("tests/test_acceptance.py",),
+    ),
 ]
 
 SELF_TEST = [

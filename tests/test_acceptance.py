@@ -358,8 +358,12 @@ class TestCriterion10FormalGroupLaws:
     def test_polynomial_alphabet_oracle(self):
         from test_fgl import _alphabet_check
 
-        for lam in partitions_up_to(4):
-            assert _alphabet_check(lam, 2, 2)
+        # s(3,2,1) holds the first Littlewood-Richardson coefficient above 1 in a
+        # twofold coproduct, c^{321}_{21,21} = 2; in a sum, Delta f adds the legs
+        # of every term before Delta_m groups them by the middle one.
+        cases = [*map(SymFunc.basis, partitions_up_to(4)), s(3, 2, 1), s(3, 1) - 2 * s(2, 2) + s(1) + 3 * s()]
+        for f in cases:
+            assert _alphabet_check(f, 2, 2)
 
 
 class TestCriterion11Series:

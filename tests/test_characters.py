@@ -2,12 +2,14 @@
 rational GL characters, Thibon characters, reduced characters, Cummins."""
 
 import random
+from math import comb
 
 import pytest
 
 from oracles import (
     cummins_expand,
     default_oracle_n,
+    hook_dimension,
     murnaghan_littlewood_formula,
     newell_littlewood_formula,
     rational_mul_hash,
@@ -221,6 +223,21 @@ class TestThibon:
             for nu in partitions_up_to(3):
                 f, g = SymFunc.basis(mu), SymFunc.basis(nu)
                 assert thibon_inner(f, g) == thibon_inner_formula(f, g)
+
+    def test_dimensions_multiply(self):
+        # s_mu # s_nu is the S_n character product in the basis h_{n-|lam|} s_lam
+        # (Scharf-Thibon), and h_{n-k} s_lam has degree C(n, k) f^lam, zero for
+        # n < k.  Both sides are polynomials in n of degree <= |mu| + |nu|, so
+        # equality at n = 0 .. |mu| + |nu| is equality at every n >= 0.
+        def degree(f: SymFunc, n: int) -> int:
+            return sum(c * comb(n, weight(lam)) * hook_dimension(lam) for lam, c in f.terms.items())
+
+        pairs = [(mu, nu) for mu in partitions_up_to(4) for nu in partitions_up_to(4)]
+        for mu, nu in [*pairs, ((5, 4, 2, 1), (5, 4, 2, 1))]:
+            x, y = SymFunc.basis(mu), SymFunc.basis(nu)
+            product = thibon_inner(x, y)
+            for n in range(weight(mu) + weight(nu) + 2):
+                assert degree(x, n) * degree(y, n) == degree(product, n), (mu, nu, n)
 
     def test_direction_error(self):
         # The conversion is chosen by its series tag; an unknown one is refused.

@@ -208,7 +208,7 @@ class TestCoproductBridge:
     def test_polynomial_alphabet_oracle_e2(self):
         # s_(1,1) on the 8-letter alphabet {x_i, y_j, x_i y_j} (2+2 variables)
         # equals the leg-wise evaluation of its multiplicative coproduct.
-        assert _alphabet_check((1, 1), 2, 2)
+        assert _alphabet_check(s(1, 1), 2, 2)
 
     def test_coassociative_small(self):
         for lam in partitions_up_to(3):
@@ -231,8 +231,8 @@ class TestCoproductBridge:
             }
 
 
-def _alphabet_check(lam, nx, ny) -> bool:
-    """Compare s_lam on {x_i, y_j, x_i y_j} with the Delta_m expansion."""
+def _alphabet_check(f, nx, ny) -> bool:
+    """Compare f on {x_i, y_j, x_i y_j} with the Delta_m expansion."""
     from symchar.schur import eval_monomials
 
     letters = []
@@ -251,16 +251,17 @@ def _alphabet_check(lam, nx, ny) -> bool:
             expo[nx + j] = 1
             letters.append(tuple(expo))
     direct = {}
-    for expo, c in eval_monomials(tuple(lam), len(letters)).items():
-        key = tuple(
-            sum(e * letter[v] for e, letter in zip(expo, letters))
-            for v in range(nx + ny)
-        )
-        direct[key] = direct.get(key, 0) + c
+    for lam, cf in f.terms.items():
+        for expo, c in eval_monomials(lam, len(letters)).items():
+            key = tuple(
+                sum(e * letter[v] for e, letter in zip(expo, letters))
+                for v in range(nx + ny)
+            )
+            direct[key] = direct.get(key, 0) + cf * c
     direct = {k: v for k, v in direct.items() if v}
 
     legwise = {}
-    for (mu, nu), c in coproduct_from_fgl("multiplicative", SymFunc.basis(tuple(lam))).terms.items():
+    for (mu, nu), c in coproduct_from_fgl("multiplicative", f).terms.items():
         px = eval_monomials(mu, nx)
         py = eval_monomials(nu, ny)
         for ex, cx in px.items():

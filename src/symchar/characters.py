@@ -3,8 +3,8 @@ characters, Thibon characters, and reduced symmetric-group characters."""
 
 from __future__ import annotations
 
-from .partitions import conjugate, weight
-from .schur import SymFunc, TensorSymFunc, coproduct_basis
+from .convolution import Pairing, _convolve, milnor_moore_inverse2, schur_hall_pairing
+from .schur import SymFunc, TensorSymFunc, linear
 from .series import skew_by_series
 from .hash_products import named_product
 
@@ -73,7 +73,7 @@ def rational_mul(x: RationalChar, y: RationalChar) -> RationalChar:
         raise ValueError("rational_mul expects irreducible-interpretation characters")
 
     def cross(a, b) -> TensorSymFunc:
-        return rational_convert(RationalChar.basis(a, b, False), "to_irreducible").element
+        return rational_convert(RationalChar.basis(a, b, False)).element
 
     out = None
     for (kappa, lam), cx in x.element.terms.items():
@@ -83,25 +83,20 @@ def rational_mul(x: RationalChar, y: RationalChar) -> RationalChar:
     return RationalChar(out or TensorSymFunc(), irreducible=True)
 
 
-def rational_convert(x: RationalChar, direction: str) -> RationalChar:
-    """reducible -> irreducible is the cross pairing T: {lam}(x){mu-bar} = sum_zeta
-    {lam/zeta;(mu/zeta)-bar}; irreducible -> reducible is T-bar: {lam;mu-bar} =
-    sum_zeta (-1)^{|zeta|} {lam/zeta}(x){(mu/zeta')-bar}; both read Delta s_lam, Delta s_mu."""
-    if direction not in ("to_irreducible", "to_reducible"):
-        raise ValueError(f"unknown direction {direction!r}")
-    to_irreducible = direction == "to_irreducible"
-    if x.irreducible == to_irreducible:
-        raise ValueError(f"input is already in the {direction[3:]} interpretation")
-    out: dict = {}
-    for (lam, mu), c in x.element.terms.items():
-        legs: dict = {}  # zeta -> the terms (m1, c) of s_{mu/zeta}
-        for (m1, zeta), cm in coproduct_basis(mu).items():
-            legs.setdefault(zeta, []).append((m1, cm))
-        for (l1, zeta), cl in coproduct_basis(lam).items():
-            sign, zeta = (1, zeta) if to_irreducible else ((-1) ** weight(zeta), conjugate(zeta))
-            for m1, cm in legs.get(zeta, ()):
-                out[l1, m1] = out.get((l1, m1), 0) + c * sign * cl * cm
-    return RationalChar(TensorSymFunc(out), irreducible=to_irreducible)
+_HEADS = {False: schur_hall_pairing(), True: milnor_moore_inverse2(schur_hall_pairing())}  # by x.irreducible
+_TENSOR = Pairing(lambda x2, y2: {(x2, y2): 1}, "(x)", lookup=True)
+
+
+def rational_convert(x: RationalChar) -> RationalChar:
+    """x in the other interpretation, one `_convolve(a, (x), {lam: 1}, {mu: 1})` per term,
+    (x)(x2, y2) = s_x2 (x) s_y2: reducible -> irreducible is the cross pairing T, a =
+    schur-hall: {lam}(x){mu-bar} = sum_zeta {lam/zeta;(mu/zeta)-bar}.  For scalar heads
+    T_a o T_b = T_{a*b}, so irreducible -> reducible is T-bar = T^-1, a the Milnor-Moore
+    inverse of schur-hall.  A scalar head's terms are all p = (), so `_convolve`
+    multiplies nothing and keeps the tail's pair keys."""
+    head = _HEADS[x.irreducible]
+    convert = lambda pair: _convolve(head, _TENSOR, {pair[0]: 1}, {pair[1]: 1}).terms
+    return RationalChar(linear(x.element, convert, TensorSymFunc), not x.irreducible)
 
 
 # -- Thibon characters -------------------------------------------------------

@@ -17,14 +17,10 @@ from importlib import import_module
 
 # The package itself loads these; other modules are imported by their handlers.
 from .kronecker import character_table
-from .partitions import format_partition, parse_partition, partitions_of
+from .partitions import ResourceError, format_partition, parse_partition, partitions_of
 from .schur import SymFunc, signed_sum
 
 DEFAULT_MAX_WEIGHT = 20
-
-
-class ResourceError(Exception):
-    pass
 
 
 def _nonnegative(value: int, what: str) -> int:
@@ -40,7 +36,11 @@ def _bounded(value: int, what: str, args) -> int:
     return value
 
 
-def _guard(f: SymFunc, args) -> SymFunc:
+def _parsed(text: str, args) -> SymFunc:
+    """The symmetric function text names, its labels read under the resource guard."""
+    from .formats import parse_symfunc
+
+    f = parse_symfunc(text, args.max_weight)
     _bounded(f.max_degree(), "input weight", args)
     return f
 
@@ -62,12 +62,9 @@ def _emit(args, text, payload) -> None:
 
 # -- subcommand handlers -----------------------------------------------------
 
-# Accepted names, kept as literals so that building the parser loads no library
-# module; tests check them against characters.BRANCH_SERIES and the
-# convolution.PAIRINGS and convolution.COCHAINS constructor tables.
+# Accepted rules, kept as literals so that building the parser loads no library
+# module; a test checks them against characters.BRANCH_SERIES.
 _BRANCH_RULES = ("gl_to_glm1", "gl_to_o", "gl_to_sp", "glm1_to_gl", "o_to_gl", "sp_to_gl")
-_PAIRING_NAMES = ("e2", "inner", "outer", "schur-hall")
-_COCHAIN_NAMES = ("antipode", "e", "id", "m")
 
 _PRODUCTS = {  # --product -> (module, function, label kind); rational apart
     "outer": ("schur", "outer_mul", "gl"),
@@ -80,19 +77,18 @@ _PRODUCTS = {  # --product -> (module, function, label kind); rational apart
 
 
 def _cmd_decompose(args) -> int:
-    from .formats import format_symfunc, parse_symfunc, symfunc_json
+    from .formats import format_symfunc, symfunc_json
 
     if args.product == "rational":
         from .characters import RationalChar, rational_mul
         from .formats import format_rational, parse_rational_label, rational_json
 
-        labels = [parse_rational_label(args.lhs), parse_rational_label(args.rhs)]
+        labels = [parse_rational_label(text, args.max_weight) for text in (args.lhs, args.rhs)]
         _bounded(max(sum(lam) + sum(mu) for lam, mu in labels), "input weight", args)
         result = rational_mul(*(RationalChar.basis(*label) for label in labels))
         _emit(args, lambda: format_rational(result.element), lambda: rational_json(result.element))
         return 0
-    lhs = _guard(parse_symfunc(args.lhs), args)
-    rhs = _guard(parse_symfunc(args.rhs), args)
+    lhs, rhs = _parsed(args.lhs, args), _parsed(args.rhs, args)
     module, name, kind = _PRODUCTS[args.product]
     result = getattr(import_module(f".{module}", __package__), name)(lhs, rhs)
     _emit(args, lambda: format_symfunc(result, kind), lambda: symfunc_json(result, kind))
@@ -101,9 +97,9 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_branch(args) -> int:
     from .characters import branch
-    from .formats import format_symfunc, parse_symfunc, symfunc_json
+    from .formats import format_symfunc, symfunc_json
 
-    result = branch(_guard(parse_symfunc(args.element), args), args.rule)
+    result = branch(_parsed(args.element, args), args.rule)
     kind = {"gl_to_o": "o", "gl_to_sp": "sp"}.get(args.rule, "gl")
     _emit(args, lambda: format_symfunc(result, kind), lambda: symfunc_json(result, kind))
     return 0
@@ -124,12 +120,6 @@ def _cmd_series(args) -> int:
     return 0
 
 
-_CHECK_NAMES = (
-    f"pairings {', '.join(_PAIRING_NAMES)}; cochains {', '.join(_COCHAIN_NAMES)};"
-    " or derived:<cochain>:<pairing>"
-)
-
-
 def _check_target(args):
     """The cochain (alghom) or pairing that check names; ValueError listing the
     accepted names otherwise."""
@@ -144,7 +134,10 @@ def _check_target(args):
             return derived_pairing(base(), phi())
         return PAIRINGS[args.name]()
     except KeyError:
-        raise ValueError(f"unknown name {args.name!r}; accepted: {_CHECK_NAMES}") from None
+        raise ValueError(
+            f"unknown name {args.name!r}; accepted: pairings {', '.join(sorted(PAIRINGS))};"
+            f" cochains {', '.join(sorted(COCHAINS))}; or derived:<cochain>:<pairing>"
+        ) from None
 
 
 def _cmd_check(args) -> int:
@@ -161,12 +154,6 @@ def _cmd_check(args) -> int:
     return 1
 
 
-_SPEC_SHAPE = (
-    'inline spec must look like {"stages": [{"pairing": P, "cocycle": C}, ...], "final": C}'
-    f" with P in {list(_PAIRING_NAMES)} and C in {list(_COCHAIN_NAMES)}"
-)
-
-
 def _parse_spec(data):
     """An inline hash spec decoded from JSON; ValueError naming the expected shape otherwise."""
     from .convolution import COCHAINS, PAIRINGS
@@ -179,7 +166,10 @@ def _parse_spec(data):
         )
         final = COCHAINS[data.get("final", "id")]()
     except (AttributeError, KeyError, TypeError):
-        raise ValueError(_SPEC_SHAPE) from None
+        raise ValueError(
+            'inline spec must look like {"stages": [{"pairing": P, "cocycle": C}, ...], "final": C}'
+            f" with P in {sorted(PAIRINGS)} and C in {sorted(COCHAINS)}"
+        ) from None
     return HashSpec(stages, final, "custom")
 
 
@@ -187,7 +177,7 @@ def _cmd_hash(args) -> int:
     """Any spec that parses as JSON is inline; anything else is a spec name."""
     import json
 
-    from .formats import format_symfunc, parse_symfunc, symfunc_json
+    from .formats import format_symfunc, symfunc_json
     from .hash_products import build_hash, named_product
 
     try:
@@ -203,8 +193,7 @@ def _cmd_hash(args) -> int:
         except ValueError as exc:
             print(f"invalid hash spec: {exc}", file=sys.stderr)
             return 2
-    x = _guard(parse_symfunc(args.lhs), args)
-    y = _guard(parse_symfunc(args.rhs), args)
+    x, y = _parsed(args.lhs, args), _parsed(args.rhs, args)
     result = product(x, y)
     _emit(args, lambda: format_symfunc(result), lambda: symfunc_json(result, "gl"))
     return 0
@@ -213,7 +202,7 @@ def _cmd_hash(args) -> int:
 def _cmd_vertex_schur(args) -> int:
     from .vertex import schur_via_bernstein
 
-    lam = parse_partition(args.partition)
+    lam = parse_partition(args.partition, args.max_weight)
     _bounded(sum(lam), "partition weight", args)
     diff = schur_via_bernstein(lam) - SymFunc.basis(lam)
     if diff.is_zero():
@@ -279,7 +268,7 @@ def _cmd_fgl_coproduct(args) -> int:
     from .fgl import coproduct_from_fgl
     from .formats import pair_sorted
 
-    lam = parse_partition(args.partition)
+    lam = parse_partition(args.partition, args.max_weight)
     _bounded(sum(lam), "partition weight", args)
     result = coproduct_from_fgl(args.law, SymFunc.basis(lam)).terms
     print(signed_sum(

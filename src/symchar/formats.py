@@ -19,14 +19,15 @@ BRACKETS = {
 }
 
 
-def parse_symfunc(text: str) -> SymFunc:
+def parse_symfunc(text: str, max_weight: int | None = None) -> SymFunc:
     """Parse e.g. "s[2] + s[1,1] - 3*s[3]"; a bare partition is one basis term.  Every
-    term after the first needs its sign: "s[2] s[1]" is an error, not a sum."""
+    term after the first needs its sign: "s[2] s[1]" is an error, not a sum.  Labels
+    are read by `parse_partition` under max_weight."""
     text = text.strip()
     if not text:
         raise ValueError("empty symmetric-function expression")
     if "s[" not in text:
-        return SymFunc.basis(parse_partition(text))
+        return SymFunc.basis(parse_partition(text, max_weight))
     out = SymFunc.zero()
     pos = 0
     while pos < len(text):
@@ -35,7 +36,7 @@ def parse_symfunc(text: str) -> SymFunc:
             raise ValueError(f"cannot parse symmetric function at: {text[pos:]!r}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = int(m.group(2)) if m.group(2) else 1
-        lam = parse_partition(m.group(3))
+        lam = parse_partition(m.group(3), max_weight)
         out.add(SymFunc.basis(lam), sign * coeff)
         pos = m.end()
     return out
@@ -64,12 +65,13 @@ def symfunc_json(f: SymFunc, kind: str) -> dict:
     return {"terms": terms, "meta": {"cap": None}}
 
 
-def parse_rational_label(text: str) -> tuple[Partition, Partition]:
-    """Parse "kappa;lam" rational-character labels, e.g. "1;1" or "2,1;0"."""
+def parse_rational_label(text: str, max_weight: int | None = None) -> tuple[Partition, Partition]:
+    """Parse "kappa;lam" rational-character labels, e.g. "1;1" or "2,1;0", each leg
+    by `parse_partition` under max_weight."""
     if ";" not in text:
         raise ValueError(f"rational label needs a ';': {text!r}")
     co, _, contra = text.partition(";")
-    return parse_partition(co), parse_partition(contra)
+    return parse_partition(co, max_weight), parse_partition(contra, max_weight)
 
 
 def format_rational(x: TensorSymFunc) -> str:

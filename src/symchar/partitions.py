@@ -15,6 +15,10 @@ Partition = tuple[int, ...]
 CANONICAL: dict[Partition, Partition] = {(): ()}
 
 
+class ResourceError(Exception):
+    """A request above a configured resource bound."""
+
+
 def canonical(lam: Partition) -> Partition:
     """The one tuple equal to lam that caches store; only results go in."""
     return CANONICAL.setdefault(lam, lam)
@@ -166,27 +170,29 @@ def contains(lam: Partition, mu: Partition) -> bool:
     return all(lam[i] >= mu[i] for i in range(len(mu)))
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse "4,2,2,1", "0"/"" (empty), or exponent form "[1,2^2,4]"."""
+def parse_partition(text: str, max_weight: int | None = None) -> Partition:
+    """Parse "4,2,2,1", "0"/"" (empty), or exponent form "[1,2^2,4]".  An exponent-form
+    weight above max_weight raises ResourceError before any part is expanded, and
+    zero parts never expand."""
     text = text.strip()
     if text in ("", "0", "()", "[]"):
         return ()
-    if text.startswith("[") and text.endswith("]"):
-        parts: list[int] = []
-        for tok in text[1:-1].split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if "^" in tok:
-                base, _, exp = tok.partition("^")
-                count = int(exp)
-                if not 0 <= count <= sys.maxsize:  # else [base] * count drops parts or overflows
-                    raise ValueError(f"exponent out of range in {tok!r}")
-                parts.extend([int(base)] * count)
-            else:
-                parts.append(int(tok))
-        return make_partition(sorted(parts, reverse=True))
-    return make_partition(int(tok) for tok in text.split(","))
+    if not (text.startswith("[") and text.endswith("]")):
+        return make_partition(int(tok) for tok in text.split(","))
+    runs: list[tuple[int, int]] = []  # (part, count), parts nonzero
+    for tok in filter(None, map(str.strip, text[1:-1].split(","))):
+        base, caret, exp = tok.partition("^")
+        part, count = int(base), int(exp) if caret else 1
+        if not 0 <= count <= sys.maxsize:  # else [part] * count drops parts or overflows
+            raise ValueError(f"exponent out of range in {tok!r}")
+        if part < 0 < count:
+            raise ValueError(f"not a partition: {text!r}")
+        if part:
+            runs.append((part, count))
+    total = sum(part * count for part, count in runs)
+    if max_weight is not None and total > max_weight:
+        raise ResourceError(f"input weight {total} exceeds the configured maximum {max_weight}")
+    return make_partition(sorted((p for part, count in runs for p in [part] * count), reverse=True))
 
 
 def format_partition(lam: Partition) -> str:

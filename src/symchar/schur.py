@@ -150,16 +150,12 @@ class TensorSymFunc(_Combination):
             mine, theirs, result = {}, {}, TensorSymFunc()
             for f, groups in ((self, mine), (other, theirs)):
                 for (a, b), c in f.terms.items():
-                    groups.setdefault(b, []).append((a, c))
+                    groups.setdefault(b, {})[a] = c
             out = result.terms
             for b, xs in mine.items():
                 for v, ys in theirs.items():
-                    left: dict = {}
-                    for a, c1 in xs:
-                        for u, c2 in ys:
-                            for p, cp in product_basis(a, u).items():
-                                left[p] = left.get(p, 0) + c1 * c2 * cp
                     right = product_basis(b, v).items()
+                    left = _bilinear(xs, ys, product_basis).terms
                     for p, cp in left.items():  # p outer: keys arrive nearer sorted order
                         for q, cq in right:
                             out[p, q] = out.get((p, q), 0) + cp * cq
@@ -382,15 +378,12 @@ def scalar(f: _Combination, g: _Combination) -> int:
 
 @cache
 def iterated_coproduct_basis(lam: Partition, k: int) -> dict[tuple[Partition, ...], int]:
-    """Delta^{(k)} on a basis element: map k-tuples of partitions -> coefficient (k >= 1)."""
+    """Delta^{(k)} on a basis element: map k-tuples of partitions -> coefficient (k >= 1),
+    Delta applied to the last leg of Delta^{(k-1)}."""
     if k == 1:
         return {(lam,): 1}
-    out: dict[tuple[Partition, ...], int] = {}
-    for legs, c in iterated_coproduct_basis(lam, k - 1).items():
-        for (a, b), c2 in coproduct_basis(legs[-1]).items():
-            key = legs[:-1] + (a, b)
-            out[key] = out.get(key, 0) + c * c2
-    return out
+    split = lambda legs: {legs[:-1] + ab: c for ab, c in coproduct_basis(legs[-1]).items()}
+    return linear(iterated_coproduct_basis(lam, k - 1), split, dict)
 
 
 def loop(r: int, f: SymFunc) -> SymFunc:

@@ -240,6 +240,27 @@ CATALOGUE = [
         "Delta_m's skew f/s_mu carries the coefficients of Delta f, not 1",
         ("tests/test_acceptance.py",),
     ),
+    Mutant(
+        "characters.py",
+        "{False: schur_hall_pairing(), True: milnor_moore_inverse2(schur_hall_pairing())}",
+        "{True: schur_hall_pairing(), False: milnor_moore_inverse2(schur_hall_pairing())}",
+        "a reducible character converts by T, head schur-hall, and an irreducible one by T-bar, its inverse",
+        ("tests/test_characters.py",),
+    ),
+    Mutant(
+        "characters.py",
+        "lambda x2, y2: {(x2, y2): 1}",
+        "lambda x2, y2: {(y2, x2): 1}",
+        "the conversions' tail keeps the covariant leg first",
+        ("tests/test_characters.py",),
+    ),
+    Mutant(
+        "schur.py",
+        "_bilinear(xs, ys, product_basis)",
+        "_bilinear(xs, xs, product_basis)",
+        "the tensor product's left sum multiplies the first legs of both factors",
+        ("tests/test_characters.py",),
+    ),
 ]
 
 SELF_TEST = [

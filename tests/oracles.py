@@ -1,7 +1,8 @@
 """Independent oracles for the character products: closed sum-over-skews
 formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
-form of the rational GL product, the embedded-S_n path for reduced
-characters, the Cummins four-factor expansion of a Kronecker product, the
+form of the rational GL product, the direct join of the rational GL
+conversions, the hook-content dimension of a rational character, the
+embedded-S_n path for reduced characters, the Cummins four-factor expansion of a Kronecker product, the
 product and evaluation of monomial-expanded polynomials, the hook length
 formula, straightening by adjacent raising operators, and the named hash
 products in the power-sum basis from border-strip characters alone.  The
@@ -19,6 +20,7 @@ from symchar.characters import RationalChar
 from symchar.convolution import Cochain1, Pairing, _basis_pairs
 from symchar.kronecker import inner_mul, kronecker_basis
 from symchar.partitions import (
+    conjugate,
     hooks_and_contents,
     partitions_of,
     partitions_up_to,
@@ -31,6 +33,7 @@ from symchar.schur import (
     SymFunc,
     TensorSymFunc,
     coproduct_basis,
+    dimension_gl,
     eval_monomials,
     outer_mul,
     skew,
@@ -75,6 +78,38 @@ def rational_mul_hash(x: RationalChar, y: RationalChar) -> RationalChar:
                             )
                             out.add(pair, coeff)
     return RationalChar(out, irreducible=True)
+
+
+def rational_convert_join(x: RationalChar) -> RationalChar:
+    """x in the other interpretation by the direct join over the second legs zeta
+    of Delta s_lam and Delta s_mu: reducible -> irreducible is T, {lam}(x){mu-bar} =
+    sum_zeta {lam/zeta;(mu/zeta)-bar}; irreducible -> reducible is T-bar, {lam;mu-bar}
+    = sum_zeta (-1)^{|zeta|} {lam/zeta}(x){(mu/zeta')-bar}."""
+    to_irreducible = not x.irreducible
+    out: dict = {}
+    for (lam, mu), c in x.element.terms.items():
+        legs: dict = {}  # zeta -> the terms (m1, c) of s_{mu/zeta}
+        for (m1, zeta), cm in coproduct_basis(mu).items():
+            legs.setdefault(zeta, []).append((m1, cm))
+        for (l1, zeta), cl in coproduct_basis(lam).items():
+            sign, zeta = (1, zeta) if to_irreducible else ((-1) ** weight(zeta), conjugate(zeta))
+            for m1, cm in legs.get(zeta, ()):
+                out[l1, m1] = out.get((l1, m1), 0) + c * sign * cl * cm
+    return RationalChar(TensorSymFunc(out), irreducible=to_irreducible)
+
+
+def rational_dimension(x: RationalChar, n: int) -> int:
+    """dim of an irreducible-interpretation x at GL(n), n at least each term's total
+    length: {alpha;beta-bar} has highest weight (alpha, 0, ..., 0, -beta reversed),
+    a partition once shifted by beta_1 (a power of det, which keeps the dimension),
+    whose dimension is the hook-content formula's."""
+    total = 0
+    for (alpha, beta), c in x.element.terms.items():
+        top = beta[0] if beta else 0
+        zeros = n - len(alpha) - len(beta)
+        shifted = [a + top for a in alpha] + [top] * zeros + [top - b for b in reversed(beta)]
+        total += c * dimension_gl(tuple(p for p in shifted if p), n)
+    return total
 
 
 def thibon_inner_formula(x: SymFunc, y: SymFunc) -> SymFunc:

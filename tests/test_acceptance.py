@@ -305,11 +305,11 @@ class TestCriterion08RationalGL:
         for k in partitions_up_to(4):
             for l in partitions_up_to(4):
                 x = RationalChar.basis(k, l)
-                there = rational_convert(x, "to_reducible")
-                assert rational_convert(there, "to_irreducible") == x
+                there = rational_convert(x)
+                assert rational_convert(there) == x
                 y = RationalChar(TensorSymFunc.basis(k, l), irreducible=False)
-                back = rational_convert(y, "to_irreducible")
-                assert rational_convert(back, "to_reducible") == y
+                back = rational_convert(y)
+                assert rational_convert(back) == y
 
 
 class TestCriterion09Vertex:

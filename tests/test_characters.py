@@ -12,6 +12,8 @@ from oracles import (
     hook_dimension,
     murnaghan_littlewood_formula,
     newell_littlewood_formula,
+    rational_convert_join,
+    rational_dimension,
     rational_mul_hash,
     reduced_oracle,
     thibon_inner_formula,
@@ -29,19 +31,6 @@ from symchar.kronecker import inner_mul
 from symchar.partitions import partitions_up_to, standardize, weight
 from symchar.schur import SymFunc, TensorSymFunc, dimension_gl, outer_mul, s, tensor, unit
 from symchar.series import mul_by_series
-
-
-def rational_dimension(x: RationalChar, n: int) -> int:
-    """dim of an irreducible-interpretation x at GL(n), n at least each term's total
-    length: {alpha;beta-bar} has highest weight (alpha, 0, ..., 0, -beta reversed),
-    a partition once shifted by beta_1 (a power of det, which keeps the dimension)."""
-    total = 0
-    for (alpha, beta), c in x.element.terms.items():
-        top = beta[0] if beta else 0
-        zeros = n - len(alpha) - len(beta)
-        shifted = [a + top for a in alpha] + [top] * zeros + [top - b for b in reversed(beta)]
-        total += c * dimension_gl(tuple(p for p in shifted if p), n)
-    return total
 
 
 class TestBranch:
@@ -136,16 +125,16 @@ class TestRationalGL:
 
     def test_convert_examples(self):
         red = RationalChar(TensorSymFunc.basis((1,), (1,)), irreducible=False)
-        irr = rational_convert(red, "to_irreducible")
+        irr = rational_convert(red)
         assert irr.element == TensorSymFunc.basis((1,), (1,)) + TensorSymFunc.basis((), ())
-        back = rational_convert(RationalChar.basis((1,), (1,)), "to_reducible")
+        back = rational_convert(RationalChar.basis((1,), (1,)))
         assert back.element == TensorSymFunc.basis((1,), (1,)) - TensorSymFunc.basis((), ())
 
     def test_convert_round_trip(self):
         for k in partitions_up_to(3):
             for l in partitions_up_to(3):
                 x = RationalChar.basis(k, l)
-                assert rational_convert(rational_convert(x, "to_reducible"), "to_irreducible") == x
+                assert rational_convert(rational_convert(x)) == x
 
     def test_stable_dimensions(self):
         """Independent of LR, skews and coproducts: at GL(n) with n above the
@@ -153,9 +142,9 @@ class TestRationalGL:
         labels = [(k, l) for k in partitions_up_to(3) for l in partitions_up_to(3) if weight(k) + weight(l) <= 4]
         for kappa, lam in labels:
             n = len(kappa) + len(lam) + 1
-            irr = rational_convert(RationalChar.basis(kappa, lam, False), "to_irreducible")
+            irr = rational_convert(RationalChar.basis(kappa, lam, False))
             assert dimension_gl(kappa, n) * dimension_gl(lam, n) == rational_dimension(irr, n)
-            red = rational_convert(RationalChar.basis(kappa, lam), "to_reducible")
+            red = rational_convert(RationalChar.basis(kappa, lam))
             assert rational_dimension(RationalChar.basis(kappa, lam), n) == sum(
                 c * dimension_gl(a, n) * dimension_gl(b, n) for (a, b), c in red.element.terms.items()
             )
@@ -180,18 +169,25 @@ class TestRationalGL:
                     expected.add(rational_mul(RationalChar.basis(*a), RationalChar.basis(*b)).element, cx * cy)
             assert rational_mul(*both).element == expected
             assert rational_mul(*both) == rational_mul_hash(*both)
-            for irreducible, direction in ((False, "to_irreducible"), (True, "to_reducible")):
+            for irreducible in (False, True):
                 expected = TensorSymFunc()
                 for a, c in x.items():
-                    expected.add(rational_convert(RationalChar.basis(*a, irreducible), direction).element, c)
-                got = rational_convert(RationalChar(TensorSymFunc(x), irreducible), direction)
+                    expected.add(rational_convert(RationalChar.basis(*a, irreducible)).element, c)
+                got = rational_convert(RationalChar(TensorSymFunc(x), irreducible))
                 assert got.element == expected and got.irreducible != irreducible
 
-    def test_convert_direction_errors(self):
-        with pytest.raises(ValueError):
-            rational_convert(RationalChar.basis((1,), ()), "to_irreducible")
-        with pytest.raises(ValueError):
-            rational_convert(RationalChar.basis((1,), ()), "elsewhere")
+    def test_convert_equals_the_join(self):
+        """Both conversions equal the direct join on every basis label of biweight <= 7
+        and on seeded two-term sums, and T-bar o T is the identity on them."""
+        rng = random.Random(40)
+        labels = [(k, l) for k in partitions_up_to(7) for l in partitions_up_to(7 - weight(k))]
+        sums = [dict(zip(rng.sample(labels, 2), rng.sample((-3, -2, 2, 3, 5), 2))) for _ in range(40)]
+        for terms in [{label: 1} for label in labels] + sums:
+            for irreducible in (False, True):
+                x = RationalChar(TensorSymFunc(terms), irreducible)
+                there = rational_convert(x)
+                assert there == rational_convert_join(x), (terms, irreducible)
+                assert rational_convert(there) == x, (terms, irreducible)
 
     def test_mul_requires_irreducible(self):
         red = RationalChar(TensorSymFunc.basis((1,), ()), irreducible=False)

@@ -133,6 +133,14 @@ class TestHash:
         assert out == "" and len(err.splitlines()) == 1
         assert "inline spec must look like" in err
 
+    def test_malformed_inline_spec_message_is_pinned(self, capsys):
+        code, out, err = run(capsys, "hash", "--spec", '{"stages": 5}', "1", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            'parse error: inline spec must look like {"stages": [{"pairing": P, "cocycle": C}, ...],'
+            """ "final": C} with P in ['e2', 'inner', 'outer', 'schur-hall'] and C in ['antipode', 'e', 'id', 'm']"""
+        )
+
     def test_unparsable_inline_spec(self, capsys):
         """A spec that starts like a JSON object but does not parse is reported by
         the JSON decoder, not looked up as a spec name."""
@@ -278,6 +286,38 @@ class TestExitCodes:
         assert err == b""
 
 
+class TestExponentFormBound:
+    """The weight of an exponent-form label is checked before its parts are expanded."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "--product", "outer", "[1^99999999999]", "1"),
+            ("decompose", "--product", "outer", "[1^5000000]", "1"),
+            ("branch", "gl_to_o", "[1^99999999999]"),
+            ("hash", "--spec", "thibon", "1", "[3^99999999999]"),
+            ("decompose", "--product", "rational", "[1^99999999999];1", "1;1"),
+            ("vertex", "schur", "[2^99999999999]"),
+            ("fgl", "coproduct", "additive", "[1,1^99999999999]"),
+        ],
+        ids=["decompose", "five million", "branch", "hash", "rational", "vertex", "fgl"],
+    )
+    def test_over_weight_labels_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("resource bound exceeded:")
+
+    def test_zero_parts_never_expand(self, capsys):
+        assert run(capsys, "decompose", "--product", "outer", "[0^99999999999]", "2,1") == run(
+            capsys, "decompose", "--product", "outer", "0", "2,1"
+        )
+
+    def test_exponent_out_of_range_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "decompose", "--product", "outer", "[1^100000000000000000000]", "1")
+        assert (code, out) == (2, "")
+        assert err == "parse error: exponent out of range in '1^100000000000000000000'"
+
+
 class TestCapsAboveMaxWeight:
     @pytest.mark.parametrize(
         "argv",
@@ -383,6 +423,14 @@ class TestCheckNames:
         for accepted in ("e2", "inner", "outer", "schur-hall", "antipode", "id", "m"):
             assert accepted in err
         assert "derived:<cochain>:<pairing>" in err
+
+    def test_message_is_pinned(self, capsys):
+        code, out, err = run(capsys, "check", "laplace", "nope")
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: unknown name 'nope'; accepted: pairings e2, inner, outer, schur-hall;"
+            " cochains antipode, e, id, m; or derived:<cochain>:<pairing>"
+        )
 
 
 DEEP = "[" * 20000 + "]" * 20000

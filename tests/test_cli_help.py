@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symchar import characters, cli, convolution
+from symchar import characters, cli
 
 # stdout of every `--help`, recorded with COLUMNS=80 before the parser's
 # name tables became literals.
@@ -34,11 +34,6 @@ def test_golden_covers_every_subcommand_and_action():
 
 def test_branch_rules_match_the_library():
     assert cli._BRANCH_RULES == tuple(sorted(characters.BRANCH_SERIES))
-
-
-def test_pairing_and_cochain_names_match_the_constructor_tables():
-    assert cli._PAIRING_NAMES == tuple(sorted(convolution.PAIRINGS))
-    assert cli._COCHAIN_NAMES == tuple(sorted(convolution.COCHAINS))
 
 
 def test_product_choices_cover_the_characters_functions():

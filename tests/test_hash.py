@@ -428,6 +428,16 @@ class TestHopfClassification:
     def test_trivial_is_hopf(self):
         assert hash_is_hopf(named_spec("trivial"), 4)
 
+    def test_frobenius_composite_whose_law_fails_raises(self, monkeypatch):
+        """The theorem guard: e2, the trivial spec's composite, is Frobenius, so a
+        failing bialgebra law there is an error in the library, not a verdict."""
+        from symchar import hash_products
+
+        monkeypatch.setattr(hash_products, "_bialgebra_law_holds", lambda product, max_degree: False)
+        assert is_frobenius(composite_pairing(named_spec("trivial")), 4)
+        with pytest.raises(AssertionError, match="'trivial': the composite pairing is Frobenius"):
+            hash_is_hopf(named_spec("trivial"), 4)
+
     @pytest.mark.parametrize("pairing", ("inner", "schur-hall", "e2"))
     def test_one_stage_verdicts(self, pairing):
         """Every one-stage spec over the pairing, each cochain as the stage's and id

@@ -3,7 +3,7 @@ characters, Thibon characters, and reduced symmetric-group characters."""
 
 from __future__ import annotations
 
-from .convolution import Pairing, _convolve, milnor_moore_inverse2, schur_hall_pairing
+from .convolution import Pairing, convolve2, milnor_moore_inverse2, schur_hall_pairing
 from .schur import SymFunc, TensorSymFunc, linear
 from .series import skew_by_series
 from .hash_products import named_product
@@ -83,20 +83,19 @@ def rational_mul(x: RationalChar, y: RationalChar) -> RationalChar:
     return RationalChar(out or TensorSymFunc(), irreducible=True)
 
 
-_HEADS = {False: schur_hall_pairing(), True: milnor_moore_inverse2(schur_hall_pairing())}  # by x.irreducible
 _TENSOR = Pairing(lambda x2, y2: {(x2, y2): 1}, "(x)", lookup=True)
+_CROSS = {False: convolve2(schur_hall_pairing(), _TENSOR),  # by x.irreducible
+          True: convolve2(milnor_moore_inverse2(schur_hall_pairing()), _TENSOR)}
 
 
 def rational_convert(x: RationalChar) -> RationalChar:
-    """x in the other interpretation, one `_convolve(a, (x), {lam: 1}, {mu: 1})` per term,
-    (x)(x2, y2) = s_x2 (x) s_y2: reducible -> irreducible is the cross pairing T, a =
-    schur-hall: {lam}(x){mu-bar} = sum_zeta {lam/zeta;(mu/zeta)-bar}.  For scalar heads
-    T_a o T_b = T_{a*b}, so irreducible -> reducible is T-bar = T^-1, a the Milnor-Moore
-    inverse of schur-hall.  A scalar head's terms are all p = (), so `_convolve`
-    multiplies nothing and keeps the tail's pair keys."""
-    head = _HEADS[x.irreducible]
-    convert = lambda pair: _convolve(head, _TENSOR, {pair[0]: 1}, {pair[1]: 1}).terms
-    return RationalChar(linear(x.element, convert, TensorSymFunc), not x.irreducible)
+    """x in the other interpretation, each term read from a memoized stage a * (x), (x)(x2, y2) =
+    s_x2 (x) s_y2: reducible -> irreducible is the cross pairing T, a = schur-hall:
+    {lam}(x){mu-bar} = sum_zeta {lam/zeta;(mu/zeta)-bar}.  For scalar heads T_a o T_b = T_{a*b},
+    so irreducible -> reducible is T-bar = T^-1, a the Milnor-Moore inverse of schur-hall.  A
+    scalar head's terms are all p = (), so `_convolve` multiplies nothing and keeps the pair keys."""
+    cross = _CROSS[x.irreducible].on_basis
+    return RationalChar(linear(x.element, lambda pair: cross(*pair), TensorSymFunc), not x.irreducible)
 
 
 # -- Thibon characters -------------------------------------------------------

@@ -121,23 +121,14 @@ def loop_n(F: FGL1, n: int) -> Poly:
 def fgl_log(F: FGL1) -> Poly:
     """The logarithm: ell(X) = X + ..., ell(F(X,Y)) = ell(X) + ell(Y).
 
-    In characteristic 0, ell'(X) = 1 / (dF/dY)(X, 0); integrate formally.
+    In characteristic 0, ell'(X) = 1 / (dF/dY)(X, 0) = 1 / (1 + r), r = sum_i c_{i,1} X^i: the
+    fixed point of q <- 1 - r q, which gains a degree per pass below the cap; integrate formally.
     """
-    cap = F.cap
-    # dF/dY(X,0) = 1 + sum_i c_{i,1} X^i.
-    denom: dict[int, Fraction] = {0: Fraction(1)}
-    for i, j, c in F.coeffs:
-        if j == 1:
-            denom[i] = denom.get(i, Fraction(0)) + c
-    # Invert the power series denom to degree cap-1.
-    inv: dict[int, Fraction] = {0: Fraction(1)}
-    for d in range(1, cap):
-        inv[d] = -sum(denom.get(k, Fraction(0)) * inv[d - k] for k in range(1, d + 1))
-    out: Poly = {}
-    for d, c in inv.items():
-        if c and d + 1 <= cap:
-            out[(d + 1,)] = c / (d + 1)
-    return out
+    r = {(i,): c for i, j, c in F.coeffs if j == 1}
+    q: Poly = {}
+    for _ in range(F.cap):
+        q = padd({(0,): Fraction(1)}, pscale(pmul(r, q, F.cap - 1), -1))
+    return {(e + 1,): c / (e + 1) for (e,), c in q.items()}
 
 
 def coproduct_from_fgl(which: str, f: SymFunc) -> TensorSymFunc:

@@ -189,7 +189,6 @@ def inner_mul(f: SymFunc, g: SymFunc) -> SymFunc:
     return _bilinear(f, g, kronecker_basis)
 
 
-@cache
 def inner_coproduct_basis(lam: Partition) -> dict[tuple[Partition, Partition], int]:
     """delta(s_lam) = sum g^lam_{mu,nu} s_mu (x) s_nu (adjoint of inner_mul)."""
     n = weight(lam)

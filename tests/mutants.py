@@ -157,6 +157,13 @@ CATALOGUE = [
         ("tests/test_fgl.py",),
     ),
     Mutant(
+        "fgl.py",
+        "{(i,): c for i, j, c in F.coeffs if j == 1}",
+        "{(j,): c for i, j, c in F.coeffs if j == 1}",
+        "fgl_log's dF/dY(X, 0) - 1 puts c_{i,1} at X^i, not at the Y exponent X^1",
+        ("tests/test_fgl.py",),
+    ),
+    Mutant(
         "partitions.py",
         "sum(b < c for",
         "sum(b > c for",
@@ -242,9 +249,16 @@ CATALOGUE = [
     ),
     Mutant(
         "characters.py",
-        "{False: schur_hall_pairing(), True: milnor_moore_inverse2(schur_hall_pairing())}",
-        "{True: schur_hall_pairing(), False: milnor_moore_inverse2(schur_hall_pairing())}",
+        "{False: convolve2(schur_hall_pairing(), _TENSOR),  # by x.irreducible\n          True:",
+        "{True: convolve2(schur_hall_pairing(), _TENSOR),  # by x.irreducible\n          False:",
         "a reducible character converts by T, head schur-hall, and an irreducible one by T-bar, its inverse",
+        ("tests/test_characters.py",),
+    ),
+    Mutant(
+        "characters.py",
+        "_CROSS[x.irreducible].on_basis",
+        "_CROSS[x.irreducible]._fn",
+        "a conversion reads each T(a, b) and T-bar(a, b) through the stage's memo, computing it once per process",
         ("tests/test_characters.py",),
     ),
     Mutant(

@@ -2,7 +2,8 @@
 formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
 form of the rational GL product, the direct join of the rational GL
 conversions, the hook-content dimension of a rational character, the
-embedded-S_n path for reduced characters, the Cummins four-factor expansion of a Kronecker product, the
+embedded-S_n path for reduced characters and Murnaghan's dimension identity for
+their product, the Cummins four-factor expansion of a Kronecker product, the
 product and evaluation of monomial-expanded polynomials, the hook length
 formula, straightening by adjacent raising operators, and the named hash
 products in the power-sum basis from border-strip characters alone.  The
@@ -176,6 +177,22 @@ def reduced_oracle(x: SymFunc, y: SymFunc, n: int) -> SymFunc:
             for lam, c in prod.terms.items():
                 out.add(SymFunc.basis(lam[1:]), cx * cy * c * smu * snu)
     return out
+
+
+def reduced_dimension_failures(x: SymFunc, y: SymFunc, product: SymFunc) -> list[int]:
+    """The n at which the reduced product of x and y fails Murnaghan's dimension identity
+    f^{(n-|mu|, mu)} f^{(n-|nu|, nu)} = sum_lam c_lam f^{(n-|lam|, lam)}, extended linearly.
+    Each side is a polynomial in n of degree at most deg x + deg y, so deg x + deg y + 3
+    values of n are checked, from the least one at which every (n - |lam|, lam) of x, y
+    and the product is a partition.  f is the hook length formula's, so the check reads
+    no character table, Kronecker product or LR coefficient."""
+    start = max((weight(lam) + lam[0] for f in (x, y, product) for lam in f.terms if lam), default=0)
+
+    def dimension(f: SymFunc, n: int) -> int:
+        return sum(c * hook_dimension((n - weight(lam), *lam)) for lam, c in f.terms.items())
+
+    values = range(start, start + x.max_degree() + y.max_degree() + 3)
+    return [n for n in values if dimension(x, n) * dimension(y, n) != dimension(product, n)]
 
 
 def default_oracle_n(x: SymFunc, y: SymFunc) -> int:

@@ -15,6 +15,7 @@ from oracles import (
     rational_convert_join,
     rational_dimension,
     rational_mul_hash,
+    reduced_dimension_failures,
     reduced_oracle,
     thibon_inner_formula,
 )
@@ -189,6 +190,30 @@ class TestRationalGL:
                 assert there == rational_convert_join(x), (terms, irreducible)
                 assert rational_convert(there) == x, (terms, irreducible)
 
+    def test_repeated_conversion_runs_no_kernel_pass(self, monkeypatch):
+        """Each T(a, b) and T-bar(a, b) is computed once per process: a second
+        conversion of the same input reads every term from the stages' memo."""
+        import symchar.characters as characters
+        import symchar.convolution as convolution
+
+        calls: list = []
+
+        def counted(a, b, f, g, _kernel=convolution._convolve):
+            calls.append((f, g))
+            return _kernel(a, b, f, g)
+
+        monkeypatch.setattr(convolution, "_convolve", counted)
+        if hasattr(characters, "_convolve"):  # a name imported into characters bypasses the patch above
+            monkeypatch.setattr(characters, "_convolve", counted)
+        for irreducible in (False, True):  # labels no other test converts, so the first reads run the kernel
+            x = RationalChar(TensorSymFunc({((5, 3, 1), (2, 1)): 2, ((4, 1), (3,)): -1}), irreducible)
+            calls.clear()
+            first = rational_convert(x)
+            assert calls, irreducible
+            calls.clear()
+            assert rational_convert(x) == first
+            assert calls == [], irreducible
+
     def test_mul_requires_irreducible(self):
         red = RationalChar(TensorSymFunc.basis((1,), ()), irreducible=False)
         with pytest.raises(ValueError):
@@ -253,6 +278,13 @@ class TestMurnaghanLittlewood:
             for nu in partitions_up_to(3):
                 f, g = SymFunc.basis(mu), SymFunc.basis(nu)
                 assert murnaghan_littlewood(f, g) == murnaghan_littlewood_formula(f, g)
+
+    def test_dimensions_multiply(self):
+        # <mu> * <nu> is the S_n character product on the labels {n - |lam|, lam} (Murnaghan).
+        pairs = [(mu, nu) for mu in partitions_up_to(4) for nu in partitions_up_to(4)]
+        for mu, nu in [*pairs, ((3, 2, 1), (2, 2, 1))]:
+            x, y = SymFunc.basis(mu), SymFunc.basis(nu)
+            assert reduced_dimension_failures(x, y, murnaghan_littlewood(x, y)) == [], (mu, nu)
 
 
 class TestReducedLabels:

@@ -32,6 +32,11 @@ from symchar.schur import (
 X = var(1, 0)
 
 
+def tanh_law(cap: int) -> FGL1:
+    """F = (X + Y) / (1 + XY), whose mixed terms lie above c_11: c_{k+1,k} = c_{k,k+1} = (-1)^k."""
+    return FGL1.make({key: (-1) ** k for k in range(1, cap) for key in ((k + 1, k), (k, k + 1))}, cap)
+
+
 def poly(coeffs):
     """{degree: coefficient} -> sparse univariate polynomial."""
     return {(d,): Fraction(c) for d, c in coeffs.items() if c}
@@ -168,8 +173,12 @@ class TestLogarithm:
         expected = poly({d: Fraction((-1) ** (d + 1), d) for d in range(1, 7)})
         assert fgl_log(multiplicative(1, cap=6)) == expected
 
+    def test_tanh_law_is_artanh(self):
+        # d = dF/dY(X, 0) = 1 - X^2: a log that read c_{i,1} at X^j would invert 1 - X instead.
+        assert fgl_log(tanh_law(9)) == poly({d: Fraction(1, d) for d in range(1, 10, 2)})
+
     def test_functional_equation(self):
-        for F in (multiplicative(1, cap=5), multiplicative(2, cap=5)):
+        for F in (multiplicative(1, cap=5), multiplicative(2, cap=5), tanh_law(7)):
             ell = fgl_log(F)
             x2, y2 = var(2, 0), var(2, 1)
             lhs = compose(ell, F.apply(x2, y2), F.cap)

@@ -232,20 +232,13 @@ def _poly_text(p) -> str:
 
 
 def _parse_fgl(token: str, args):
-    """The law named by token at the bounded --cap; a bad token is reported first."""
-    from functools import partial
+    """G_m^b named by token (ga: b = 0, gm: b = 1, gm:b) at the bounded --cap; a bad token first."""
+    from .fgl import multiplicative
 
-    from .fgl import additive, multiplicative
-
-    if token == "ga":
-        law = additive
-    elif token == "gm":
-        law = multiplicative
-    elif token.startswith("gm:"):
-        law = partial(multiplicative, int(token.split(":", 1)[1]))
-    else:
+    name, colon, b = token.partition(":")
+    if token != "ga" and name != "gm":
         raise ValueError(f"unknown formal group law {token!r}")
-    return law(cap=_bounded(args.cap, "cap", args))
+    return multiplicative(int(b) if colon else int(name == "gm"), _bounded(args.cap, "cap", args))
 
 
 def _cmd_fgl_loop(args) -> int:

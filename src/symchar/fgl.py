@@ -83,13 +83,8 @@ class FGL1(namedtuple("FGL1", "coeffs cap")):
         return out
 
 
-def additive(cap: int = 8) -> FGL1:
-    """G_a: F(X,Y) = X + Y."""
-    return FGL1.make({}, cap)
-
-
 def multiplicative(b=1, cap: int = 8) -> FGL1:
-    """G_m^b: F(X,Y) = X + Y + b X Y."""
+    """G_m^b: F(X,Y) = X + Y + b X Y; b = 0 is G_a, F(X,Y) = X + Y."""
     return FGL1.make({(1, 1): b}, cap)
 
 

@@ -275,6 +275,28 @@ CATALOGUE = [
         "the tensor product's left sum multiplies the first legs of both factors",
         ("tests/test_characters.py",),
     ),
+    Mutant(
+        "cli.py",
+        'int(name == "gm")',
+        "1",
+        "fgl's law token ga is G_m^0 = G_a, not G_m",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "hash_products.py",
+        "if is_frobenius(composite, max_degree):",
+        "if not is_frobenius(composite, max_degree):",
+        "is_bialgebra raises only when a Frobenius composite fails the law; NL's is not Frobenius",
+        ("tests/test_hash.py",),
+    ),
+    Mutant(
+        "series.py",
+        'if tag in ("A", "C") else 1',
+        'if tag in ("B", "D") else 1',
+        "the (-1)^{d/2} sign is on A and C, not B and D (the sign moved to the other member of each "
+        "pair keeps every inverse pair and round trip)",
+        ("tests/test_series.py",),
+    ),
 ]
 
 SELF_TEST = [

@@ -1,15 +1,16 @@
 """Independent oracles for the character products: closed sum-over-skews
 formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
 form of the rational GL product, the direct join of the rational GL
-conversions, the hook-content dimension of a rational character, the
-embedded-S_n path for reduced characters and Murnaghan's dimension identity for
-their product, the Cummins four-factor expansion of a Kronecker product, the
-product and evaluation of monomial-expanded polynomials, the hook length
-formula, straightening by adjacent raising operators, and the named hash
+conversions, Weyl's dimension of a rational character, the embedded-S_n path
+for reduced characters and Murnaghan's dimension identity for their product, the
+S_n dimension identity for Thibon's product, the Cummins four-factor expansion of
+a Kronecker product, the product and evaluation of monomial-expanded polynomials,
+the hook length formula, straightening by adjacent raising operators, and the named hash
 products in the power-sum basis from border-strip characters alone.  The
 library computes each product one way; these check it.  Also the bounded
-equality checks of cochains and pairings, and the mutual-inverse check of the
-series pairs, which only the tests use."""
+equality checks of cochains and pairings, the mutual-inverse check of the
+series pairs, and skewing by a series as a differential operator on power sums,
+which only the tests use."""
 
 from fractions import Fraction
 from functools import cache, reduce
@@ -34,7 +35,6 @@ from symchar.schur import (
     SymFunc,
     TensorSymFunc,
     coproduct_basis,
-    dimension_gl,
     eval_monomials,
     outer_mul,
     skew,
@@ -101,15 +101,14 @@ def rational_convert_join(x: RationalChar) -> RationalChar:
 
 def rational_dimension(x: RationalChar, n: int) -> int:
     """dim of an irreducible-interpretation x at GL(n), n at least each term's total
-    length: {alpha;beta-bar} has highest weight (alpha, 0, ..., 0, -beta reversed),
-    a partition once shifted by beta_1 (a power of det, which keeps the dimension),
-    whose dimension is the hook-content formula's."""
-    total = 0
+    length: {alpha;beta-bar} has highest weight l = (alpha, 0, ..., 0, -beta reversed),
+    whose dimension is Weyl's product prod_{i<j} (l_i - l_j + j - i) / (j - i), from no
+    library dimension code."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    total, scale = 0, prod(j - i for i, j in pairs)
     for (alpha, beta), c in x.element.terms.items():
-        top = beta[0] if beta else 0
-        zeros = n - len(alpha) - len(beta)
-        shifted = [a + top for a in alpha] + [top] * zeros + [top - b for b in reversed(beta)]
-        total += c * dimension_gl(tuple(p for p in shifted if p), n)
+        l = [*alpha, *[0] * (n - len(alpha) - len(beta)), *(-b for b in reversed(beta))]
+        total += c * prod(l[i] - l[j] + j - i for i, j in pairs) // scale
     return total
 
 
@@ -192,6 +191,21 @@ def reduced_dimension_failures(x: SymFunc, y: SymFunc, product: SymFunc) -> list
         return sum(c * hook_dimension((n - weight(lam), *lam)) for lam, c in f.terms.items())
 
     values = range(start, start + x.max_degree() + y.max_degree() + 3)
+    return [n for n in values if dimension(x, n) * dimension(y, n) != dimension(product, n)]
+
+
+def thibon_dimension_failures(x: SymFunc, y: SymFunc, product: SymFunc) -> list[int]:
+    """The n at which Thibon's product of x and y fails deg_n(x) deg_n(y) = deg_n(product),
+    deg_n(f) = sum_lam c_lam C(n, |lam|) f^lam, extended linearly: s_mu # s_nu is the S_n
+    character product in the basis h_{n-|lam|} s_lam (Scharf-Thibon), and h_{n-k} s_lam has
+    degree C(n, k) f^lam, zero for n < k.  Each side is a polynomial in n of degree at most
+    deg x + deg y, so n = 0 .. deg x + deg y + 1 is checked.  f is the hook length
+    formula's, so the check reads no character table, Kronecker product or LR coefficient."""
+
+    def dimension(f: SymFunc, n: int) -> int:
+        return sum(c * comb(n, weight(lam)) * hook_dimension(lam) for lam, c in f.terms.items())
+
+    values = range(x.max_degree() + y.max_degree() + 2)
     return [n for n in values if dimension(x, n) * dimension(y, n) != dimension(product, n)]
 
 
@@ -425,3 +439,50 @@ def check_inverse_pair(tag_a: str, tag_b: str, cap: int) -> bool:
         if acc != expected:
             return False
     return True
+
+
+# Skewing by a series as a differential operator on power sums (Macdonald I.5, examples):
+# the adjoint of multiplication by p_k is k d/dp_k, so for M = exp(sum p_k / k) and
+# D = exp(sum (p_k^2 + p_{2k}) / 2k), M-perp = exp(sum d_k), the shift p_k -> p_k + 1, and
+# D-perp = exp(sum (k/2) d_k^2 + d_{2k}); B is D with -p_{2k}; L, C and A are the inverses
+# of M, D and B, each exponent negated.  Per tag: (sign of the shift or of the d_k^2 terms,
+# sign of the d_{2k} terms).
+SERIES_OPERATORS = {"M": (1, 0), "L": (-1, 0), "D": (1, 1), "B": (1, -1), "C": (-1, -1), "A": (-1, 1)}
+
+
+def _derive(f: dict, parts) -> dict:
+    """The product of d/dp_k over k in parts applied to f = sum c p_rho."""
+    out: dict = {}
+    for rho, c in f.items():
+        rest = list(rho)
+        for k in parts:
+            if k not in rest:
+                break
+            c *= rest.count(k)
+            rest.remove(k)
+        else:
+            out[tuple(rest)] = out.get(tuple(rest), 0) + c
+    return out
+
+
+def skew_by_series_operator(f: SymFunc, tag: str) -> SymFunc:
+    """f / series as exp(X) on f's power sums, X = SERIES_OPERATORS[tag]'s derivation,
+    summed as X^n f / n! for n <= deg f (X lowers the degree, so X^n f vanishes past
+    it); no LR, skew or coproduct code is read."""
+    sign, twist = SERIES_OPERATORS[tag]
+    ks = range(1, f.max_degree() + 1)
+    if twist:
+        ops = [(Fraction(sign * k, 2), (k, k)) for k in ks] + [(twist, (2 * k,)) for k in ks]
+    else:
+        ops = [(sign, (k,)) for k in ks]
+    term = to_power_sums(f)
+    out = dict(term)
+    for n in range(1, f.max_degree() + 1):
+        step: dict = {}
+        for c, parts in ops:
+            for rho, v in _derive(term, parts).items():
+                step[rho] = step.get(rho, 0) + c * v
+        term = {rho: v / n for rho, v in step.items() if v}
+        for rho, v in term.items():
+            out[rho] = out.get(rho, 0) + v
+    return from_power_sums(out)

@@ -9,7 +9,6 @@ from oracles import eval_polynomial
 from symchar.fgl import (
     FGL1,
     Poly,
-    additive,
     antipode_series,
     coproduct_from_fgl,
     fgl_log,
@@ -84,7 +83,7 @@ def compositional_inverse(p: Poly, cap: int) -> Poly:
 
 class TestAxioms:
     def test_additive(self):
-        assert check_axioms(additive(cap=6))
+        assert check_axioms(multiplicative(0, cap=6))
 
     def test_multiplicative(self):
         assert check_axioms(multiplicative(1, cap=6))
@@ -119,7 +118,7 @@ class TestAxioms:
 
 class TestAntipode:
     def test_additive(self):
-        assert antipode_series(additive(cap=6)) == pscale(X, -1)
+        assert antipode_series(multiplicative(0, cap=6)) == pscale(X, -1)
 
     def test_multiplicative(self):
         # -X/(1+X) = -X + X^2 - X^3 + ...
@@ -132,33 +131,33 @@ class TestAntipode:
         assert antipode_series(multiplicative(2, cap=5)) == expected
 
     def test_is_inverse(self):
-        for F in (additive(cap=6), multiplicative(1, cap=6), multiplicative(2, cap=6)):
+        for F in (multiplicative(0, cap=6), multiplicative(1, cap=6), multiplicative(2, cap=6)):
             lam = antipode_series(F)
             assert F.apply(X, lam) == {}
 
 
 class TestLoops:
     def test_additive(self):
-        assert loop_n(additive(cap=6), 5) == pscale(X, 5)
+        assert loop_n(multiplicative(0, cap=6), 5) == pscale(X, 5)
 
     def test_multiplicative(self):
         # [n](X) = ((1+X)^n - 1) for b = 1.
         assert loop_n(multiplicative(1, cap=6), 3) == poly({1: 3, 2: 3, 3: 1})
 
     def test_zero_and_negative_one(self):
-        for F in (additive(cap=6), multiplicative(1, cap=6)):
+        for F in (multiplicative(0, cap=6), multiplicative(1, cap=6)):
             assert loop_n(F, 0) == {}
             assert loop_n(F, -1) == antipode_series(F)
 
     def test_negative_loops_substitute_the_antipode(self):
         for cap in range(1, 11):
-            for F in (additive(cap), *(multiplicative(b, cap) for b in (1, 2, 7))):
+            for F in (multiplicative(0, cap), *(multiplicative(b, cap) for b in (1, 2, 7))):
                 lam = antipode_series(F)
                 for n in range(1, 9):
                     assert loop_n(F, -n) == compose(loop_n(F, n), lam, cap), (F, n)
 
     def test_loop_additivity(self):
-        for F in (additive(cap=6), multiplicative(1, cap=6)):
+        for F in (multiplicative(0, cap=6), multiplicative(1, cap=6)):
             for m in range(-3, 4):
                 for n in range(-3, 4):
                     lhs = F.apply(loop_n(F, m), loop_n(F, n))
@@ -167,7 +166,7 @@ class TestLoops:
 
 class TestLogarithm:
     def test_additive(self):
-        assert fgl_log(additive(cap=6)) == X
+        assert fgl_log(multiplicative(0, cap=6)) == X
 
     def test_multiplicative_is_log_one_plus_x(self):
         expected = poly({d: Fraction((-1) ** (d + 1), d) for d in range(1, 7)})

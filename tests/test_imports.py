@@ -144,7 +144,7 @@ def referenced_names(node: ast.AST, path: Path) -> set[str]:
 KEPT = {
     "convolution.py:coboundary1",
     "convolution.py:frobenius_inverse",
-    "hash_products.py:hash_is_hopf",
+    "hash_products.py:is_bialgebra",
     "series.py:is_group_like",
 }
 

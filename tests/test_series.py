@@ -3,9 +3,10 @@ forms, group-likeness, and inverse pairs."""
 
 import pytest
 
-from oracles import INVERSE_PAIR, check_inverse_pair
+from oracles import INVERSE_PAIR, check_inverse_pair, skew_by_series_operator
+from symchar.characters import BRANCH_SERIES, branch
 from symchar.kronecker import counit_eps1
-from symchar.partitions import partitions_up_to
+from symchar.partitions import partitions_up_to, weight
 from symchar.schur import SymFunc, outer_mul, s, scalar, unit
 from symchar.series import (
     SERIES_TAGS,
@@ -167,3 +168,16 @@ class TestInversePairs:
     def test_non_pairs_fail(self):
         assert not check_inverse_pair("M", "M", 4)
         assert not check_inverse_pair("A", "D", 4)
+
+
+class TestDifferentialOperators:
+    def test_branch_rules_and_series_terms_to_weight_eight(self):
+        """Every branching rule against its series' operator on every label of weight <= 8
+        (the oracle reads power sums only), and each series term's coefficient of s_lam,
+        <series, s_lam>, as the constant term of that operator on s_lam."""
+        for rule, tag in BRANCH_SERIES.items():
+            for lam in partitions_up_to(8):
+                f = SymFunc.basis(lam)
+                g = skew_by_series_operator(f, tag)
+                assert g == branch(f, rule), (rule, lam)
+                assert g.terms.get((), 0) == series_degree_term(tag, weight(lam)).terms.get(lam, 0), (tag, lam)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symchar.convolution import eps1_cochain, identity_cochain, inner_pairing
-from symchar.fgl import FGL1, additive, multiplicative
+from symchar.fgl import FGL1, multiplicative
 from symchar.hash_products import HashSpec
 from symchar.schur import SymFunc
 
@@ -42,7 +42,7 @@ class TestFGL1:
         assert F.coeffs == ((1, 1, Fraction(2)),) and F.cap == 5
         assert F == FGL1.make({(1, 1): 2}, 5)
         assert F != multiplicative(2, cap=6)
-        assert F != additive(cap=5)
+        assert F != multiplicative(0, cap=5)
         assert hash(F) == hash(FGL1.make({(1, 1): 2}, 5))
 
     def test_rebuild_from_own_type(self):
@@ -53,4 +53,4 @@ class TestFGL1:
     @pytest.mark.parametrize("attr", ["coeffs", "cap", "other"])
     def test_immutable(self, attr):
         with pytest.raises(AttributeError):
-            setattr(additive(), attr, 3)
+            setattr(multiplicative(0), attr, 3)

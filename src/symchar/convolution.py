@@ -17,8 +17,6 @@ sides read the cached LR kernels; the first is the witness.
 
 from __future__ import annotations
 
-from functools import cache, partial
-
 from .partitions import Partition, partitions_of, partitions_up_to, weight
 from .schur import (
     SymFunc,
@@ -233,6 +231,9 @@ def coboundary1(f: Cochain1) -> Pairing:
 
 # -- property checkers -------------------------------------------------------
 
+CHECK_DEGREE = 4  # derived_pairing, frobenius_inverse and validate_spec check their arguments to it
+
+
 def _law(counterexamples):
     """is_<law>(obj, max_degree, witness=None) from a generator of the law's
     counterexamples up to max_degree: True when it yields none, else False with
@@ -299,22 +300,6 @@ def is_laplace(a: Pairing, max_degree: int):
                 yield side, x, y, z, lhs, rhs
 
 
-def adjoint_comultiplication(a: Pairing, lam: Partition) -> TensorSymFunc:
-    """delta_a(s_lam) via <delta_a(x)|mu (x) nu> = <x|a(mu,nu)>, per degree.
-
-    Finite only for grade-preserving pairings, where both legs live in the
-    degree of lam.
-    """
-    grade = partitions_of(weight(lam))
-    out: dict[tuple[Partition, Partition], int] = {}
-    for mu in grade:
-        for nu in grade:
-            c = a.on_basis(mu, nu).get(lam)
-            if c:
-                out[(mu, nu)] = c
-    return TensorSymFunc(out)
-
-
 @_law
 def is_frobenius(a: Pairing, max_degree: int):
     """Frobenius Laplace test, counterexamples in this order: ("not grade-preserving",) unless
@@ -322,6 +307,7 @@ def is_frobenius(a: Pairing, max_degree: int):
     ("unit", n, x, a(s_(n), s_x)) per grade where a is not identically zero (a zero grade
     has no algebra to test, so e2 is Frobenius); on basis pairs, the Frobenius law
     x1 (x) a(x2, y) = delta_a(a(x,y)) = a(x, y1) (x) y2, delta_a the dual comultiplication
+    <delta_a(x)|mu (x) nu> = <x|a(mu, nu)>, built once as a's transpose on each grade
     ("frobenius-law", x, y, lhs, middle, rhs), and the mixed bialgebra law delta_a o m =
     (m (x) m) o (1 (x) sw (x) 1) o (delta_a (x) delta_a) ("mixed-bialgebra", x, y, lhs, rhs).
     The unit law on a whole grade n makes eps1 the counit there, so that law is not
@@ -330,29 +316,34 @@ def is_frobenius(a: Pairing, max_degree: int):
     for x, y in _basis_pairs(max_degree):
         if not all(weight(lam) == weight(x) == weight(y) for lam in a.on_basis(x, y)):
             yield ("not grade-preserving",)
-    for n in range(1, max_degree + 1):
+    delta_a = {lam: TensorSymFunc() for lam in partitions_up_to(max_degree)}  # a's transpose
+    for n in range(max_degree + 1):
         grade = partitions_of(n)
-        if any(a.on_basis(u, v) for u in grade for v in grade):
+        for mu in grade:
+            for nu in grade:
+                for lam, c in a.on_basis(mu, nu).items():
+                    if weight(lam) == n:  # 2n may pass max_degree: (mu, nu) was not sampled
+                        delta_a[lam].terms[mu, nu] = c
+        if n and any(a.on_basis(u, v) for u in grade for v in grade):
             for x in grade:
                 if a.on_basis((n,), x) != {x: 1}:
                     yield "unit", n, x, SymFunc(a.on_basis((n,), x))
-    delta_a = cache(partial(adjoint_comultiplication, a))  # once per lam per check
     for x, y in _basis_pairs(max_degree):
         if weight(x) == weight(y):  # the Frobenius law; a vanishes off equal degrees
-            middle = linear(a.on_basis(x, y), delta_a, TensorSymFunc)
-            lhs = linear(delta_a(y), lambda ys: tensor(a.on_basis(x, ys[0]), {ys[1]: 1}), TensorSymFunc)
-            rhs = linear(delta_a(x), lambda xs: tensor({xs[0]: 1}, a.on_basis(xs[1], y)), TensorSymFunc)
+            middle = linear(a.on_basis(x, y), delta_a.__getitem__, TensorSymFunc)
+            lhs = linear(delta_a[y], lambda ys: tensor(a.on_basis(x, ys[0]), {ys[1]: 1}), TensorSymFunc)
+            rhs = linear(delta_a[x], lambda xs: tensor({xs[0]: 1}, a.on_basis(xs[1], y)), TensorSymFunc)
             if not (lhs == middle == rhs):
                 yield "frobenius-law", x, y, lhs, middle, rhs
-        lhs = linear(product_basis(x, y), delta_a, TensorSymFunc)
-        rhs = delta_a(x) * delta_a(y)
+        lhs = linear(product_basis(x, y), delta_a.__getitem__, TensorSymFunc)
+        rhs = delta_a[x] * delta_a[y]
         if lhs != rhs:
             yield "mixed-bialgebra", x, y, lhs, rhs
 
 
-def derived_pairing(a: Pairing, phi: Cochain1, max_degree: int = 4) -> Pairing:
-    """a_phi = phi o a; phi must be an algebra homomorphism (1-cocycle)."""
-    if not is_algebra_hom(phi, max_degree):
+def derived_pairing(a: Pairing, phi: Cochain1) -> Pairing:
+    """a_phi = phi o a; phi must be an algebra homomorphism (1-cocycle) to CHECK_DEGREE."""
+    if not is_algebra_hom(phi, CHECK_DEGREE):
         raise ValueError(f"cochain {phi.name!r} is not an algebra homomorphism")
     return _composed(phi, a)
 
@@ -365,8 +356,8 @@ def _composed(phi: Cochain1, a: Pairing) -> Pairing:
     return Pairing(lambda mu, nu: phi(a.on_basis(mu, nu)).terms, name, a.grade_preserving)
 
 
-def frobenius_inverse(a: Pairing, max_degree: int = 4) -> Pairing:
-    """abar = S o a for a Frobenius Laplace pairing, declared grade preserving when a is."""
-    if not is_frobenius(a, max_degree):
-        raise ValueError(f"pairing {a.name!r} is not Frobenius up to degree {max_degree}")
+def frobenius_inverse(a: Pairing) -> Pairing:
+    """abar = S o a for a pairing Frobenius to CHECK_DEGREE, declared grade preserving when a is."""
+    if not is_frobenius(a, CHECK_DEGREE):
+        raise ValueError(f"pairing {a.name!r} is not Frobenius up to degree {CHECK_DEGREE}")
     return _composed(antipode_cochain(), a)

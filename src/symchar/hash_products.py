@@ -17,6 +17,7 @@ from collections import namedtuple
 from functools import cache, reduce
 
 from .convolution import (
+    CHECK_DEGREE,
     Cochain1,
     Pairing,
     _basis_pairs,
@@ -34,8 +35,6 @@ from .convolution import (
     unit_pairing,
 )
 from .schur import SymFunc, TensorSymFunc, coproduct_basis, linear, tensor
-
-CHECK_DEGREE = 4  # working bound for validating spec components
 
 
 class HashSpec(namedtuple("HashSpec", "stages final_cocycle name")):
@@ -66,17 +65,17 @@ def named_spec(name: str) -> HashSpec:
     return HashSpec(tuple((a(), phi()) for a, phi in NAMED_STAGES[name]), _id(), name)
 
 
-def validate_spec(spec: HashSpec, max_degree: int = CHECK_DEGREE) -> None:
+def validate_spec(spec: HashSpec) -> None:
     for i, (pairing, cocycle) in enumerate(spec.stages):
-        if not is_laplace(pairing, max_degree):
+        if not is_laplace(pairing, CHECK_DEGREE):
             raise ValueError(
                 f"stage {i} pairing {pairing.name!r} fails the Laplace check"
             )
-        if not is_algebra_hom(cocycle, max_degree):
+        if not is_algebra_hom(cocycle, CHECK_DEGREE):
             raise ValueError(
                 f"stage {i} cochain {cocycle.name!r} is not an algebra homomorphism"
             )
-    if not is_algebra_hom(spec.final_cocycle, max_degree):
+    if not is_algebra_hom(spec.final_cocycle, CHECK_DEGREE):
         raise ValueError(
             f"final cochain {spec.final_cocycle.name!r} is not an algebra homomorphism"
         )

@@ -297,6 +297,34 @@ CATALOGUE = [
         "pair keeps every inverse pair and round trip)",
         ("tests/test_series.py",),
     ),
+    Mutant(
+        "partitions.py",
+        '        if part < 0 < count:\n            raise ValueError(f"not a partition: {text!r}")\n',
+        "",
+        "parse_partition refuses a negative exponent-form part by its text, before the weight bound",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "convolution.py",
+        "for n in range(max_degree + 1):",
+        "for n in range(max_degree):",
+        "is_frobenius builds delta_a on every grade up to max_degree, max_degree included",
+        ("tests/test_convolution.py",),
+    ),
+    Mutant(
+        "convolution.py",
+        "if weight(lam) == n:",
+        "if True:",
+        "is_frobenius files a term s_lam of a(mu, nu), mu and nu in grade n, under delta_a(s_lam) only when |lam| = n",
+        ("tests/test_convolution.py",),
+    ),
+    Mutant(
+        "convolution.py",
+        "CHECK_DEGREE = 4",
+        "CHECK_DEGREE = 3",
+        "derived_pairing and validate_spec check their cochains to degree 4, not 3",
+        ("tests/test_hash.py",),
+    ),
 ]
 
 SELF_TEST = [

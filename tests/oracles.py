@@ -3,14 +3,15 @@ formulas for Newell-Littlewood, Thibon and Murnaghan-Littlewood, the hash
 form of the rational GL product, the direct join of the rational GL
 conversions, Weyl's dimension of a rational character, the embedded-S_n path
 for reduced characters and Murnaghan's dimension identity for their product, the
-S_n dimension identity for Thibon's product, the Cummins four-factor expansion of
-a Kronecker product, the product and evaluation of monomial-expanded polynomials,
+S_n dimension identity for Thibon's product, the GL(n) dimension identity for an outer
+product, the character identity for a Kronecker product, the Cummins four-factor
+expansion of a Kronecker product, the product and evaluation of monomial-expanded polynomials,
 the hook length formula, straightening by adjacent raising operators, and the named hash
 products in the power-sum basis from border-strip characters alone.  The
 library computes each product one way; these check it.  Also the bounded
 equality checks of cochains and pairings, the mutual-inverse check of the
-series pairs, and skewing by a series as a differential operator on power sums,
-which only the tests use."""
+series pairs, and skewing by a series as a differential operator on power sums and
+multiplying by it as the exponential of its power-sum logarithm, which only the tests use."""
 
 from fractions import Fraction
 from functools import cache, reduce
@@ -207,6 +208,38 @@ def thibon_dimension_failures(x: SymFunc, y: SymFunc, product: SymFunc) -> list[
 
     values = range(x.max_degree() + y.max_degree() + 2)
     return [n for n in values if dimension(x, n) * dimension(y, n) != dimension(product, n)]
+
+
+def gl_dimension(lam, n: int) -> int:
+    """s_lam(1^n), the dimension of GL(n)'s irreducible lam, by the hook-content formula
+    prod (n + c) / h over the cells: 0 when l(lam) > n, where the cell (n + 1, 1) has
+    content -n.  It reads no library dimension code, unlike `rational_dimension`'s padding,
+    which needs n at least the label's length."""
+    cells = hooks_and_contents(lam)
+    return prod(n + c for _, c, _ in cells) // prod(h for _, _, h in cells)
+
+
+def outer_dimension_failures(x: SymFunc, y: SymFunc, product: SymFunc) -> list[int]:
+    """The n at which the outer product of x and y fails s(1^n) = x(1^n) y(1^n), each
+    side summed by `gl_dimension`.  Each side is a polynomial in n of degree at most
+    deg x + deg y, so n = 0 .. deg x + deg y + 1 is checked; no LR coefficient is read."""
+
+    def dimension(f: SymFunc, n: int) -> int:
+        return sum(c * gl_dimension(lam, n) for lam, c in f.terms.items())
+
+    values = range(x.max_degree() + y.max_degree() + 2)
+    return [n for n in values if dimension(x, n) * dimension(y, n) != dimension(product, n)]
+
+
+def kronecker_character_failures(x: SymFunc, y: SymFunc, product: SymFunc, classes) -> list:
+    """The classes rho at which the Kronecker product of x and y fails
+    sum g_lam chi^lam(rho) = chi^x(rho) chi^y(rho), every character read by the border-strip
+    `reference_character`, so no character table or Kronecker kernel is read."""
+
+    def value(f: SymFunc, rho) -> int:
+        return sum(c * reference_character(lam, rho) for lam, c in f.terms.items())
+
+    return [rho for rho in classes if value(x, rho) * value(y, rho) != value(product, rho)]
 
 
 def default_oracle_n(x: SymFunc, y: SymFunc) -> int:
@@ -486,3 +519,39 @@ def skew_by_series_operator(f: SymFunc, tag: str) -> SymFunc:
         for rho, v in term.items():
             out[rho] = out.get(rho, 0) + v
     return from_power_sums(out)
+
+
+def _power_mul(f: dict, g: dict, cap: int) -> dict:
+    """f g in the power-sum basis, p_alpha p_beta = p_{alpha u beta}, truncated at degree cap."""
+    out: dict = {}
+    for alpha, ca in f.items():
+        for beta, cb in g.items():
+            if weight(alpha) + weight(beta) <= cap:
+                key = _p_mul(alpha, beta)
+                out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+@cache
+def _series_exp(tag: str, cap: int) -> dict:
+    """The series up to degree cap as exp(X) on power sums, X = sum sign p_k / k for M and L
+    and sum (sign p_k^2 + twist p_{2k}) / 2k for the classes, the signs SERIES_OPERATORS's;
+    each X^n / n! is one `_power_mul` by X, since X has no term of degree 0."""
+    sign, twist = SERIES_OPERATORS[tag]
+    ks = range(1, cap + 1)
+    if twist:
+        x = {**{(k, k): Fraction(sign, 2 * k) for k in ks}, **{(2 * k,): Fraction(twist, 2 * k) for k in ks}}
+    else:
+        x = {(k,): Fraction(sign, k) for k in ks}
+    out, term = {(): 1}, {(): 1}
+    for n in range(1, cap + 1):
+        term = {rho: c / n for rho, c in _power_mul(term, x, cap).items()}
+        for rho, c in term.items():
+            out[rho] = out.get(rho, 0) + c
+    return out
+
+
+def mul_by_series_operator(f: SymFunc, tag: str, cap: int) -> SymFunc:
+    """f * series truncated at degree cap, as f's power sums times exp(X) (see `_series_exp`);
+    no LR, product or series code is read."""
+    return from_power_sums(_power_mul(to_power_sums(f), _series_exp(tag, cap), cap))

@@ -317,6 +317,11 @@ class TestExponentFormBound:
         assert (code, out) == (2, "")
         assert err == "parse error: exponent out of range in '1^100000000000000000000'"
 
+    def test_negative_part_is_a_parse_error(self, capsys):
+        assert run(capsys, "decompose", "--product", "outer", "[-1^3,5]", "1") == (
+            2, "", "parse error: not a partition: '[-1^3,5]'"
+        )
+
 
 class TestCapsAboveMaxWeight:
     @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from oracles import cochains_equal, pairings_equal, power_sum_hash
 from symchar.convolution import (
     COCHAINS,
     PAIRINGS,
-    adjoint_comultiplication,
     antipode_cochain,
     coboundary1,
     convolve1,
@@ -37,7 +36,7 @@ from symchar.convolution import (
     _transposed,
 )
 from symchar.hash_products import HashSpec, build_hash, composite_pairing, named_product, named_spec
-from symchar.kronecker import inner_coproduct_basis, inner_mul, kronecker_basis
+from symchar.kronecker import inner_mul, kronecker_basis
 from symchar.partitions import conjugate, partitions_of, partitions_up_to, weight
 from symchar.schur import (
     SymFunc,
@@ -448,7 +447,7 @@ class TestCheckers:
         assert is_frobenius(inner_pairing(), 4)
 
     def test_derived_antipode_inner_laplace_not_frobenius(self):
-        a = derived_pairing(inner_pairing(), antipode_cochain(), 4)
+        a = derived_pairing(inner_pairing(), antipode_cochain())
         assert is_laplace(a, 4)
         assert not is_frobenius(a, 4)
 
@@ -543,6 +542,17 @@ class TestWitnesses:
         assert not is_frobenius(bumped_inner(((2,), (1, 1)), s(2)), 3, witness)
         assert repr(witness) == "[('unit', 2, (1, 1), s[2] + s[1,1])]"
 
+    def test_a_value_off_its_grade_is_filed_under_no_lower_grade(self):
+        """inner with s1 added to a(s21, s21), declared graded: that pair has weight 6, past
+        every pair a check to degree 4 samples, so only a check to degree 6 sees the bad
+        grading.  delta_a reads each grade n as a's transpose to degree n, so the s1 read on
+        grade 3 is no term of delta_a(s1), and a is Frobenius to degree 4, as inner is."""
+        a = bumped_inner(((2, 1), (2, 1)), s(1))
+        assert is_frobenius(a, 4)
+        witness: list = []
+        assert not is_frobenius(a, 6, witness)
+        assert witness == [("not grade-preserving",)]
+
 
 def law_sides(a: Pairing, side: str, x, y, z) -> tuple[SymFunc, SymFunc]:
     """Both sides of a's right law a(x, yz) = a(x1,y) a(x2,z) or left law
@@ -607,27 +617,6 @@ class TestTransposed:
             assert law_sides(q, *moved) == (lhs, rhs)
 
 
-class TestAdjointComultiplication:
-    def test_inner_adjoint_matches_inner_coproduct(self):
-        for lam in partitions_up_to(4):
-            assert adjoint_comultiplication(inner_pairing(), lam).terms == dict(
-                inner_coproduct_basis(lam)
-            )
-
-    def test_built_once_per_partition_in_one_check(self, monkeypatch):
-        from symchar import convolution
-
-        calls: list = []
-
-        def counted(a, lam):
-            calls.append(lam)
-            return adjoint_comultiplication(a, lam)
-
-        monkeypatch.setattr(convolution, "adjoint_comultiplication", counted)
-        assert is_frobenius(inner_pairing(), 4)
-        assert sorted(calls) == sorted(partitions_up_to(4))
-
-
 class TestDeclaredIdentity:
     """Only identity_cochain() declares `identity`; it holds no memo, and
     deriving a pairing by it returns the pairing itself."""
@@ -679,7 +668,7 @@ class TestOneReadPath:
         yield milnor_moore_inverse1(antipode_cochain())
         yield milnor_moore_inverse2(outer_pairing())
         yield coboundary1(antipode_cochain())
-        yield frobenius_inverse(inner_pairing(), 3)
+        yield frobenius_inverse(inner_pairing())
 
     def test_no_stage_overrides_the_shared_read(self):
         assert Cochain1.on_basis is Pairing.on_basis
@@ -785,22 +774,22 @@ class TestDerivedAndInverse:
     def test_derived_rejects_non_hom(self):
         bad = Cochain1(lambda lam: {lam: 2}, "doubling")
         with pytest.raises(ValueError, match="not an algebra homomorphism"):
-            derived_pairing(inner_pairing(), bad, 3)
+            derived_pairing(inner_pairing(), bad)
 
     def test_frobenius_inverse_of_inner(self):
-        inv = frobenius_inverse(inner_pairing(), 4)
+        inv = frobenius_inverse(inner_pairing())
         assert pairings_equal(convolve2(inv, inner_pairing()), unit_pairing(), 5)
         assert pairings_equal(inv, milnor_moore_inverse2(inner_pairing()), 4)
 
     def test_frobenius_inverse_inherits_the_declared_grading(self):
-        assert frobenius_inverse(inner_pairing(), 3).grade_preserving
-        assert frobenius_inverse(unit_pairing(), 3).grade_preserving
+        assert frobenius_inverse(inner_pairing()).grade_preserving
+        assert frobenius_inverse(unit_pairing()).grade_preserving
         undeclared = Pairing(inner_pairing().on_basis, "inner")
-        assert not frobenius_inverse(undeclared, 3).grade_preserving
+        assert not frobenius_inverse(undeclared).grade_preserving
 
     def test_frobenius_inverse_of_e2(self):
-        assert pairings_equal(frobenius_inverse(unit_pairing(), 3), unit_pairing(), 3)
+        assert pairings_equal(frobenius_inverse(unit_pairing()), unit_pairing(), 3)
 
     def test_frobenius_inverse_rejects_non_frobenius(self):
         with pytest.raises(ValueError, match="not Frobenius"):
-            frobenius_inverse(outer_pairing(), 3)
+            frobenius_inverse(outer_pairing())

@@ -27,6 +27,7 @@ from symchar.convolution import (
     eps1_cochain,
     identity_cochain,
     inner_pairing,
+    is_algebra_hom,
     is_frobenius,
     outer_pairing,
 )
@@ -293,19 +294,32 @@ class TestValidation:
     def test_rejects_non_laplace_stage(self):
         bad = HashSpec(((outer_pairing(), Cochain1(lambda lam: {lam: 1}, "id")),))
         with pytest.raises(ValueError, match="Laplace"):
-            validate_spec(bad, 3)
+            validate_spec(bad)
 
     def test_rejects_non_hom_cochain(self):
         from symchar.convolution import inner_pairing
 
         doubling = Cochain1(lambda lam: {lam: 2}, "doubling")
         with pytest.raises(ValueError, match="algebra homomorphism"):
-            validate_spec(HashSpec(((inner_pairing(), doubling),)), 3)
+            validate_spec(HashSpec(((inner_pairing(), doubling),)))
 
     def test_rejects_non_hom_final_cochain(self):
         doubling = Cochain1(lambda lam: {lam: 2}, "doubling")
         with pytest.raises(ValueError, match="^final cochain 'doubling' is not an algebra homomorphism$"):
-            validate_spec(HashSpec((), doubling), 3)
+            validate_spec(HashSpec((), doubling))
+
+    def test_cochains_are_checked_to_degree_four(self):
+        """id below weight 4 and zero from weight 4 on is an algebra map to degree 3 and
+        not to degree 4 (cut(s1 s3) = 0, cut(s1) cut(s3) = s1 s3), so both checked
+        constructions refuse it."""
+        cut = Cochain1(lambda lam: {lam: 1} if weight(lam) < 4 else {}, "cut")
+        assert is_algebra_hom(cut, 3) and not is_algebra_hom(cut, 4)
+        with pytest.raises(ValueError, match="^cochain 'cut' is not an algebra homomorphism$"):
+            derived_pairing(inner_pairing(), cut)
+        with pytest.raises(ValueError, match="^stage 0 cochain 'cut' is not an algebra homomorphism$"):
+            validate_spec(HashSpec(((inner_pairing(), cut),)))
+        with pytest.raises(ValueError, match="^final cochain 'cut' is not an algebra homomorphism$"):
+            validate_spec(HashSpec((), cut))
 
 
 class TestValidatedOnce:

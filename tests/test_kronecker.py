@@ -8,7 +8,7 @@ from functools import cache
 
 import pytest
 
-from oracles import hook_dimension, reference_character
+from oracles import hook_dimension, kronecker_character_failures, reference_character
 from symchar import kronecker
 from symchar.kronecker import (
     character,
@@ -310,6 +310,18 @@ class TestInnerProduct:
                 )
         a, b, c = s(3, 1), s(2, 2), s(2, 1, 1)
         assert inner_mul(inner_mul(a, b), c) == inner_mul(a, inner_mul(b, c))
+
+    def test_characters_multiply(self):
+        """sum g_lam chi^lam(rho) = chi^mu(rho) chi^nu(rho) at every class rho of S_n, n <= 5;
+        raising one coefficient breaks it at rho = 1^n."""
+        for n in range(6):
+            for mu in partitions_of(n):
+                for nu in partitions_of(n):
+                    x, y = SymFunc.basis(mu), SymFunc.basis(nu)
+                    product = inner_mul(x, y)
+                    assert kronecker_character_failures(x, y, product, partitions_of(n)) == [], (mu, nu)
+                    raised = product + SymFunc.basis(min(product.terms))
+                    assert (1,) * n in kronecker_character_failures(x, y, raised, partitions_of(n)), (mu, nu)
 
     def test_sign_twist(self):
         # s_{1^n} * s_mu = s_{mu'}

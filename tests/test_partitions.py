@@ -253,3 +253,9 @@ class TestParseFormat:
         with pytest.raises(ValueError, match="exponent out of range"):
             parse_partition(text)
         assert parse_partition("[2^0,1]") == (1,)
+
+    def test_rejects_a_negative_part_before_the_weight_bound(self):
+        """A negative run would lower the weight, so [-1^n,1^n] could pass any bound and
+        expand 2n parts; it is refused by its text, before the bound is read."""
+        with pytest.raises(ValueError, match=r"^not a partition: '\[-1\^3,5\]'$"):
+            parse_partition("[-1^3,5]", 20)

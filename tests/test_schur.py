@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import eval_polynomial, hook_dimension, poly_mul
+from oracles import eval_polynomial, hook_dimension, outer_dimension_failures, poly_mul
 from symchar.characters import branch
 from symchar.hash_products import build_hash, named_product, named_spec
 from symchar.kronecker import inner_coproduct_basis, inner_mul, kronecker_basis
@@ -300,6 +300,17 @@ class TestOuterProduct:
         lhs = eval_polynomial(outer_mul(SymFunc.basis(mu), SymFunc.basis(nu)), n)
         rhs = monomial_oracle(SymFunc.basis(mu), SymFunc.basis(nu), n)
         assert lhs == rhs
+
+    def test_gl_dimensions_multiply(self):
+        """s_mu(1^n) s_nu(1^n) = sum c_lam s_lam(1^n) at n = 0 .. |mu| + |nu| + 1, the values
+        below l(lam) included; raising one coefficient breaks it."""
+        for mu in partitions_up_to(4):
+            for nu in partitions_up_to(4):
+                x, y = SymFunc.basis(mu), SymFunc.basis(nu)
+                product = outer_mul(x, y)
+                assert outer_dimension_failures(x, y, product) == [], (mu, nu)
+                lam = min(product.terms)
+                assert outer_dimension_failures(x, y, product + SymFunc.basis(lam)), (mu, nu)
 
     def test_lr_coefficient_symmetry(self):
         for lam in partitions_of(5):

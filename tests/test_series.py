@@ -3,7 +3,7 @@ forms, group-likeness, and inverse pairs."""
 
 import pytest
 
-from oracles import INVERSE_PAIR, check_inverse_pair, skew_by_series_operator
+from oracles import INVERSE_PAIR, check_inverse_pair, mul_by_series_operator, skew_by_series_operator
 from symchar.characters import BRANCH_SERIES, branch
 from symchar.kronecker import counit_eps1
 from symchar.partitions import partitions_up_to, weight
@@ -181,3 +181,13 @@ class TestDifferentialOperators:
                 g = skew_by_series_operator(f, tag)
                 assert g == branch(f, rule), (rule, lam)
                 assert g.terms.get((), 0) == series_degree_term(tag, weight(lam)).terms.get(lam, 0), (tag, lam)
+
+    def test_products_by_every_series_to_cap_eight(self):
+        """mul_by_series against exp of the series' logarithm on power sums (the oracle reads
+        no LR or series code), for every tag, every label of weight <= 5 and every cap from
+        the label's weight to 8."""
+        for tag in SERIES_TAGS:
+            for lam in partitions_up_to(5):
+                f = SymFunc.basis(lam)
+                for cap in range(weight(lam), 9):
+                    assert mul_by_series(f, tag, cap) == mul_by_series_operator(f, tag, cap), (tag, lam, cap)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from importlib import import_module
 
@@ -34,15 +35,6 @@ def _bounded(value: int, what: str, args) -> int:
     if _nonnegative(value, what) > args.max_weight:
         raise ResourceError(f"{what} {value} exceeds the configured maximum {args.max_weight}")
     return value
-
-
-def _parsed(text: str, args) -> SymFunc:
-    """The symmetric function text names, its labels read under the resource guard."""
-    from .formats import parse_symfunc
-
-    f = parse_symfunc(text, args.max_weight)
-    _bounded(f.max_degree(), "input weight", args)
-    return f
 
 
 def _emit(args, text, payload) -> None:
@@ -77,18 +69,17 @@ _PRODUCTS = {  # --product -> (module, function, label kind); rational apart
 
 
 def _cmd_decompose(args) -> int:
-    from .formats import format_symfunc, symfunc_json
+    from .formats import format_symfunc, parse_symfunc, symfunc_json
 
     if args.product == "rational":
         from .characters import RationalChar, rational_mul
         from .formats import format_rational, parse_rational_label, rational_json
 
         labels = [parse_rational_label(text, args.max_weight) for text in (args.lhs, args.rhs)]
-        _bounded(max(sum(lam) + sum(mu) for lam, mu in labels), "input weight", args)
         result = rational_mul(*(RationalChar.basis(*label) for label in labels))
         _emit(args, lambda: format_rational(result.element), lambda: rational_json(result.element))
         return 0
-    lhs, rhs = _parsed(args.lhs, args), _parsed(args.rhs, args)
+    lhs, rhs = parse_symfunc(args.lhs, args.max_weight), parse_symfunc(args.rhs, args.max_weight)
     module, name, kind = _PRODUCTS[args.product]
     result = getattr(import_module(f".{module}", __package__), name)(lhs, rhs)
     _emit(args, lambda: format_symfunc(result, kind), lambda: symfunc_json(result, kind))
@@ -97,9 +88,9 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_branch(args) -> int:
     from .characters import branch
-    from .formats import format_symfunc, symfunc_json
+    from .formats import format_symfunc, parse_symfunc, symfunc_json
 
-    result = branch(_parsed(args.element, args), args.rule)
+    result = branch(parse_symfunc(args.element, args.max_weight), args.rule)
     kind = {"gl_to_o": "o", "gl_to_sp": "sp"}.get(args.rule, "gl")
     _emit(args, lambda: format_symfunc(result, kind), lambda: symfunc_json(result, kind))
     return 0
@@ -177,7 +168,7 @@ def _cmd_hash(args) -> int:
     """Any spec that parses as JSON is inline; anything else is a spec name."""
     import json
 
-    from .formats import format_symfunc, symfunc_json
+    from .formats import format_symfunc, parse_symfunc, symfunc_json
     from .hash_products import build_hash, named_product
 
     try:
@@ -193,7 +184,7 @@ def _cmd_hash(args) -> int:
         except ValueError as exc:
             print(f"invalid hash spec: {exc}", file=sys.stderr)
             return 2
-    x, y = _parsed(args.lhs, args), _parsed(args.rhs, args)
+    x, y = parse_symfunc(args.lhs, args.max_weight), parse_symfunc(args.rhs, args.max_weight)
     result = product(x, y)
     _emit(args, lambda: format_symfunc(result), lambda: symfunc_json(result, "gl"))
     return 0
@@ -203,7 +194,6 @@ def _cmd_vertex_schur(args) -> int:
     from .vertex import schur_via_bernstein
 
     lam = parse_partition(args.partition, args.max_weight)
-    _bounded(sum(lam), "partition weight", args)
     diff = schur_via_bernstein(lam) - SymFunc.basis(lam)
     if diff.is_zero():
         print(f"OK: vertex-operator chain reproduces s[{format_partition(lam)}]")
@@ -232,11 +222,12 @@ def _poly_text(p) -> str:
 
 
 def _parse_fgl(token: str, args):
-    """G_m^b named by token (ga: b = 0, gm: b = 1, gm:b) at the bounded --cap; a bad token first."""
+    """G_m^b named by token: ga (b = 0), gm (b = 1) or gm:b, b an optional - and ASCII
+    digits; at the bounded --cap, a bad token reported first."""
     from .fgl import multiplicative
 
     name, colon, b = token.partition(":")
-    if token != "ga" and name != "gm":
+    if token != "ga" and (name != "gm" or colon and not re.fullmatch("-?[0-9]+", b)):
         raise ValueError(f"unknown formal group law {token!r}")
     return multiplicative(int(b) if colon else int(name == "gm"), _bounded(args.cap, "cap", args))
 
@@ -262,7 +253,6 @@ def _cmd_fgl_coproduct(args) -> int:
     from .formats import pair_sorted
 
     lam = parse_partition(args.partition, args.max_weight)
-    _bounded(sum(lam), "partition weight", args)
     result = coproduct_from_fgl(args.law, SymFunc.basis(lam)).terms
     print(signed_sum(
         (result[a, b], f"s[{format_partition(a)}](x)s[{format_partition(b)}]")

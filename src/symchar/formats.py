@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .partitions import Partition, format_partition, parse_partition, term_order
+from .partitions import Partition, bound_weight, format_partition, parse_partition, term_order
 from .schur import SymFunc, TensorSymFunc, signed_sum
 
 _TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*?\s*)?s\[([^\]]*)\]")
@@ -67,11 +67,13 @@ def symfunc_json(f: SymFunc, kind: str) -> dict:
 
 def parse_rational_label(text: str, max_weight: int | None = None) -> tuple[Partition, Partition]:
     """Parse "kappa;lam" rational-character labels, e.g. "1;1" or "2,1;0", each leg
-    by `parse_partition` under max_weight."""
+    by `parse_partition` under max_weight, then the pair's |kappa| + |lam| under it."""
     if ";" not in text:
         raise ValueError(f"rational label needs a ';': {text!r}")
     co, _, contra = text.partition(";")
-    return parse_partition(co, max_weight), parse_partition(contra, max_weight)
+    kappa, lam = parse_partition(co, max_weight), parse_partition(contra, max_weight)
+    bound_weight(sum(kappa) + sum(lam), max_weight)
+    return kappa, lam
 
 
 def format_rational(x: TensorSymFunc) -> str:

@@ -170,28 +170,33 @@ def contains(lam: Partition, mu: Partition) -> bool:
     return all(lam[i] >= mu[i] for i in range(len(mu)))
 
 
+def bound_weight(total: int, max_weight: int | None) -> None:
+    """ResourceError if an input's weight total is above max_weight (None: no bound)."""
+    if max_weight is not None and total > max_weight:
+        raise ResourceError(f"input weight {total} exceeds the configured maximum {max_weight}")
+
+
 def parse_partition(text: str, max_weight: int | None = None) -> Partition:
-    """Parse "4,2,2,1", "0"/"" (empty), or exponent form "[1,2^2,4]".  An exponent-form
-    weight above max_weight raises ResourceError before any part is expanded, and
-    zero parts never expand."""
+    """Parse "4,2,2,1", "0"/"" (empty), or exponent form "[1,2^2,4]".  A weight above
+    max_weight raises ResourceError: a plain label's once it is read as a partition, an
+    exponent-form one's before any part is expanded.  Zero parts never expand."""
     text = text.strip()
     if text in ("", "0", "()", "[]"):
         return ()
-    if not (text.startswith("[") and text.endswith("]")):
-        return make_partition(int(tok) for tok in text.split(","))
-    runs: list[tuple[int, int]] = []  # (part, count), parts nonzero
-    for tok in filter(None, map(str.strip, text[1:-1].split(","))):
-        base, caret, exp = tok.partition("^")
-        part, count = int(base), int(exp) if caret else 1
-        if not 0 <= count <= sys.maxsize:  # else [part] * count drops parts or overflows
-            raise ValueError(f"exponent out of range in {tok!r}")
-        if part < 0 < count:
-            raise ValueError(f"not a partition: {text!r}")
-        if part:
-            runs.append((part, count))
-    total = sum(part * count for part, count in runs)
-    if max_weight is not None and total > max_weight:
-        raise ResourceError(f"input weight {total} exceeds the configured maximum {max_weight}")
+    if not (text.startswith("[") and text.endswith("]")):  # checked as written: "1,2" is no label
+        runs = [(part, 1) for part in make_partition(int(tok) for tok in text.split(","))]
+    else:
+        runs = []  # (part, count), parts nonzero
+        for tok in filter(None, map(str.strip, text[1:-1].split(","))):
+            base, caret, exp = tok.partition("^")
+            part, count = int(base), int(exp) if caret else 1
+            if not 0 <= count <= sys.maxsize:  # else [part] * count drops parts or overflows
+                raise ValueError(f"exponent out of range in {tok!r}")
+            if part < 0 < count:
+                raise ValueError(f"not a partition: {text!r}")
+            if part:
+                runs.append((part, count))
+    bound_weight(sum(part * count for part, count in runs), max_weight)
     return make_partition(sorted((p for part, count in runs for p in [part] * count), reverse=True))
 
 

@@ -299,7 +299,7 @@ CATALOGUE = [
     ),
     Mutant(
         "partitions.py",
-        '        if part < 0 < count:\n            raise ValueError(f"not a partition: {text!r}")\n',
+        '            if part < 0 < count:\n                raise ValueError(f"not a partition: {text!r}")\n',
         "",
         "parse_partition refuses a negative exponent-form part by its text, before the weight bound",
         ("tests/test_partitions.py",),
@@ -324,6 +324,20 @@ CATALOGUE = [
         "CHECK_DEGREE = 3",
         "derived_pairing and validate_spec check their cochains to degree 4, not 3",
         ("tests/test_hash.py",),
+    ),
+    Mutant(
+        "partitions.py",
+        "total > max_weight",
+        "total >= max_weight",
+        "a label whose weight equals the bound is read; only one above it is refused",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "cli.py",
+        're.fullmatch("-?[0-9]+", b)',
+        're.fullmatch("[-+]?[0-9]+", b)',
+        "the b of gm:b is an optional - and ASCII digits: gm:+3 is refused, not read as b = 3",
+        ("tests/test_cli.py",),
     ),
 ]
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from symchar.cli import build_parser, main
+from symchar.cli import _PRODUCTS, build_parser, main
 from symchar.partitions import partitions_of
 from symchar.schur import s
 
@@ -323,6 +323,44 @@ class TestExponentFormBound:
         )
 
 
+def label_argvs():
+    """(argv with "{}" where one label goes, the label over the default bound of 20, the
+    label at it) for every place a command reads a label; a rational pair weighs 21 or 20."""
+    for product in _PRODUCTS:
+        yield pytest.param(("decompose", "--product", product, "{}", "1"), "21", "20", id=f"{product} lhs")
+        yield pytest.param(("decompose", "--product", product, "1", "{}"), "21", "20", id=f"{product} rhs")
+    yield pytest.param(("branch", "gl_to_o", "{}"), "21", "20", id="branch")
+    yield pytest.param(("hash", "--spec", "thibon", "{}", "1"), "21", "20", id="hash")
+    yield pytest.param(("vertex", "schur", "{}"), "21", "20", id="vertex schur")
+    yield pytest.param(("fgl", "coproduct", "additive", "{}"), "21", "20", id="fgl coproduct")
+    yield pytest.param(("decompose", "--product", "rational", "{}", "1;1"), "15;6", "15;5", id="rational")
+
+
+class TestLabelBound:
+    """Every label, plain or exponent form, is bounded by the parser that reads it."""
+
+    @pytest.mark.parametrize("argv, over, at", label_argvs())
+    def test_over_weight_label_exits_3_and_one_at_the_bound_answers(self, capsys, argv, over, at):
+        code, out, err = run(capsys, *(a.format(over) for a in argv))
+        assert (code, out) == (3, "")
+        assert err == "resource bound exceeded: input weight 21 exceeds the configured maximum 20"
+        code, out, err = run(capsys, *(a.format(at) for a in argv))
+        assert code == 0 and out and not err
+
+    @pytest.mark.parametrize("expression", ["s[25]-s[25]", "s[25]+s["])
+    def test_an_over_weight_term_is_refused_before_the_rest_is_read(self, capsys, expression):
+        """Terms that cancel, or a malformed term after it, do not hide an over-weight one."""
+        code, out, err = run(capsys, "decompose", "--product", "outer", expression, "1")
+        assert (code, out) == (3, "")
+        assert err == "resource bound exceeded: input weight 25 exceeds the configured maximum 20"
+
+    @pytest.mark.parametrize("pair, weight", [("25;30", 25), ("3;30", 30)])
+    def test_rational_label_reports_its_first_over_weight_leg(self, capsys, pair, weight):
+        code, out, err = run(capsys, "decompose", "--product", "rational", pair, "1;1")
+        assert (code, out) == (3, "")
+        assert err == f"resource bound exceeded: input weight {weight} exceeds the configured maximum 20"
+
+
 class TestCapsAboveMaxWeight:
     @pytest.mark.parametrize(
         "argv",
@@ -340,7 +378,7 @@ class TestCapsAboveMaxWeight:
         assert out == ""
         assert err.startswith("resource bound exceeded:") and "maximum 20" in err
 
-    @pytest.mark.parametrize("law", ["bogus", "gm:x"])
+    @pytest.mark.parametrize("law", ["bogus", "gm:x", "gm: 3", "gm:+3", "gm:3 ", "gm:\uff13", "gm:1_0"])
     def test_bad_law_is_reported_before_the_cap(self, capsys, law):
         code, out, err = run(capsys, "fgl", "loop", law, "3", "--cap", "21")
         assert (code, out) == (2, "")

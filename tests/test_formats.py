@@ -12,7 +12,7 @@ from symchar.formats import (
     symfunc_json,
     term_order,
 )
-from symchar.partitions import partitions_up_to
+from symchar.partitions import ResourceError, partitions_up_to
 from symchar.schur import SymFunc, TensorSymFunc, s, unit
 
 small_partitions = st.sampled_from(partitions_up_to(5))
@@ -49,6 +49,10 @@ class TestParse:
         """Juxtaposed terms are not a sum: every term after the first needs a sign."""
         with pytest.raises(ValueError, match="cannot parse symmetric function at"):
             parse_symfunc(text)
+
+    def test_every_term_is_bounded(self):
+        with pytest.raises(ResourceError, match="input weight 21"):
+            parse_symfunc("s[3]+s[21]", 20)
 
 
 class TestFormat:
@@ -98,6 +102,14 @@ class TestRationalLabels:
     def test_parse(self):
         assert parse_rational_label("2,1;1") == ((2, 1), (1,))
         assert parse_rational_label("1;0") == ((1,), ())
+
+    def test_bounds_each_leg_then_the_pair(self):
+        """A leg over the bound is reported first; a pair of legs within it, by its total."""
+        with pytest.raises(ResourceError, match="input weight 21 "):
+            parse_rational_label("15;6", 20)
+        with pytest.raises(ResourceError, match="input weight 25 "):
+            parse_rational_label("25;30", 20)
+        assert parse_rational_label("15;5", 20) == ((15,), (5,))
 
     def test_missing_separator(self):
         with pytest.raises(ValueError):

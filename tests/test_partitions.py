@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from oracles import raising_standardize
 from symchar.partitions import (
     CANONICAL,
+    ResourceError,
     canonical,
     conjugate,
     contains,
@@ -259,3 +260,9 @@ class TestParseFormat:
         expand 2n parts; it is refused by its text, before the bound is read."""
         with pytest.raises(ValueError, match=r"^not a partition: '\[-1\^3,5\]'$"):
             parse_partition("[-1^3,5]", 20)
+
+    def test_bounds_a_plain_label_by_its_weight(self):
+        with pytest.raises(ResourceError, match=r"^input weight 21 exceeds the configured maximum 20$"):
+            parse_partition("21", 20)
+        assert parse_partition("20", 20) == (20,)
+        assert parse_partition("21") == (21,)

@@ -12,29 +12,15 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from importlib import import_module
 
 # The package itself loads these; other modules are imported by their handlers.
 from .kronecker import character_table
-from .partitions import ResourceError, format_partition, parse_partition, partitions_of
+from .partitions import ResourceError, bounded, format_partition, integer, parse_partition, partitions_of
 from .schur import SymFunc, signed_sum
 
 DEFAULT_MAX_WEIGHT = 20
-
-
-def _nonnegative(value: int, what: str) -> int:
-    if value < 0:
-        raise ValueError(f"{what} must be >= 0, got {value}")
-    return value
-
-
-def _bounded(value: int, what: str, args) -> int:
-    """value, if it is nonnegative and within the resource guard args.max_weight."""
-    if _nonnegative(value, what) > args.max_weight:
-        raise ResourceError(f"{what} {value} exceeds the configured maximum {args.max_weight}")
-    return value
 
 
 def _emit(args, text, payload) -> None:
@@ -100,7 +86,7 @@ def _cmd_series(args) -> int:
     from .formats import format_symfunc, symfunc_json
     from .series import series_degree_term
 
-    _bounded(args.cap, "cap", args)
+    bounded(args.cap, args.max_weight, "cap")
     terms = [series_degree_term(args.tag, d) for d in range(args.cap + 1)]
     _emit(
         args,
@@ -136,7 +122,7 @@ def _cmd_check(args) -> int:
 
     check = {"laplace": is_laplace, "cocycle2": is_cocycle2, "frobenius": is_frobenius,
              "alghom": is_algebra_hom}[args.property]
-    d = _bounded(args.max_degree, "max degree", args)
+    d = bounded(args.max_degree, args.max_weight, "max degree")
     witness: list = []
     if check(_check_target(args), d, witness):
         print(f"PASS: {args.name} satisfies {args.property} up to degree {d}")
@@ -146,15 +132,15 @@ def _cmd_check(args) -> int:
 
 
 def _parse_spec(data):
-    """An inline hash spec decoded from JSON; ValueError naming the expected shape otherwise."""
+    """An inline hash spec decoded from JSON; ValueError naming its shape and only keys otherwise."""
     from .convolution import COCHAINS, PAIRINGS
     from .hash_products import HashSpec
 
     try:
-        stages = tuple(
-            (PAIRINGS[st["pairing"]](), COCHAINS[st["cocycle"]]())
-            for st in data.get("stages", [])
-        )
+        specs = data.get("stages", [])
+        if data.keys() - {"stages", "final"} or any(st.keys() - {"pairing", "cocycle"} for st in specs):
+            raise KeyError  # a key that no spec or stage reads
+        stages = tuple((PAIRINGS[st["pairing"]](), COCHAINS[st["cocycle"]]()) for st in specs)
         final = COCHAINS[data.get("final", "id")]()
     except (AttributeError, KeyError, TypeError):
         raise ValueError(
@@ -207,7 +193,7 @@ def _cmd_vertex_schur(args) -> int:
 def _cmd_vertex_commutation(args) -> int:
     from .vertex import check_commutation
 
-    cap = _bounded(args.cap, "cap", args)
+    cap = bounded(args.cap, args.max_weight, "cap")
     if cap < 1:  # the window of compared exponents, max < cap, would be empty
         raise ValueError(f"cap must be >= 1, got {cap}")
     ok = check_commutation(cap)
@@ -222,21 +208,21 @@ def _poly_text(p) -> str:
 
 
 def _parse_fgl(token: str, args):
-    """G_m^b named by token: ga (b = 0), gm (b = 1) or gm:b, b an optional - and ASCII
-    digits; at the bounded --cap, a bad token reported first."""
+    """G_m^b named by token: ga (b = 0), gm (b = 1) or gm:b, b read by `integer`; at the
+    bounded --cap, a bad token reported first."""
     from .fgl import multiplicative
 
     name, colon, b = token.partition(":")
-    if token != "ga" and (name != "gm" or colon and not re.fullmatch("-?[0-9]+", b)):
+    if token != "ga" and name != "gm":
         raise ValueError(f"unknown formal group law {token!r}")
-    return multiplicative(int(b) if colon else int(name == "gm"), _bounded(args.cap, "cap", args))
+    return multiplicative(integer(b) if colon else int(name == "gm"), bounded(args.cap, args.max_weight, "cap"))
 
 
 def _cmd_fgl_loop(args) -> int:
     from .fgl import loop_n
 
     F = _parse_fgl(args.law, args)
-    _bounded(abs(args.n), "|n|", args)
+    bounded(abs(args.n), args.max_weight, "|n|")
     print(_poly_text(loop_n(F, args.n)))
     return 0
 
@@ -262,7 +248,7 @@ def _cmd_fgl_coproduct(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    n = _nonnegative(args.n, "n")
+    n = bounded(args.n, None, "n")
     if n > 12:
         raise ResourceError("character tables limited to n <= 12")
     table = character_table(n)
@@ -296,24 +282,24 @@ _COMMANDS = (
     ("branch", "apply a branching rule", _cmd_branch,
      {"rule": {"choices": _BRANCH_RULES}, "element": {}, **_JSON}),
     ("series", "print series terms per degree", _cmd_series,
-     {"tag": {"choices": list("MLABCD")}, "--cap": {"type": int, "required": True}, **_JSON}),
+     {"tag": {"choices": list("MLABCD")}, "--cap": {"type": integer, "required": True}, **_JSON}),
     ("check", "run a bounded property check", _cmd_check,
      {"property": {"choices": ["laplace", "cocycle2", "frobenius", "alghom"]}, "name": {},
-      "--max-degree": {"type": int, "default": 4}}),
+      "--max-degree": {"type": integer, "default": 4}}),
     ("hash", "evaluate a hash product on two basis elements", _cmd_hash,
      {"--spec": {"required": True, "help": "named spec or inline JSON"},
       "lhs": {}, "rhs": {}, **_JSON}),
     ("vertex", "vertex-operator utilities", None, {}),
     ("vertex schur", None, _cmd_vertex_schur, {"partition": {}}),
     ("vertex check-commutation", None, _cmd_vertex_commutation,
-     {"--cap": {"type": int, "default": 4}}),
+     {"--cap": {"type": integer, "default": 4}}),
     ("fgl", "formal group law utilities", None, {}),
     ("fgl loop", None, _cmd_fgl_loop,
-     {"law": {}, "n": {"type": int}, "--cap": {"type": int, "default": 6}}),
-    ("fgl log", None, _cmd_fgl_log, {"law": {}, "--cap": {"type": int, "default": 6}}),
+     {"law": {}, "n": {"type": integer}, "--cap": {"type": integer, "default": 6}}),
+    ("fgl log", None, _cmd_fgl_log, {"law": {}, "--cap": {"type": integer, "default": 6}}),
     ("fgl coproduct", None, _cmd_fgl_coproduct,
      {"law": {"choices": ["additive", "multiplicative"]}, "partition": {}}),
-    ("table", "print a symmetric-group character table", _cmd_table, {"n": {"type": int}, **_JSON}),
+    ("table", "print a symmetric-group character table", _cmd_table, {"n": {"type": integer}, **_JSON}),
 )
 
 
@@ -322,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="symchar",
         description="Symmetric-function character decompositions and Hopf deformations",
     )
-    top.add_argument("--max-weight", type=int, default=None, help="resource guard override")
+    top.add_argument("--max-weight", type=integer, default=None, help="resource guard override")
     parsers, subparsers = {"": top}, {}
     for path, help_, fn, arguments in _COMMANDS:
         group, _, name = path.rpartition(" ")
@@ -347,8 +333,8 @@ def main(argv=None) -> int:
     try:  # the bound: --max-weight, else SYMCHAR_MAX_WEIGHT, else the default
         if args.max_weight is None:
             env = os.environ.get("SYMCHAR_MAX_WEIGHT") or str(DEFAULT_MAX_WEIGHT)
-            args.max_weight = _nonnegative(int(env), "SYMCHAR_MAX_WEIGHT")
-        _nonnegative(args.max_weight, "--max-weight")  # a usage error for every subcommand
+            args.max_weight = bounded(integer(env), None, "SYMCHAR_MAX_WEIGHT")
+        bounded(args.max_weight, None, "--max-weight")  # a usage error for every subcommand
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here rather than at shutdown
         return code

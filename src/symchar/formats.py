@@ -5,10 +5,10 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .partitions import Partition, bound_weight, format_partition, parse_partition, term_order
+from .partitions import Partition, bounded, format_partition, parse_partition, term_order
 from .schur import SymFunc, TensorSymFunc, signed_sum
 
-_TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*?\s*)?s\[([^\]]*)\]")
+_TERM_RE = re.compile(r"\s*([+-])?\s*(?:([0-9]+)\s*\*?\s*)?s\[([^\]]*)\]")
 
 BRACKETS = {
     "gl": ("{", "}"),
@@ -72,7 +72,7 @@ def parse_rational_label(text: str, max_weight: int | None = None) -> tuple[Part
         raise ValueError(f"rational label needs a ';': {text!r}")
     co, _, contra = text.partition(";")
     kappa, lam = parse_partition(co, max_weight), parse_partition(contra, max_weight)
-    bound_weight(sum(kappa) + sum(lam), max_weight)
+    bounded(sum(kappa) + sum(lam), max_weight)
     return kappa, lam
 
 

@@ -170,33 +170,45 @@ def contains(lam: Partition, mu: Partition) -> bool:
     return all(lam[i] >= mu[i] for i in range(len(mu)))
 
 
-def bound_weight(total: int, max_weight: int | None) -> None:
-    """ResourceError if an input's weight total is above max_weight (None: no bound)."""
-    if max_weight is not None and total > max_weight:
-        raise ResourceError(f"input weight {total} exceeds the configured maximum {max_weight}")
+def integer(text: str) -> int:
+    """text read as an optional - and ASCII digits; ValueError for anything else, even
+    what int() reads ("+3", "1_0", " 3", non-ASCII digits)."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def bounded(value: int, max_weight: int | None, what: str = "input weight") -> int:
+    """value: ValueError if negative, ResourceError if above max_weight (None: no bound)."""
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    if max_weight is not None and value > max_weight:
+        raise ResourceError(f"{what} {value} exceeds the configured maximum {max_weight}")
+    return value
 
 
 def parse_partition(text: str, max_weight: int | None = None) -> Partition:
-    """Parse "4,2,2,1", "0"/"" (empty), or exponent form "[1,2^2,4]".  A weight above
-    max_weight raises ResourceError: a plain label's once it is read as a partition, an
-    exponent-form one's before any part is expanded.  Zero parts never expand."""
+    """Parse "4,2,2,1", "0"/"" (empty), or exponent form "[1,2^2,4]", each number by
+    `integer`.  A weight above max_weight raises ResourceError: a plain label's once it is
+    read as a partition, an exponent-form one's before any part is expanded (zeros never)."""
     text = text.strip()
     if text in ("", "0", "()", "[]"):
         return ()
     if not (text.startswith("[") and text.endswith("]")):  # checked as written: "1,2" is no label
-        runs = [(part, 1) for part in make_partition(int(tok) for tok in text.split(","))]
+        runs = [(part, 1) for part in make_partition(integer(tok.strip()) for tok in text.split(","))]
     else:
         runs = []  # (part, count), parts nonzero
         for tok in filter(None, map(str.strip, text[1:-1].split(","))):
             base, caret, exp = tok.partition("^")
-            part, count = int(base), int(exp) if caret else 1
+            part, count = integer(base.strip()), integer(exp.strip()) if caret else 1
             if not 0 <= count <= sys.maxsize:  # else [part] * count drops parts or overflows
                 raise ValueError(f"exponent out of range in {tok!r}")
             if part < 0 < count:
                 raise ValueError(f"not a partition: {text!r}")
             if part:
                 runs.append((part, count))
-    bound_weight(sum(part * count for part, count in runs), max_weight)
+    bounded(sum(part * count for part, count in runs), max_weight)
     return make_partition(sorted((p for part, count in runs for p in [part] * count), reverse=True))
 
 

@@ -327,16 +327,37 @@ CATALOGUE = [
     ),
     Mutant(
         "partitions.py",
-        "total > max_weight",
-        "total >= max_weight",
+        "value > max_weight",
+        "value >= max_weight",
         "a label whose weight equals the bound is read; only one above it is refused",
         ("tests/test_partitions.py",),
     ),
     Mutant(
+        "partitions.py",
+        'text[:1] == "-"',
+        'text[:1] in "-+"',
+        "an integer is an optional - and ASCII digits: gm:+3 and the label +3 are refused, not read as 3",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "partitions.py",
+        "digits.isascii() and digits.isdigit()",
+        "digits.isdigit()",
+        "an integer's digits are ASCII: a full-width or Arabic-Indic digit is refused, not read by int()",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "formats.py",
+        "(?:([0-9]+)",
+        r"(?:(\d+)",
+        "a coefficient is ASCII digits: one written in full-width or Arabic-Indic digits is refused",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
         "cli.py",
-        're.fullmatch("-?[0-9]+", b)',
-        're.fullmatch("[-+]?[0-9]+", b)',
-        "the b of gm:b is an optional - and ASCII digits: gm:+3 is refused, not read as b = 3",
+        'data.keys() - {"stages", "final"} or any(st.keys() - {"pairing", "cocycle"} for st in specs)',
+        "False",
+        "an inline hash spec with a key it does not read (a misspelt stages, a final inside a stage) is refused",
         ("tests/test_cli.py",),
     ),
 ]

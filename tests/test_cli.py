@@ -119,7 +119,13 @@ class TestHash:
         assert out == "{1} + 2*{2} + 2*{1,1} + {3} + {2,1}"
 
     @pytest.mark.parametrize(
-        "spec", ['{"stages": 5}', '{"stages": [{"pairing": "inner"}]}']
+        "spec",
+        [
+            '{"stages": 5}',
+            '{"stages": [{"pairing": "inner"}]}',
+            '{"stage": [{"pairing": "inner", "cocycle": "id"}]}',
+            '{"stages": [{"pairing": "inner", "cocycle": "m", "final": "antipode"}]}',
+        ],
     )
     def test_malformed_inline_spec(self, capsys, spec):
         code, out, err = run(capsys, "hash", "--spec", spec, "1", "1")
@@ -387,6 +393,54 @@ class TestCapsAboveMaxWeight:
     def test_max_weight_flag_lowers_the_cap_bound(self, capsys):
         assert run(capsys, "--max-weight", "2", "vertex", "check-commutation", "--cap", "3")[0] == 3
         assert run(capsys, "--max-weight", "3", "vertex", "check-commutation", "--cap", "3")[0] == 0
+
+
+# Every place a command reads an integer: "{}" is where the token goes.
+LABEL_SITES = {
+    "label part": ("decompose", "--product", "outer", "2,{}", "1"),
+    "exponent base": ("decompose", "--product", "outer", "[{}^2]", "1"),
+    "exponent count": ("decompose", "--product", "outer", "[2^{}]", "1"),
+    "coefficient": ("decompose", "--product", "outer", "s[2]+{}*s[1]", "1"),
+    "rational leg": ("decompose", "--product", "rational", "{};1", "1;1"),
+    "gm:b": ("fgl", "loop", "gm:{}", "3"),
+}
+OPTION_SITES = {
+    "--max-weight": ("--max-weight", "{}", "table", "3"),
+    "series --cap": ("series", "M", "--cap", "{}"),
+    "check --max-degree": ("check", "laplace", "inner", "--max-degree", "{}"),
+    "vertex check-commutation --cap": ("vertex", "check-commutation", "--cap", "{}"),
+    "fgl loop n": ("fgl", "loop", "gm", "{}"),
+    "fgl loop --cap": ("fgl", "loop", "gm", "3", "--cap", "{}"),
+    "fgl log --cap": ("fgl", "log", "gm", "--cap", "{}"),
+    "table n": ("table", "{}"),
+}
+NOT_INTEGERS = ("1_0", "+3", "\uff13", "\u0663")
+
+
+class TestIntegerGrammar:
+    """Every integer is an optional - and ASCII digits, wherever a command reads it."""
+
+    @pytest.mark.parametrize("token", NOT_INTEGERS)
+    @pytest.mark.parametrize("site", [*LABEL_SITES, *OPTION_SITES, "SYMCHAR_MAX_WEIGHT"])
+    def test_refused_with_exit_2(self, capsys, monkeypatch, site, token):
+        if site == "SYMCHAR_MAX_WEIGHT":
+            monkeypatch.setenv(site, token)
+            argv = ("table", "3")
+        else:
+            argv = tuple(a.format(token) for a in {**LABEL_SITES, **OPTION_SITES}[site])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        if site in OPTION_SITES:
+            assert err.startswith("usage: ") and err.splitlines()[-1].endswith(f"invalid integer value: {token!r}")
+        else:
+            assert err == f"parse error: invalid integer {token!r}" or (
+                site == "coefficient" and err.startswith("parse error: cannot parse symmetric function at: ")
+            )
+
+    @pytest.mark.parametrize("site", [*LABEL_SITES, *OPTION_SITES])
+    def test_the_same_sites_answer_ascii_digits(self, capsys, site):
+        code, out, err = run(capsys, *(a.format("1") for a in {**LABEL_SITES, **OPTION_SITES}[site]))
+        assert code in (0, 1) and out and not err
 
 
 class TestNegativeBounds:

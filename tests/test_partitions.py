@@ -9,6 +9,7 @@ from oracles import raising_standardize
 from symchar.partitions import (
     CANONICAL,
     ResourceError,
+    bounded,
     canonical,
     conjugate,
     contains,
@@ -17,6 +18,7 @@ from symchar.partitions import (
     from_frobenius,
     hooks_and_contents,
     in_class,
+    integer,
     make_partition,
     parse_partition,
     partitions_of,
@@ -266,3 +268,29 @@ class TestParseFormat:
             parse_partition("21", 20)
         assert parse_partition("20", 20) == (20,)
         assert parse_partition("21") == (21,)
+
+    def test_spaces_around_commas_and_carets_are_read(self):
+        assert parse_partition("3, 2") == (3, 2)
+        assert parse_partition("[2 ^ 2, 1]") == (2, 2, 1)
+
+
+class TestIntegerAndBound:
+    """One grammar for every integer the CLI reads, and one bound for every number."""
+
+    @pytest.mark.parametrize("text, value", [("-0", 0), ("007", 7), ("-12", -12), ("3", 3)])
+    def test_integer_reads_a_minus_and_ascii_digits(self, text, value):
+        assert integer(text) == value
+
+    @pytest.mark.parametrize("text", ["", "-", "--3", "\u00b3", "+3", "1_0", " 3", "3 ", "\uff13", "\u0663", "0x1"])
+    def test_integer_refuses_everything_else(self, text):
+        with pytest.raises(ValueError, match=r"^invalid integer "):
+            integer(text)
+
+    def test_bounded_messages(self):
+        with pytest.raises(ValueError) as info:
+            bounded(-1, 20, "cap")
+        assert str(info.value) == "cap must be >= 0, got -1"
+        with pytest.raises(ResourceError) as info:
+            bounded(21, 20)
+        assert str(info.value) == "input weight 21 exceeds the configured maximum 20"
+        assert bounded(20, 20) == 20 and bounded(10**30, None) == 10**30 and bounded(0, 0) == 0
